@@ -8,7 +8,7 @@ multi-domain image dataset.
 
 from .config import DataConfig, RunConfig, TrainConfig, VARIANTS
 from .datagen import DomainBatch, DomainStyleSpec, SyntheticDataset, generate_dataset
-from .objectives import LossBreakdown, loss_adapt, loss_prompt, loss_w, total_loss
+from .objectives import LossBreakdown, loss_prompt, loss_w, total_loss, variant_loss
 from .pipeline import (
     ModelState,
     infer,

@@ -67,23 +67,21 @@ def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.dot(x, y)) / (float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
 
 
-def _centroid(features: np.ndarray) -> np.ndarray:
-    return features.mean(axis=0)
+def _centroid_and_spread(features: np.ndarray) -> tuple[np.ndarray, float]:
+    """The centroid and the mean cosine distance of the vectors to it."""
+    centroid = features.mean(axis=0)
+    cos = features @ centroid / (np.linalg.norm(features, axis=1) * np.linalg.norm(centroid))
+    return centroid, float(np.mean(1.0 - cos))
 
 
-def _in_dist(features: np.ndarray, centroid: np.ndarray) -> float:
-    return float(np.mean([cosine_distance(x, centroid) for x in features]))
-
-
-def _pair_dist(feats_i, feats_j) -> float:
-    cent_i, cent_j = _centroid(feats_i), _centroid(feats_j)
-    in_i, in_j = _in_dist(feats_i, cent_i), _in_dist(feats_j, cent_j)
-    denom = 0.5 * (in_i + in_j)
+def _normalized_distance(a, b, where: str = "") -> float:
+    """Cosine distance of two (centroid, spread) pairs over their mean spread."""
+    denom = 0.5 * (a[1] + b[1])
     if denom < SPREAD_FLOOR:
         raise DegenerateDomainError(
-            f"in-domain spread {denom:.3g} below {SPREAD_FLOOR}; distance undefined"
+            f"in-domain spread {denom:.3g}{where} below {SPREAD_FLOOR}; distance undefined"
         )
-    return cosine_distance(cent_i, cent_j) / denom
+    return cosine_distance(a[0], b[0]) / denom
 
 
 def domain_distance(features_by_domain, labels_by_domain=None) -> DistanceReport:
@@ -98,19 +96,12 @@ def domain_distance(features_by_domain, labels_by_domain=None) -> DistanceReport
     for d, f in enumerate(feats):
         if len(f) < 2:
             raise ValueError(f"domain {d} has {len(f)} feature vectors, need >= 2")
-    cents = [_centroid(f) for f in feats]
-    spreads = np.array([_in_dist(f, c) for f, c in zip(feats, cents)])
+    stats = [_centroid_and_spread(f) for f in feats]
 
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            denom = 0.5 * (spreads[i] + spreads[j])
-            if denom < SPREAD_FLOOR:
-                raise DegenerateDomainError(
-                    f"in-domain spread {denom:.3g} between domains {i}, {j} "
-                    f"below {SPREAD_FLOOR}; distance undefined"
-                )
-            dist[i, j] = dist[j, i] = cosine_distance(cents[i], cents[j]) / denom
+            dist[i, j] = dist[j, i] = _normalized_distance(stats[i], stats[j], f" between domains {i}, {j}")
 
     cdist = None
     if labels_by_domain is not None:
@@ -119,7 +110,7 @@ def domain_distance(features_by_domain, labels_by_domain=None) -> DistanceReport
         for i in range(n):
             for j in range(i + 1, n):
                 cdist[i, j] = cdist[j, i] = class_distance(feats[i], labels[i], feats[j], labels[j])
-    return DistanceReport(domain_dist=dist, class_dist=cdist, in_dist=spreads)
+    return DistanceReport(domain_dist=dist, class_dist=cdist, in_dist=np.array([s for _, s in stats]))
 
 
 def class_distance(feats_i, labels_i, feats_j, labels_j) -> float:
@@ -138,7 +129,7 @@ def class_distance(feats_i, labels_i, feats_j, labels_j) -> float:
         if len(sub_i) == 0 or len(sub_j) == 0:
             warnings.warn(f"class {c} missing from one domain; skipped", stacklevel=2)
             continue
-        total += _pair_dist(sub_i, sub_j)
+        total += _normalized_distance(_centroid_and_spread(sub_i), _centroid_and_spread(sub_j))
         used += 1
     if used == 0:
         raise ValueError("no class present in both domains")

@@ -19,11 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor
-
 MAGIC = b"DPT1"
 
-__all__ = ["CheckpointError", "MAGIC", "load_arrays", "load_params", "save_arrays", "save_params"]
+__all__ = ["CheckpointError", "MAGIC", "load_arrays", "save_arrays"]
 
 
 class CheckpointError(IOError):
@@ -72,12 +70,3 @@ def load_arrays(path) -> dict:
         values = np.frombuffer(take(4 * count, f"values of {name!r}"), dtype="<f4")
         out[name] = values.reshape(dims).copy()
     return out
-
-
-def save_params(path, params: dict) -> None:
-    save_arrays(path, {name: p.data for name, p in params.items()})
-
-
-def load_params(path, requires_grad: bool = True) -> dict:
-    arrays = load_arrays(path)
-    return {name: Tensor(arr, requires_grad=requires_grad) for name, arr in arrays.items()}

@@ -1,9 +1,10 @@
 """Command-line surface: data generation, training, ablation sweeps, analysis.
 
-Exit codes: 0 ok, 2 config problem, 3 numerical failure, 4 I/O or format
-problem. All randomness flows from the seeds in the config (overridable with
---seed); outputs carry no timestamps, so identical invocations produce
-byte-identical artifacts.
+Exit codes: 0 ok, 1 some cells of an `ablate` or `sweep-length` table failed
+(each is listed on stderr and counts as NaN in the table), 2 config
+problem, 3 numerical failure, 4 I/O or format problem. All randomness flows
+from the seeds in the config (overridable with --seed); outputs carry no
+timestamps, so identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .datagen import DataFormatError
 from .pipeline import NumericalError
 
 EXIT_OK = 0
+EXIT_CELLS_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_FORMAT = 4
@@ -115,105 +117,85 @@ _WORKER_DATASET = None
 
 
 def _ablate_worker(job):
-    variant, target, seed, run, out_dir = job
+    target, seed, run, out_dir = job
     run = dataclasses.replace(run, train=dataclasses.replace(run.train, seed=seed))
     try:
-        report = pipeline.run_experiment(_WORKER_DATASET, target, variant, run, out_dir=out_dir)
-        return variant, target, seed, report["test_acc"], None
+        report = pipeline.run_experiment(_WORKER_DATASET, target, run.variant, run, out_dir=out_dir)
+        return report["test_acc"], None
     except Exception as exc:  # recorded as a NaN cell by the caller
-        return variant, target, seed, float("nan"), f"{type(exc).__name__}: {exc}"
+        return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-def _run_jobs(jobs, workers: int):
-    if workers <= 1:
-        return [_ablate_worker(job) for job in jobs]
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(_ablate_worker, jobs)
+def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, row_header: str) -> int:
+    """Train every (row, target, seed) cell and write `<name>.csv` and `<name>.json`.
 
-
-def cmd_ablate(args) -> int:
+    `rows` maps a row label to the run config of that row. Cell outputs go to
+    `<label>_t<target>_s<seed>/`. A table cell is the mean (and spread) over
+    seeds of test accuracy; a failed run counts as NaN and makes the exit
+    code EXIT_CELLS_FAILED.
+    """
     global _WORKER_DATASET
-    run = _load_run_config(args)
-    dataset = _load_or_generate_data(args, run)
     _WORKER_DATASET = dataset
     out = _out_root(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     seeds = [run.train.seed + i for i in range(args.num_seeds)]
-    targets = list(range(dataset.num_domains))
-    jobs = [
-        (variant, target, seed, run, out / f"{variant}_t{target}_s{seed}")
-        for variant in VARIANTS
-        for target in targets
-        for seed in seeds
-    ]
-    results = _run_jobs(jobs, args.workers)
+    cells = [(label, target, seed) for label in rows for target in targets for seed in seeds]
+    jobs = [(target, seed, rows[label], out / f"{label}_t{target}_s{seed}") for label, target, seed in cells]
+    if args.workers <= 1:
+        results = [_ablate_worker(job) for job in jobs]
+    else:
+        with get_context("fork").Pool(args.workers) as pool:
+            results = pool.map(_ablate_worker, jobs)
 
-    cells = {}
+    accs = {}
     failures = []
-    for variant, target, seed, acc, err in results:
-        cells.setdefault((variant, target), []).append(acc)
+    for (label, target, seed), (acc, err) in zip(cells, results):
+        accs.setdefault((label, target), []).append(acc)
         if err is not None:
-            failures.append(f"{variant} target={target} seed={seed}: {err}")
+            failures.append(f"{label} target={target} seed={seed}: {err}")
 
-    header = ["variant"] + [f"target_{t}" for t in targets] + ["average"]
-    lines = [",".join(header)]
+    lines = [",".join([row_header] + [f"target_{t}" for t in targets] + ["average"])]
     table = {}
-    for variant in VARIANTS:
-        row = [variant]
+    for label in rows:
+        row = [label]
         means = []
         for target in targets:
-            accs = np.array(cells[(variant, target)], dtype=float)
-            mean, std = float(np.nanmean(accs)), float(np.nanstd(accs))
+            values = np.array(accs[(label, target)], dtype=float)
+            mean, std = float(np.nanmean(values)), float(np.nanstd(values))
             means.append(mean)
             row.append(f"{100 * mean:.2f}±{100 * std:.2f}")
         avg = float(np.mean(means))
         row.append(f"{100 * avg:.2f}")
         lines.append(",".join(row))
-        table[variant] = {"per_target": means, "average": avg}
-    csv_path = out / "ablation.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    (out / "ablation.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        table[label] = {"per_target": means, "average": avg}
+    (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    (out / f"{name}.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print("\n".join(lines))
     if failures:
         print("failed runs:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 1
+        return EXIT_CELLS_FAILED
     return EXIT_OK
+
+
+def cmd_ablate(args) -> int:
+    run = _load_run_config(args)
+    dataset = _load_or_generate_data(args, run)
+    rows = {variant: dataclasses.replace(run, variant=variant) for variant in VARIANTS}
+    return _run_table(args, run, dataset, rows, range(dataset.num_domains), "ablation", "variant")
 
 
 def cmd_sweep_length(args) -> int:
-    global _WORKER_DATASET
     run = _load_run_config(args)
     dataset = _load_or_generate_data(args, run)
-    _WORKER_DATASET = dataset
-    out = _out_root(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else list(DEFAULT_LENGTHS)
     if any(length <= 0 for length in lengths):
         raise ConfigError(f"prompt lengths must be positive, got {lengths}")
-    seeds = [run.train.seed + i for i in range(args.num_seeds)]
-
-    jobs = []
-    for length in lengths:
-        cfg_l = dataclasses.replace(run, train=dataclasses.replace(run.train, prompt_length=length))
-        for seed in seeds:
-            jobs.append((run.variant, run.target_domain, seed, cfg_l, out / f"L{length}_s{seed}"))
-    results = _run_jobs(jobs, args.workers)
-
-    by_length = {length: [] for length in lengths}
-    for (variant, target, seed, acc, err), job in zip(results, jobs):
-        length = job[3].train.prompt_length
-        by_length[length].append(acc)
-        if err is not None:
-            print(f"L={length} seed={seed}: {err}", file=sys.stderr)
-
-    lines = ["prompt_length,mean_test_acc"]
-    for length in lengths:
-        lines.append(f"{length},{100 * float(np.nanmean(by_length[length])):.2f}")
-    (out / "length_sweep.csv").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_OK
+    rows = {
+        f"L{length}": dataclasses.replace(run, train=dataclasses.replace(run.train, prompt_length=length))
+        for length in lengths
+    }
+    return _run_table(args, run, dataset, rows, [run.target_domain], "length_sweep", "prompt_length")
 
 
 def _load_state(checkpoint_path, run: RunConfig, dataset) -> pipeline.ModelState:
@@ -222,7 +204,7 @@ def _load_state(checkpoint_path, run: RunConfig, dataset) -> pipeline.ModelState
     path = Path(checkpoint_path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    num_sources = dataset.num_domains - 1 if run.variant != "erm" else dataset.num_domains
+    num_sources = dataset.num_domains - 1 if VARIANTS[run.variant].uses_prompts else dataset.num_domains
     return pipeline.ModelState.load(path, run.vit, num_sources, run.train.prompt_length)
 
 

@@ -1,4 +1,5 @@
-"""Run configuration: typed dataclasses plus the flat key=value file format."""
+"""Run configuration: typed dataclasses, the variant table, and the flat
+key=value file format."""
 
 from __future__ import annotations
 
@@ -13,16 +14,58 @@ __all__ = [
     "RunConfig",
     "TrainConfig",
     "VARIANTS",
+    "Variant",
+    "get_variant",
     "load_config",
     "parse_config_text",
     "save_config",
 ]
 
-VARIANTS = ("doprompt", "erm", "no_adapter", "no_lw", "no_ladapt", "frozen_backbone")
-
-
 class ConfigError(ValueError):
     """Bad config file, key, or value."""
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One ablation row: the objective's terms, what stays frozen, how to predict.
+
+    `terms` are summed into the total, from "erm" (prompt-free cross-entropy,
+    logged in the l_prompt column), "prompt" (L_prompt), "w" (lambda * L_w)
+    and "adapt" (L_adapt). A variant with "w" or "adapt" runs the adapter and
+    logs L_w even when it carries no weight. Parameters whose names start
+    with a `frozen` prefix are never updated. `inference` names the test-time
+    logits: "adapted", "prompt_free", or "prompt_averaged" (the mean of the K
+    single-prompt logits).
+    """
+
+    terms: tuple[str, ...]
+    frozen: tuple[str, ...] = ()
+    inference: str = "adapted"
+
+    @property
+    def uses_prompts(self) -> bool:
+        """Whether the model has a prompt bank and adapter at all."""
+        return "erm" not in self.terms
+
+    @property
+    def uses_adapter(self) -> bool:
+        return "w" in self.terms or "adapt" in self.terms
+
+
+VARIANTS = {
+    "doprompt": Variant(("prompt", "w", "adapt")),
+    "erm": Variant(("erm",), frozen=("prompts.", "adapter."), inference="prompt_free"),
+    "no_adapter": Variant(("prompt",), frozen=("adapter.",), inference="prompt_averaged"),
+    "no_lw": Variant(("prompt", "adapt")),
+    "no_ladapt": Variant(("prompt", "w")),
+    "frozen_backbone": Variant(("prompt", "w", "adapt"), frozen=("vit.",)),
+}
+
+
+def get_variant(name: str) -> Variant:
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}")
+    return VARIANTS[name]
 
 
 @dataclass
@@ -65,8 +108,7 @@ class RunConfig:
     target_domain: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        get_variant(self.variant)
 
 
 # file key -> (section, attribute, type); "lambda" maps onto TrainConfig.lam

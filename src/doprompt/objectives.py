@@ -1,8 +1,11 @@
-"""Training losses: per-domain prompt loss, adapter weight loss, adapted-prompt
-loss, and their weighted combination.
+"""Training losses: the domain-prompt loss, the adapter weight loss, the
+adapted-prompt loss, and their combination for each variant.
 
-The adapter is always fed the prompt-free class-token feature through a
-stop-gradient, so no gradient reaches the backbone through the adapter input.
+A full DoPrompt step runs three ViT passes over the batch: one prompt-free
+pass under no_grad whose class feature feeds the adapter, so no gradient
+reaches the backbone through the adapter input; one pass in which every
+image carries its own domain's prompts, gathered from the bank; and one pass
+with the adapted prompts.
 """
 
 from __future__ import annotations
@@ -13,23 +16,23 @@ import numpy as np
 
 from . import tensor as T
 from . import vit
+from .config import VARIANTS, Variant
 from .datagen import DomainBatch
-from .prompting import AdapterParams, PromptBank, adapter_forward, compose_adapted_prompts, domain_prompts
+from .prompting import AdapterParams, PromptBank, adapter_forward, compose_adapted_prompts
 from .tensor import Tensor
 
-__all__ = ["LossBreakdown", "loss_adapt", "loss_erm", "loss_prompt", "loss_w", "total_loss"]
+__all__ = ["LossBreakdown", "loss_erm", "loss_prompt", "loss_w", "total_loss", "variant_loss"]
 
 LOG_CLAMP = 1e-7
 
 
 @dataclass
 class LossBreakdown:
-    """Scalar loss tensors plus the combination weight lambda."""
+    """Scalar loss tensors; terms a variant does not compute are zero."""
 
     l_prompt: Tensor
     l_w: Tensor
     l_adapt: Tensor
-    lam: float
     total: Tensor
 
     def floats(self) -> tuple[float, float, float, float]:
@@ -54,19 +57,13 @@ def loss_erm(params, cfg, batch: DomainBatch, train=False, rng=None) -> Tensor:
 
 
 def loss_prompt(params, cfg, bank: PromptBank, batch: DomainBatch, train=False, rng=None) -> Tensor:
-    """Each sample forwarded with its own domain's prompts; mean over the batch."""
-    n = len(batch)
-    total = None
-    for d in np.unique(batch.domains):
-        if d >= bank.num_domains:
-            raise IndexError(f"domain index {d} out of range [0, {bank.num_domains})")
-        sel = np.flatnonzero(batch.domains == d)
-        _, logits = vit.forward(
-            params, cfg, Tensor(batch.images[sel]), domain_prompts(bank, int(d)), train, rng
-        )
-        part = T.cross_entropy(logits, batch.labels[sel]) * (len(sel) / n)
-        total = part if total is None else total + part
-    return total
+    """One pass in which each sample carries its own domain's prompts; mean over the batch."""
+    domains = np.asarray(batch.domains)
+    bad = (domains < 0) | (domains >= bank.num_domains)
+    if bad.any():
+        raise IndexError(f"domain index {domains[bad][0]} out of range [0, {bank.num_domains})")
+    _, logits = vit.forward(params, cfg, Tensor(batch.images), bank.tokens[domains], train, rng)
+    return T.cross_entropy(logits, batch.labels)
 
 
 def loss_w(weights: Tensor, true_domains) -> Tensor:
@@ -85,32 +82,43 @@ def loss_w(weights: Tensor, true_domains) -> Tensor:
     return T.tensor_sum(-(pos + neg)) * (1.0 / (b * length * k))
 
 
-def loss_adapt(
+def variant_loss(
+    variant: Variant,
     params,
     cfg,
-    bank: PromptBank,
-    adapter: AdapterParams,
+    bank: PromptBank | None,
+    adapter: AdapterParams | None,
     batch: DomainBatch,
+    lam: float,
     train=False,
     rng=None,
-    base_feature: Tensor | None = None,
-) -> Tensor:
-    """Cross-entropy with adapted prompts composed from detached features.
+) -> LossBreakdown:
+    """The variant's loss terms and their total, in the order the passes draw dropout.
 
-    Gradients flow to backbone, classifier, adapter and bank, but never into
-    the backbone through the adapter's input feature.
+    The adapter-input pass comes first, then the prompt (or prompt-free ERM)
+    pass, then the adapted pass; see `Variant` for which of them run.
     """
-    weights = _adapter_weights(params, cfg, adapter, batch, train, rng, base_feature)
-    adapted = compose_adapted_prompts(bank, weights)
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted, train, rng)
-    return T.cross_entropy(logits, batch.labels)
-
-
-def _adapter_weights(params, cfg, adapter, batch, train, rng, base_feature):
-    if base_feature is None:
-        feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, train, rng)
-        base_feature = feat
-    return adapter_forward(adapter, T.detach(base_feature))
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    l_w = l_a = Tensor(0.0)
+    if variant.uses_adapter:
+        with T.no_grad():
+            feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, train, rng)
+        weights = adapter_forward(adapter, feat)
+        l_w = loss_w(weights, batch.domains)
+    if variant.uses_prompts:
+        l_p = loss_prompt(params, cfg, bank, batch, train, rng)
+    else:
+        l_p = loss_erm(params, cfg, batch, train, rng)
+    total = l_p
+    if "adapt" in variant.terms:
+        adapted = compose_adapted_prompts(bank, weights)
+        _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted, train, rng)
+        l_a = T.cross_entropy(logits, batch.labels)
+        total = total + l_a
+    if "w" in variant.terms:
+        total = total + l_w * lam
+    return LossBreakdown(l_prompt=l_p, l_w=l_w, l_adapt=l_a, total=total)
 
 
 def total_loss(
@@ -123,18 +131,7 @@ def total_loss(
     train=False,
     rng=None,
 ) -> LossBreakdown:
-    """One prompt-free forward (adapter input), one per-domain-prompt pass,
-    one adapted-prompt pass; total = l_prompt + l_adapt + lambda * l_w."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, train, rng)
-    weights = adapter_forward(adapter, T.detach(feat))
-
-    l_p = loss_prompt(params, cfg, bank, batch, train, rng)
-    l_w = loss_w(weights, batch.domains)
-    adapted = compose_adapted_prompts(bank, weights)
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted, train, rng)
-    l_a = T.cross_entropy(logits, batch.labels)
-
-    total = l_p + l_a + l_w * lam
-    return LossBreakdown(l_prompt=l_p, l_w=l_w, l_adapt=l_a, lam=lam, total=total)
+    """The full DoPrompt objective, l_prompt + l_adapt + lambda * l_w: a
+    no-grad prompt-free pass for the adapter input, a gathered-prompt pass
+    and an adapted-prompt pass."""
+    return variant_loss(VARIANTS["doprompt"], params, cfg, bank, adapter, batch, lam, train, rng)

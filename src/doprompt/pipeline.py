@@ -1,5 +1,8 @@
 """Training loop, two-pass inference, evaluation, and model selection.
 
+Every variant trains and predicts from its row of `config.VARIANTS`: the
+loss terms go to `objectives.variant_loss`, the frozen name prefixes to
+`ModelState.trainable_names`, and the inference mode to `predict_logits`.
 One training run is single-threaded and fully deterministic: every random
 draw (init, batch sampling, dropout) derives from the run seed. Validation
 uses the exact inference function later used on the target domain.
@@ -16,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import objectives, optim, prompting, vit
 from . import tensor as T
-from .config import ConfigError, RunConfig, TrainConfig, VARIANTS
+from .config import ConfigError, RunConfig, TrainConfig, get_variant
 from .datagen import DomainBatch, SyntheticDataset
 from .objectives import LossBreakdown
 from .prompting import AdapterParams, PromptBank
@@ -38,9 +41,6 @@ __all__ = [
 ]
 
 EVAL_BATCH = 128
-
-# Variants that train or use the prompt adapter.
-ADAPTER_VARIANTS = ("doprompt", "no_lw", "no_ladapt", "frozen_backbone")
 
 
 class NumericalError(RuntimeError):
@@ -67,29 +67,15 @@ class ModelState:
         return out
 
     def trainable_names(self, variant: str) -> list:
-        names = list(self.named_params())
-        if variant == "erm":
-            names = [n for n in names if not n.startswith(("prompts.", "adapter."))]
-        elif variant == "no_adapter":
-            names = [n for n in names if not n.startswith("adapter.")]
-        elif variant == "frozen_backbone":
-            names = [n for n in names if not n.startswith("vit.")]
-        return names
+        frozen = get_variant(variant).frozen
+        return [n for n in self.named_params() if not n.startswith(frozen)]
 
-    def save(self, path, include_optimizer: bool = False) -> None:
-        arrays = {name: p.data for name, p in self.named_params().items()}
-        if include_optimizer:
-            for name in list(arrays):
-                arrays[f"opt.m.{name}"] = self.opt.m[name]
-                arrays[f"opt.v.{name}"] = self.opt.v[name]
-            arrays["opt.t"] = np.array([self.opt.t], dtype=np.float32)
-            arrays["opt.step"] = np.array([self.step], dtype=np.float32)
-        ckpt.save_arrays(path, arrays)
+    def save(self, path) -> None:
+        ckpt.save_arrays(path, {name: p.data for name, p in self.named_params().items()})
 
     @classmethod
     def load(cls, path, cfg: ViTConfig, num_domains: int, prompt_length: int) -> "ModelState":
-        arrays = ckpt.load_arrays(path)
-        named = {n: Tensor(a, requires_grad=True) for n, a in arrays.items() if not n.startswith("opt.")}
+        named = {n: Tensor(a, requires_grad=True) for n, a in ckpt.load_arrays(path).items()}
         params = vit.vit_params_from_named(cfg, named)
         bank = adapter = None
         if "prompts.bank" in named:
@@ -103,20 +89,8 @@ class ModelState:
                 num_domains=num_domains,
                 length=prompt_length,
             )
-        state = cls(cfg=cfg, params=params, bank=bank, adapter=adapter,
-                    opt=optim.init_adamw_state(named), step=0)
-        for name in named:
-            m = arrays.get(f"opt.m.{name}")
-            v = arrays.get(f"opt.v.{name}")
-            if m is not None:
-                state.opt.m[name] = m
-            if v is not None:
-                state.opt.v[name] = v
-        if "opt.t" in arrays:
-            state.opt.t = int(arrays["opt.t"][0])
-        if "opt.step" in arrays:
-            state.step = int(arrays["opt.step"][0])
-        return state
+        return cls(cfg=cfg, params=params, bank=bank, adapter=adapter,
+                   opt=optim.init_adamw_state(named), step=0)
 
 
 @dataclass
@@ -174,33 +148,10 @@ def train_step(
     objective, backpropagates, and applies AdamW to the variant's trainable
     parameters. Raises NumericalError if any component goes non-finite.
     """
-    params, cfg = state.params, state.cfg
-    zero = Tensor(0.0)
-
-    if variant == "erm":
-        l_erm = objectives.loss_erm(params, cfg, batch, train=True, rng=rng)
-        breakdown = LossBreakdown(l_prompt=l_erm, l_w=zero, l_adapt=zero, lam=0.0, total=l_erm)
-    elif variant == "no_adapter":
-        l_p = objectives.loss_prompt(params, cfg, state.bank, batch, train=True, rng=rng)
-        breakdown = LossBreakdown(l_prompt=l_p, l_w=zero, l_adapt=zero, lam=0.0, total=l_p)
-    elif variant == "no_lw":
-        breakdown = objectives.total_loss(
-            params, cfg, state.bank, state.adapter, batch, lam=0.0, train=True, rng=rng
-        )
-    elif variant == "no_ladapt":
-        feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, True, rng)
-        weights = prompting.adapter_forward(state.adapter, T.detach(feat))
-        l_p = objectives.loss_prompt(params, cfg, state.bank, batch, train=True, rng=rng)
-        l_w = objectives.loss_w(weights, batch.domains)
-        total = l_p + l_w * config.lam
-        breakdown = LossBreakdown(l_prompt=l_p, l_w=l_w, l_adapt=zero, lam=config.lam, total=total)
-    elif variant in ("doprompt", "frozen_backbone"):
-        breakdown = objectives.total_loss(
-            params, cfg, state.bank, state.adapter, batch, lam=config.lam, train=True, rng=rng
-        )
-    else:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-
+    breakdown = objectives.variant_loss(
+        get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch,
+        config.lam, train=True, rng=rng,
+    )
     _check_finite(breakdown)
     named = state.named_params()
     optim.zero_grads(named)
@@ -259,13 +210,16 @@ def infer_prompt_free(state: ModelState, images: np.ndarray) -> np.ndarray:
     return logits.data
 
 
+_INFERENCE = {
+    "adapted": lambda state, images: infer(state, images)[0],
+    "prompt_free": infer_prompt_free,
+    "prompt_averaged": infer_prompt_averaged,
+}
+
+
 def predict_logits(state: ModelState, images: np.ndarray, variant: str) -> np.ndarray:
     """The variant's test-time logits; validation uses this same function."""
-    if variant == "erm":
-        return infer_prompt_free(state, images)
-    if variant == "no_adapter":
-        return infer_prompt_averaged(state, images)
-    return infer(state, images)[0]
+    return _INFERENCE[get_variant(variant).inference](state, images)
 
 
 def evaluate_accuracy(state: ModelState, images, labels, variant: str) -> float:
@@ -329,12 +283,11 @@ def run_experiment(
     validation accuracy (ties resolved toward the earliest step), and reports
     accuracy on the held-out target domain.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    spec = get_variant(variant)
     if not 0 <= target_domain < dataset.num_domains:
         raise ConfigError(f"target_domain {target_domain} out of range [0, {dataset.num_domains})")
     source_domains = [d for d in range(dataset.num_domains) if d != target_domain]
-    if variant in ADAPTER_VARIANTS and len(source_domains) < 2:
+    if spec.uses_adapter and len(source_domains) < 2:
         raise ConfigError(f"variant {variant!r} needs >= 2 source domains, got {len(source_domains)}")
 
     tc = run_cfg.train
@@ -357,7 +310,7 @@ def run_experiment(
         num_domains=len(source_domains),
         prompt_length=tc.prompt_length,
         seed=tc.seed,
-        with_prompts=variant != "erm",
+        with_prompts=spec.uses_prompts,
     )
 
     val_images = np.concatenate([dataset.images[d][val_idx[d]] for d in source_domains])

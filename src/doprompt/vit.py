@@ -9,7 +9,7 @@ are pre-norm residual: x + Attn(LN(x)), then + MLP(LN(.)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,19 +106,16 @@ class ViTParams:
         yield "vit.cls", self.cls
         yield "vit.pos", self.pos
         for i, blk in enumerate(self.blocks):
-            prefix = f"vit.block{i}."
-            for f in (
-                "ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
-                "wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
-            ):
-                yield prefix + f.replace("_", "."), getattr(blk, f)
+            for f in fields(BlockParams):
+                yield _block_name(i, f.name), getattr(blk, f.name)
         yield "vit.norm.g", self.norm_g
         yield "vit.norm.b", self.norm_b
         yield "classifier.w", self.head_w
         yield "classifier.b", self.head_b
 
-    def backbone_names(self):
-        return [name for name, _ in self.named() if name.startswith("vit.")]
+
+def _block_name(i: int, field_name: str) -> str:
+    return f"vit.block{i}." + field_name.replace("_", ".")
 
 
 def init_vit_params(cfg: ViTConfig, rng: np.random.Generator) -> ViTParams:
@@ -173,14 +170,7 @@ def vit_params_from_named(cfg: ViTConfig, named: dict) -> ViTParams:
         head_b=named["classifier.b"],
     )
     for i in range(cfg.depth):
-        prefix = f"vit.block{i}."
-        kw = {}
-        for f in (
-            "ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
-            "wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
-        ):
-            kw[f] = named[prefix + f.replace("_", ".")]
-        params.blocks.append(BlockParams(**kw))
+        params.blocks.append(BlockParams(**{f.name: named[_block_name(i, f.name)] for f in fields(BlockParams)}))
     return params
 
 
@@ -242,7 +232,6 @@ def forward(
     prompt_tokens: Tensor | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    dropout_rate: float | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Full forward pass; returns (cls_feature BxD, logits BxC).
 
@@ -251,7 +240,6 @@ def forward(
     The cls feature is the final-norm class token, the same tensor the
     classifier consumes.
     """
-    rate = cfg.dropout_rate if dropout_rate is None else dropout_rate
     x = patch_embed(params, cfg, images)
     b = x.shape[0]
     d = cfg.embed_dim
@@ -266,9 +254,9 @@ def forward(
             p = prompt_tokens.shape[0]
             prompt_tokens = T.broadcast_to(T.reshape(prompt_tokens, (1, p, d)), (b, p, d))
         x = T.concat([x, prompt_tokens], axis=1)
-    x = T.dropout(x, rate, rng, train)
+    x = T.dropout(x, cfg.dropout_rate, rng, train)
     for blk in params.blocks:
-        x = attention_block(x, blk, cfg.num_heads, rate, train, rng)
+        x = attention_block(x, blk, cfg.num_heads, cfg.dropout_rate, train, rng)
     cls_feature = T.layer_norm(x[:, 0, :], params.norm_g, params.norm_b)
     logits = T.matmul(cls_feature, params.head_w) + params.head_b
     return cls_feature, logits

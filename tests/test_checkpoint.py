@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from doprompt import checkpoint as ckpt
-from doprompt.tensor import Tensor
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -24,15 +23,6 @@ def test_round_trip_bit_exact(tmp_path):
     for name in arrays:
         assert loaded[name].shape == arrays[name].shape
         assert loaded[name].tobytes() == np.asarray(arrays[name], dtype="<f4").tobytes()
-
-
-def test_save_params_load_params(tmp_path):
-    params = {"a.b": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)}
-    path = tmp_path / "p.dpt"
-    ckpt.save_params(path, params)
-    loaded = ckpt.load_params(path)
-    assert loaded["a.b"].requires_grad
-    np.testing.assert_array_equal(loaded["a.b"].data, params["a.b"].data)
 
 
 def test_magic_bytes_prefix(tmp_path):

@@ -1,5 +1,6 @@
 """Training objectives: per-domain prompt loss, adapter weight loss,
-adapted-prompt loss, stop-gradient contract, and the combined objective."""
+adapted-prompt loss, stop-gradient contract, the combined objective and
+the per-variant objective."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from doprompt import objectives, prompting, tensor as T, vit
+from doprompt.config import VARIANTS
 from doprompt.datagen import DomainBatch
 from doprompt.objectives import LossBreakdown
 from doprompt.tensor import Tensor
@@ -75,9 +77,34 @@ def test_loss_prompt_equals_per_domain_split_oracle(tiny_vit_cfg):
 
 def test_loss_prompt_unknown_domain_raises(tiny_vit_cfg):
     params, bank, _ = make_setup(tiny_vit_cfg, k=2)
-    batch = make_batch(tiny_vit_cfg, [0, 5])
-    with pytest.raises(IndexError):
-        objectives.loss_prompt(params, tiny_vit_cfg, bank, batch)
+    for domains in ([0, 5], [-1, 1]):
+        batch = make_batch(tiny_vit_cfg, domains)
+        with pytest.raises(IndexError):
+            objectives.loss_prompt(params, tiny_vit_cfg, bank, batch)
+
+
+def test_loss_prompt_matches_per_domain_forward_oracle_with_bank_gradient(tiny_vit_cfg):
+    # one gathered-prompt pass against one domain_prompts forward per domain
+    cfg = tiny_vit_cfg
+    params, bank, _ = make_setup(cfg, k=3, seed=2)
+    batch = make_batch(cfg, [2, 0, 1], per_domain=3, seed=5)
+    batch.domains = np.random.default_rng(0).permutation(batch.domains)  # interleaved domains
+
+    loss = objectives.loss_prompt(params, cfg, bank, batch)
+    T.backward(loss)
+    grad = bank.tokens.grad.copy()
+    bank.tokens.grad = None
+
+    oracle = None
+    for d in range(bank.num_domains):
+        sel = np.flatnonzero(batch.domains == d)
+        _, logits = vit.forward(params, cfg, Tensor(batch.images[sel]), prompting.domain_prompts(bank, d))
+        part = T.cross_entropy(logits, batch.labels[sel]) * (len(sel) / len(batch))
+        oracle = part if oracle is None else oracle + part
+    T.backward(oracle)
+
+    assert abs(loss.item() - oracle.item()) < 1e-6
+    np.testing.assert_allclose(grad, bank.tokens.grad, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -154,42 +181,40 @@ def test_loss_w_clamps_underflow():
 
 
 # ---------------------------------------------------------------------------
-# loss_adapt
+# l_adapt
 
 
 def test_loss_adapt_k1_equals_loss_prompt_exactly(tiny_vit_cfg):
+    # with one source domain the adapted prompt is that domain's prompt
     cfg = tiny_vit_cfg
     params, bank, adapter = make_setup(cfg, k=1, length=3)
     batch = make_batch(cfg, [0], per_domain=4)
-    lp = objectives.loss_prompt(params, cfg, bank, batch).item()
-    la = objectives.loss_adapt(params, cfg, bank, adapter, batch).item()
-    assert la == lp
+    br = objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0)
+    assert br.l_adapt.item() == br.l_prompt.item()
 
 
 def test_loss_adapt_one_hot_vertex_equals_loss_prompt(tiny_vit_cfg):
+    # an adapter saturated on the true domain puts its weights on a simplex vertex
     cfg = tiny_vit_cfg
     params, bank, adapter = make_setup(cfg, k=2, length=2)
-    batch = make_batch(cfg, [0, 1], per_domain=3)
-    lp = objectives.loss_prompt(params, cfg, bank, batch).item()
-
-    # bypass the adapter with exact one-hot weights on each true domain
-    w = Tensor(one_hot_weights(batch.domains, bank.length, bank.num_domains))
-    adapted = prompting.compose_adapted_prompts(bank, w)
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted)
-    la = T.cross_entropy(logits, batch.labels).item()
+    batch = make_batch(cfg, [1], per_domain=4)
+    adapter.w2.data[:] = 0.0
+    adapter.b2.data[:] = np.tile([-100.0, 100.0], bank.length)  # (L * K,), K fastest
+    br = objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0)
+    lp, lw, la, tot = br.floats()
+    assert lw == 0.0
     assert abs(la - lp) < 1e-6
+    assert abs(tot - 2.0 * lp) < 1e-6
 
 
 def test_loss_adapt_detach_contract(tiny_vit_cfg):
-    # gradients reach the backbone only through the adapted forward; when the
-    # loss depends on the backbone solely via the adapter input, they are zero
+    # gradients reach the backbone only through the prompt and adapted
+    # forwards; l_w depends on the backbone solely via the adapter input
     cfg = tiny_vit_cfg
     params, bank, adapter = make_setup(cfg, k=2)
     batch = make_batch(cfg, [0, 1])
-    feat, _ = vit.forward(params, cfg, Tensor(batch.images), None)
-    weights = prompting.adapter_forward(adapter, T.detach(feat))
-    loss = objectives.loss_w(weights, batch.domains)
-    T.backward(loss)
+    br = objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0)
+    T.backward(br.l_w)
     for name, p in params.named():
         assert p.grad is None or not np.any(p.grad), f"leaked gradient into {name}"
     assert adapter.w1.grad is not None and np.any(adapter.w1.grad)
@@ -286,9 +311,28 @@ def test_total_loss_bank_gradient_finite_difference_32bit(tiny_vit_cfg):
 
 
 def test_loss_breakdown_csv_row():
-    br = LossBreakdown(
-        l_prompt=Tensor(1.0), l_w=Tensor(0.5), l_adapt=Tensor(2.0), lam=1.0, total=Tensor(3.5)
-    )
+    br = LossBreakdown(l_prompt=Tensor(1.0), l_w=Tensor(0.5), l_adapt=Tensor(2.0), total=Tensor(3.5))
     row = br.csv_row(7)
     assert row.startswith("7,") and row.count(",") == 4
     assert LossBreakdown.CSV_HEADER == "step,l_prompt,l_w,l_adapt,total"
+
+
+# ---------------------------------------------------------------------------
+# variant_loss
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_variant_loss_terms_follow_the_table(tiny_vit_cfg, variant):
+    cfg = tiny_vit_cfg
+    params, bank, adapter = make_setup(cfg, k=2)
+    batch = make_batch(cfg, [0, 1])
+    spec = VARIANTS[variant]
+    lp, lw, la, tot = objectives.variant_loss(spec, params, cfg, bank, adapter, batch, lam=0.7).floats()
+    full = objectives.total_loss(params, cfg, bank, adapter, batch, lam=0.7).floats()
+    erm = objectives.loss_erm(params, cfg, batch).item()
+
+    assert lp == (full[0] if spec.uses_prompts else erm)
+    assert lw == (full[1] if spec.uses_adapter else 0.0)
+    assert la == (full[2] if "adapt" in spec.terms else 0.0)
+    expected = lp + ("adapt" in spec.terms) * la + ("w" in spec.terms) * 0.7 * lw
+    assert abs(tot - expected) < 1e-6

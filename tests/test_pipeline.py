@@ -1,0 +1,116 @@
+"""Training harness: seed determinism, frozen parameters and checkpoint
+round trips for every variant of the ablation table."""
+
+import numpy as np
+import pytest
+
+from doprompt import pipeline
+from doprompt.config import VARIANTS, ConfigError
+from doprompt.datagen import DomainBatch, generate_dataset
+
+from conftest import tiny_run_config
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate_dataset(4, 40, 0)
+
+
+def _artifacts(out):
+    return {name: (out / name).read_bytes() for name in ("loss_curve.csv", "checkpoint.dpt", "report.json")}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_run_experiment_is_byte_identical_for_one_seed(tmp_path, dataset, variant):
+    run = tiny_run_config(dropout=0.1, seed=3)
+    out = tmp_path / "run"  # report.json records the output path, so reuse it
+    pipeline.run_experiment(dataset, 1, variant, run, out_dir=out)
+    first = _artifacts(out)
+    pipeline.run_experiment(dataset, 1, variant, run, out_dir=out)
+    assert _artifacts(out) == first
+
+
+def _batch(cfg, num_domains, per_domain, seed=0):
+    rng = np.random.default_rng(seed)
+    n = num_domains * per_domain
+    return DomainBatch(
+        images=rng.random((n, cfg.channels, cfg.image_size, cfg.image_size)).astype(np.float32),
+        labels=rng.integers(0, cfg.num_classes, size=n).astype(np.int64),
+        domains=np.repeat(np.arange(num_domains, dtype=np.int64), per_domain),
+    )
+
+
+FROZEN = {
+    "doprompt": (),
+    "erm": ("prompts.", "adapter."),
+    "no_adapter": ("adapter.",),
+    "no_lw": (),
+    "no_ladapt": (),
+    "frozen_backbone": ("vit.",),
+}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_train_step_updates_exactly_the_unfrozen_parameters(variant):
+    run = tiny_run_config(dropout=0.1)
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, with_prompts=variant != "erm")
+    before = {n: p.data.copy() for n, p in state.named_params().items()}
+    pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
+
+    for name, p in state.named_params().items():
+        if name.startswith(FROZEN[variant]):
+            assert p.data.tobytes() == before[name].tobytes(), f"frozen {name} changed"
+        else:
+            assert np.any(p.data != before[name]), f"trainable {name} did not move"
+
+
+def test_train_step_rejects_unknown_variant():
+    run = tiny_run_config()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    with pytest.raises(ConfigError, match="unknown variant"):
+        pipeline.train_step(state, _batch(run.vit, 3, 2), run.train, np.random.default_rng(0), "dopromt")
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_adapter_variants_need_two_source_domains(variant):
+    two_domains = generate_dataset(2, 10, 0)
+    run = tiny_run_config(steps=1)
+    if variant in ("erm", "no_adapter"):
+        assert 0.0 <= pipeline.run_experiment(two_domains, 0, variant, run)["test_acc"] <= 1.0
+    else:
+        with pytest.raises(ConfigError, match=">= 2 source domains"):
+            pipeline.run_experiment(two_domains, 0, variant, run)
+
+
+@pytest.mark.parametrize("with_prompts", [True, False])
+def test_model_state_save_load_round_trip(tmp_path, with_prompts):
+    run = tiny_run_config()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, with_prompts=with_prompts)
+    path = tmp_path / "model.dpt"
+    state.save(path)
+    loaded = pipeline.ModelState.load(path, run.vit, 3, run.train.prompt_length)
+
+    original, restored = state.named_params(), loaded.named_params()
+    assert list(restored) == list(original)
+    for name, p in restored.items():
+        assert p.requires_grad
+        assert p.data.tobytes() == original[name].data.tobytes()
+    images = _batch(run.vit, 1, 5).images
+    for variant in ("doprompt", "no_adapter") if with_prompts else ("erm",):
+        np.testing.assert_array_equal(
+            pipeline.predict_logits(loaded, images, variant), pipeline.predict_logits(state, images, variant)
+        )
+
+
+def test_predict_logits_uses_the_variant_inference_mode():
+    run = tiny_run_config()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    images = _batch(run.vit, 1, 5).images
+    for variant in VARIANTS:
+        if variant == "erm":
+            expected = pipeline.infer_prompt_free(state, images)
+        elif variant == "no_adapter":
+            expected = np.mean([pipeline.infer_with_domain_prompt(state, images, d) for d in range(3)], axis=0)
+        else:
+            expected = pipeline.infer(state, images)[0]
+        np.testing.assert_allclose(pipeline.predict_logits(state, images, variant), expected, rtol=0, atol=1e-6)
