@@ -1,7 +1,8 @@
 """Command-line surface: data generation, training, ablation sweeps, analysis.
 
 Exit codes: 0 ok, 1 some cells of an `ablate` or `sweep-length` table failed
-(each is listed on stderr and counts as NaN in the table), 2 config
+(each is listed on stderr and left out of its cell's mean; a cell with no
+run left reads NaN in the CSV and null in the JSON), 2 config
 problem, 3 numerical failure, 4 I/O or format problem. All randomness flows
 from the seeds in the config (overridable with --seed); outputs carry no
 timestamps, so identical invocations produce byte-identical artifacts.
@@ -131,8 +132,9 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
 
     `rows` maps a row label to the run config of that row. Cell outputs go to
     `<label>_t<target>_s<seed>/`. A table cell is the mean (and spread) over
-    seeds of test accuracy; a failed run counts as NaN and makes the exit
-    code EXIT_CELLS_FAILED.
+    seeds of test accuracy over the runs that did not fail. A cell whose
+    runs all failed, and its row's average, read `nan` in the CSV and `null`
+    in the JSON. Any failed run makes the exit code EXIT_CELLS_FAILED.
     """
     global _WORKER_DATASET
     _WORKER_DATASET = dataset
@@ -161,12 +163,12 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
         row = [label]
         means = []
         for target in targets:
-            values = np.array(accs[(label, target)], dtype=float)
-            mean, std = float(np.nanmean(values)), float(np.nanstd(values))
+            values = [acc for acc in accs[(label, target)] if not np.isnan(acc)]
+            mean = float(np.mean(values)) if values else None
             means.append(mean)
-            row.append(f"{100 * mean:.2f}±{100 * std:.2f}")
-        avg = float(np.mean(means))
-        row.append(f"{100 * avg:.2f}")
+            row.append(f"{100 * mean:.2f}±{100 * np.std(values):.2f}" if values else "nan±nan")
+        avg = None if None in means else float(np.mean(means))
+        row.append("nan" if avg is None else f"{100 * avg:.2f}")
         lines.append(",".join(row))
         table[label] = {"per_target": means, "average": avg}
     (out / f"{name}.csv").write_text("\n".join(lines) + "\n")

@@ -41,6 +41,9 @@ def adamw_step(
 ) -> tuple[dict, AdamWState]:
     """One update over `params` (name -> Tensor), in place.
 
+    The moments and `p.data` are updated in place, in the operation order of
+    the out-of-place formula, so the results are bitwise equal to it.
+
     Weight decay is decoupled: p -= lr * wd * p, applied separately from the
     moment-based update. Missing grads are treated as zero; the parameter
     still decays. Only names present in `params` are touched.
@@ -63,13 +66,21 @@ def adamw_step(
             raise ShapeError(
                 f"adamw_step: moment shape {m.shape} != param shape {p.data.shape} for {name!r}"
             )
-        m[...] = beta1 * m + (1.0 - beta1) * g
-        v[...] = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), then p -= lr * wd * p
+        step = m / bc1
+        step *= lr
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.data -= step
         if weight_decay:
-            p.data = p.data - lr * weight_decay * p.data
+            p.data -= lr * weight_decay * p.data
     return params, state
 
 

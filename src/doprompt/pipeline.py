@@ -364,7 +364,7 @@ def run_experiment(
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "loss_curve.csv"
         csv_path.write_text(LossBreakdown.CSV_HEADER + "\n" + "\n".join(loss_rows) + "\n")
-        report["loss_curve_csv_path"] = str(csv_path)
+        report["loss_curve_csv_path"] = csv_path.name  # relative to report.json
         state.save(out_dir / "checkpoint.dpt")
         (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

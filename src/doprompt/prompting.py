@@ -96,8 +96,8 @@ def domain_prompts(bank: PromptBank, d: int) -> Tensor:
 def adapter_forward(params: AdapterParams, feature: Tensor) -> Tensor:
     """Map (B, D) prompt-free features to (B, L, K) simplex weights."""
     b = feature.shape[0]
-    h = T.gelu(T.matmul(feature, params.w1) + params.b1)
-    raw = T.matmul(h, params.w2) + params.b2
+    h = T.gelu(T.linear(feature, params.w1, params.b1))
+    raw = T.linear(h, params.w2, params.b2)
     raw = T.reshape(raw, (b, params.length, params.num_domains))
     return T.softmax(raw, axis=-1)
 

@@ -8,7 +8,6 @@ are pre-norm residual: x + Attn(LN(x)), then + MLP(LN(.)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -186,7 +185,7 @@ def patch_embed(params: ViTParams, cfg: ViTConfig, images: Tensor) -> Tensor:
     x = T.reshape(images, (b, c, g, p, g, p))
     x = T.transpose(x, (0, 2, 4, 1, 3, 5))  # (B, gh, gw, C, p, p): raster order
     x = T.reshape(x, (b, g * g, cfg.patch_dim))
-    return T.matmul(x, params.patch_w) + params.patch_b
+    return T.linear(x, params.patch_w, params.patch_b)
 
 
 def attention_block(
@@ -197,31 +196,23 @@ def attention_block(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Pre-norm residual block with full bidirectional attention."""
-    b, t, d = x.shape
-    dh = d // num_heads
+    """Pre-norm residual block with full bidirectional attention.
 
-    def split_heads(z):
-        return T.transpose(T.reshape(z, (b, t, num_heads, dh)), (0, 2, 1, 3))
-
+    x + Drop(Attn(LN1(x)) Wo + bo), then + Drop(Drop(GELU(LN2(.) W1 + b1)) W2 + b2).
+    Attention is one fused `tensor.attention` node, from the QKV projection
+    through the head merge with dropout on the attention probabilities; the
+    output projection and both MLP layers are `tensor.linear` nodes. Dropout
+    masks are drawn from `rng` in this order: attention probabilities,
+    attention output, MLP hidden layer, MLP output.
+    """
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
-    q = split_heads(T.matmul(h, blk.wq) + blk.bq)
-    k = split_heads(T.matmul(h, blk.wk) + blk.bk)
-    v = split_heads(T.matmul(h, blk.wv) + blk.bv)
-    att = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    att = T.softmax(att, axis=-1)
-    att = T.dropout(att, dropout_rate, rng, train)
-    o = T.matmul(att, v)  # (B, heads, T, dh)
-    o = T.reshape(T.transpose(o, (0, 2, 1, 3)), (b, t, d))
-    o = T.matmul(o, blk.wo) + blk.bo
-    o = T.dropout(o, dropout_rate, rng, train)
+    o = T.attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, num_heads, dropout_rate, rng, train)
+    o = T.dropout(T.linear(o, blk.wo, blk.bo), dropout_rate, rng, train)
     x = x + o
 
     h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)
-    m = T.gelu(T.matmul(h2, blk.w1) + blk.b1)
-    m = T.dropout(m, dropout_rate, rng, train)
-    m = T.matmul(m, blk.w2) + blk.b2
-    m = T.dropout(m, dropout_rate, rng, train)
+    m = T.dropout(T.gelu(T.linear(h2, blk.w1, blk.b1)), dropout_rate, rng, train)
+    m = T.dropout(T.linear(m, blk.w2, blk.b2), dropout_rate, rng, train)
     return x + m
 
 
@@ -258,5 +249,5 @@ def forward(
     for blk in params.blocks:
         x = attention_block(x, blk, cfg.num_heads, cfg.dropout_rate, train, rng)
     cls_feature = T.layer_norm(x[:, 0, :], params.norm_g, params.norm_b)
-    logits = T.matmul(cls_feature, params.head_w) + params.head_b
+    logits = T.linear(cls_feature, params.head_w, params.head_b)
     return cls_feature, logits

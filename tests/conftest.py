@@ -1,4 +1,7 @@
-"""Shared helpers: finite-difference gradient checking and tiny model builders."""
+"""Shared helpers: finite-difference gradient checking, tiny model builders
+and the unfused attention oracles."""
+
+import math
 
 import numpy as np
 import pytest
@@ -99,3 +102,38 @@ def tiny_run_config(**train_kwargs) -> RunConfig:
         num_classes=5,
     )
     return RunConfig(train=train, vit=vit_cfg, data=DataConfig(num_domains=4, per_domain_count=40))
+
+
+# ---------------------------------------------------------------------------
+# unfused oracles for the fused attention node and the transformer block
+
+
+def unfused_attention(h, wq, bq, wk, bk, wv, bv, num_heads, rate, rng, train):
+    """`tensor.attention` composed of single-op nodes: three projections, head
+    split, scaled softmax, dropout on the probabilities, P @ V, head merge."""
+    b, t, d = h.shape
+    dh = d // num_heads
+
+    def split_heads(z):
+        return T.transpose(T.reshape(z, (b, t, num_heads, dh)), (0, 2, 1, 3))
+
+    q = split_heads(T.matmul(h, wq) + bq)
+    k = split_heads(T.matmul(h, wk) + bk)
+    v = split_heads(T.matmul(h, wv) + bv)
+    att = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    att = T.dropout(T.softmax(att, axis=-1), rate, rng, train)
+    o = T.matmul(att, v)  # (B, heads, T, dh)
+    return T.reshape(T.transpose(o, (0, 2, 1, 3)), (b, t, d))
+
+
+def unfused_attention_block(x, blk, num_heads, dropout_rate=0.0, train=False, rng=None):
+    """`vit.attention_block` with matmul + bias in place of every linear node
+    and `unfused_attention` in place of the attention node."""
+    h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
+    o = unfused_attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, num_heads, dropout_rate, rng, train)
+    o = T.dropout(T.matmul(o, blk.wo) + blk.bo, dropout_rate, rng, train)
+    x = x + o
+    h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)
+    m = T.dropout(T.gelu(T.matmul(h2, blk.w1) + blk.b1), dropout_rate, rng, train)
+    m = T.dropout(T.matmul(m, blk.w2) + blk.b2, dropout_rate, rng, train)
+    return x + m

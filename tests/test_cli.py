@@ -41,13 +41,17 @@ def test_ablate_writes_one_table_row_and_curve_per_cell(tmp_path, config, capsys
     assert curves == sorted(f"{v}_t{t}_s0" for v in VARIANTS for t in range(3))
 
 
-def test_sweep_length_lists_failed_cells_and_exits_1(tmp_path, config, capsys):
+def test_sweep_length_lists_failed_cells_and_exits_1(tmp_path, config, capsys, recwarn):
     # with two domains the only source cannot train an adapter
     out = tmp_path / "out"
     argv = ["sweep-length", "--config", config, "--out", str(out), "--set", "num_domains=2", "--lengths", "2,4"]
-    with pytest.warns(RuntimeWarning):  # the mean of an all-NaN cell
-        assert cli.main(argv) == cli.EXIT_CELLS_FAILED == 1
+    assert cli.main(argv) == cli.EXIT_CELLS_FAILED == 1
+    assert [str(w.message) for w in recwarn] == []
     err = capsys.readouterr().err
     assert "L2 target=0 seed=0: ConfigError" in err and "L4 target=0 seed=0" in err
     lines = (out / "length_sweep.csv").read_text().splitlines()
     assert lines == ["prompt_length,target_0,average", "L2,nan±nan,nan", "L4,nan±nan,nan"]
+    # strict JSON: an all-failed cell and its row average are null, never a bare NaN
+    text = (out / "length_sweep.json").read_text()
+    assert "NaN" not in text
+    assert json.loads(text) == {f"L{n}": {"per_target": [None], "average": None} for n in (2, 4)}

@@ -72,6 +72,39 @@ def test_determinism_bit_identical():
     assert run() == run()
 
 
+def reference_adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    """The out-of-place AdamW formula that the in-place update must equal bitwise."""
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if weight_decay:
+            p.data = p.data - lr * weight_decay * p.data
+
+
+def test_in_place_update_is_bitwise_equal_to_the_out_of_place_formula():
+    def run(step):
+        rng = np.random.default_rng(7)
+        params = make_params(rng, [(4, 3), (3,), (2, 2)])
+        state = optim.init_adamw_state(params)
+        for _ in range(5):
+            grads = {name: rng.normal(size=p.data.shape).astype(np.float32) for name, p in params.items()}
+            del grads["p2"]  # a missing grad still decays its parameter
+            step(params, grads, state, lr=3e-2, weight_decay=1e-2)
+        return [a.tobytes() for name in params for a in (params[name].data, state.m[name], state.v[name])]
+
+    assert run(optim.adamw_step) == run(reference_adamw_step)
+
+
 def test_mismatched_shapes_rejected():
     params = {"w": Tensor(np.zeros(3), requires_grad=True)}
     state = optim.init_adamw_state(params)

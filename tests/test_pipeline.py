@@ -4,11 +4,12 @@ round trips for every variant of the ablation table."""
 import numpy as np
 import pytest
 
-from doprompt import pipeline
+from doprompt import optim, pipeline, vit
+from doprompt import tensor as T
 from doprompt.config import VARIANTS, ConfigError
 from doprompt.datagen import DomainBatch, generate_dataset
 
-from conftest import tiny_run_config
+from conftest import tiny_run_config, unfused_attention_block
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +24,9 @@ def _artifacts(out):
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_run_experiment_is_byte_identical_for_one_seed(tmp_path, dataset, variant):
     run = tiny_run_config(dropout=0.1, seed=3)
-    out = tmp_path / "run"  # report.json records the output path, so reuse it
-    pipeline.run_experiment(dataset, 1, variant, run, out_dir=out)
-    first = _artifacts(out)
-    pipeline.run_experiment(dataset, 1, variant, run, out_dir=out)
-    assert _artifacts(out) == first
+    pipeline.run_experiment(dataset, 1, variant, run, out_dir=tmp_path / "first")
+    pipeline.run_experiment(dataset, 1, variant, run, out_dir=tmp_path / "second")
+    assert _artifacts(tmp_path / "second") == _artifacts(tmp_path / "first")
 
 
 def _batch(cfg, num_domains, per_domain, seed=0):
@@ -62,6 +61,46 @@ def test_train_step_updates_exactly_the_unfrozen_parameters(variant):
             assert p.data.tobytes() == before[name].tobytes(), f"frozen {name} changed"
         else:
             assert np.any(p.data != before[name]), f"trainable {name} did not move"
+
+
+def test_train_step_keeps_every_array_float32(monkeypatch):
+    run = tiny_run_config(dropout=0.1)
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    grads = {}
+    step_params = optim.step_params
+
+    def recording_step_params(params, *args, **kwargs):
+        grads.update({n: p.grad for n, p in params.items()})
+        return step_params(params, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "step_params", recording_step_params)
+    pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
+
+    named = state.named_params()
+    assert set(grads) == set(named)
+    for name, p in named.items():
+        assert p.data.dtype == np.float32, name
+        assert grads[name].dtype == np.float32, name
+        assert state.opt.m[name].dtype == state.opt.v[name].dtype == np.float32, name
+
+
+def test_fused_block_trains_like_the_unfused_oracle_64bit(monkeypatch):
+    run = tiny_run_config(dropout=0.1)
+
+    def losses():
+        state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+        rng = np.random.default_rng(1)
+        return [
+            pipeline.train_step(state, _batch(run.vit, 3, 4, seed=step), run.train, rng)[1].floats()
+            for step in range(20)
+        ]
+
+    with T.default_dtype("float64"):
+        fused = losses()
+        monkeypatch.setattr(vit, "attention_block", unfused_attention_block)
+        unfused = losses()
+    np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-5)
+    assert fused[0] != fused[-1]
 
 
 def test_train_step_rejects_unknown_variant():

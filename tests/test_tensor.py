@@ -9,7 +9,7 @@ import pytest
 from doprompt import tensor as T
 from doprompt.tensor import ShapeError, Tensor
 
-from conftest import central_diff, check_gradient, rel_error
+from conftest import central_diff, check_gradient, rel_error, unfused_attention
 
 
 def series_erf(x: float, terms: int = 40) -> float:
@@ -136,6 +136,23 @@ def test_gelu_at_one_matches_erf_series():
 def test_gelu_matches_erf_series_pointwise(x):
     expected = x * 0.5 * (1.0 + series_erf(x / math.sqrt(2.0)))
     assert abs(T.gelu(Tensor(x)).item() - expected) < 1e-6
+
+
+def test_gelu_float32_within_2e6_of_float64_scipy():
+    from scipy.special import erf
+
+    # 400001 points span several evaluation chunks and end in a partial one
+    x32 = np.linspace(-10.0, 10.0, 400001).astype(np.float32)
+    x64 = x32.astype(np.float64)
+    exact = x64 * 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+    out = T.gelu(Tensor(x32)).data
+    assert out.dtype == np.float32
+    assert np.abs(out - exact).max() < 2e-6
+    # a strided view gives the values of its contiguous copy
+    grid = x32[:400000].reshape(800, 500)
+    np.testing.assert_array_equal(T.gelu(Tensor(grid.T)).data, T.gelu(Tensor(grid)).data.T)
+    with T.default_dtype("float64"):
+        np.testing.assert_array_equal(T.gelu(Tensor(x64)).data, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +351,78 @@ def test_cross_entropy_gradient_64bit():
             return T.cross_entropy(logits, y)
 
         check_gradient(build, {"logits": logits}, h=1e-6, tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# fused nodes: linear and attention
+
+
+def test_linear_gradient_64bit_on_3d_input():
+    with T.default_dtype("float64"):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        np.testing.assert_allclose(T.linear(x, w, b).data, x.data @ w.data + b.data, rtol=1e-12)
+
+        def build():
+            out = T.linear(x, w, b)
+            return T.tensor_sum(out * out)
+
+        check_gradient(build, {"x": x, "w": w, "b": b}, h=1e-6, tol=1e-6)
+
+
+def test_linear_shape_error_names_all_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+
+ATTENTION_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv")
+
+
+def _attention_inputs(rng, b=2, t=5, d=8):
+    """h plus the six projections, scaled so the softmax is far from uniform."""
+    inputs = {"h": Tensor(rng.normal(size=(b, t, d)), requires_grad=True)}
+    for name in ATTENTION_WEIGHTS:
+        shape = (d, d) if name.startswith("w") else (d,)
+        inputs[name] = Tensor(0.5 * rng.normal(size=shape), requires_grad=True)
+    return inputs
+
+
+def _attention_loss(attend, inputs, weights, rate, seed=7):
+    # a fresh generator per evaluation draws the same dropout mask every time
+    rng = np.random.default_rng(seed)
+    out = attend(*(inputs[n] for n in ("h",) + ATTENTION_WEIGHTS), 2, rate, rng, True)
+    return T.tensor_sum(out * weights)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_attention_gradient_64bit(rate):
+    with T.default_dtype("float64"):
+        rng = np.random.default_rng(11)
+        inputs = _attention_inputs(rng)
+        weights = Tensor(rng.normal(size=(2, 5, 8)))
+        T.backward(_attention_loss(T.attention, inputs, weights, rate))
+        for name, p in inputs.items():
+            numeric = central_diff(lambda: _attention_loss(T.attention, inputs, weights, rate).item(), p.data, h=1e-6)
+            # bk shifts every score of a row equally, so its exact gradient is 0
+            np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_attention_matches_unfused_oracle_32bit(rate):
+    rng = np.random.default_rng(12)
+    weights = Tensor(rng.normal(size=(2, 5, 8)))
+    fused, oracle = _attention_inputs(np.random.default_rng(13)), _attention_inputs(np.random.default_rng(13))
+    loss_fused = _attention_loss(T.attention, fused, weights, rate)
+    loss_oracle = _attention_loss(unfused_attention, oracle, weights, rate)
+    assert loss_fused.dtype == np.float32
+    np.testing.assert_allclose(loss_fused.item(), loss_oracle.item(), rtol=0, atol=1e-6)
+    T.backward(loss_fused)
+    T.backward(loss_oracle)
+    for name in fused:
+        assert fused[name].grad.dtype == np.float32, name
+        np.testing.assert_allclose(fused[name].grad, oracle[name].grad, rtol=0, atol=1e-6, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
