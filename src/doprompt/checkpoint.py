@@ -10,10 +10,20 @@ Layout: magic bytes "DPT1", then one record per parameter:
 
 Records run to end of file. Values are stored as 32-bit reals regardless of
 the engine's active dtype, so float32 parameters round-trip bit-exactly.
+
+A model checkpoint holds one record per parameter, and those records fix
+the model's shape: the names give the depth and whether there is a prompt
+bank and adapter; the shapes give the embedding and MLP widths, the patch
+and position sizes, the number of classes, and, from `prompts.bank`
+(K, L, D), the number of source-domain prompts K and the prompt length L.
+`pipeline.ModelState.load` builds the model from them. `num_heads` is not
+among them: it splits D into heads without changing any array's shape, so
+it comes from the run config.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -63,10 +73,13 @@ def load_arrays(path) -> dict:
 
     while pos < total:
         (name_len,) = struct.unpack("<Q", take(8, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: array name is not valid UTF-8 ({exc})") from exc
         (rank,) = struct.unpack("<Q", take(8, "rank"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims"))
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)
         values = np.frombuffer(take(4 * count, f"values of {name!r}"), dtype="<f4")
         out[name] = values.reshape(dims).copy()
     return out

@@ -1,11 +1,25 @@
 """Command-line surface: data generation, training, ablation sweeps, analysis.
 
-Exit codes: 0 ok, 1 some cells of an `ablate` or `sweep-length` table failed
-(each is listed on stderr and left out of its cell's mean; a cell with no
-run left reads NaN in the CSV and null in the JSON), 2 config
-problem, 3 numerical failure, 4 I/O or format problem. All randomness flows
-from the seeds in the config (overridable with --seed); outputs carry no
-timestamps, so identical invocations produce byte-identical artifacts.
+Exit codes, each failure with one line on stderr:
+
+- 0 ok;
+- 1 (`ablate`, `sweep-length`) some cells of the table failed: each is
+  listed on stderr and left out of its cell's mean, and a cell with no run
+  left reads NaN in the CSV and null in the JSON;
+- 2 (every command) a config problem: a bad key, value or flag, a dataset
+  that the configured model cannot take or that is too small to train on,
+  or a checkpoint without prompts for a variant or an `analyze` mode that
+  needs them;
+- 3 (`train`) a loss term became non-finite;
+- 4 (every command) an I/O or format problem: a missing or corrupt dataset
+  or checkpoint, or a checkpoint whose arrays do not fit the configured
+  model.
+
+`eval` and `analyze` build the model from the config, except the number of
+source-domain prompts K and the prompt length L, which come from the shape
+of the checkpoint's prompt bank. All randomness flows from the seeds in the
+config (overridable with --seed); outputs carry no timestamps, so identical
+invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -63,9 +77,18 @@ def _load_or_generate_data(args, run: RunConfig) -> datagen.SyntheticDataset:
         path = Path(args.data)
         if not path.exists():
             raise DataFormatError(f"data path not found: {path}")
-        return datagen.load_dataset(path)
-    dc = run.data
-    return datagen.generate_dataset(dc.num_domains, dc.per_domain_count, dc.data_seed)
+        dataset = datagen.load_dataset(path)
+    else:
+        dc = run.data
+        dataset = datagen.generate_dataset(dc.num_domains, dc.per_domain_count, dc.data_seed)
+    cfg = run.vit
+    shapes = {images.shape[1:] for images in dataset.images}
+    if shapes != {(cfg.channels, cfg.image_size, cfg.image_size)} or dataset.num_classes > cfg.num_classes:
+        raise ConfigError(
+            f"the model takes {cfg.channels}x{cfg.image_size}x{cfg.image_size} images of {cfg.num_classes} "
+            f"classes; the dataset has {sorted(shapes)} images of {dataset.num_classes} classes"
+        )
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +124,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run = _load_run_config(args)
     dataset = _load_or_generate_data(args, run)
-    state = _load_state(args.checkpoint, run, dataset)
+    uses_prompts = VARIANTS[run.variant].uses_prompts
+    state = _load_state(args.checkpoint, run, f"variant {run.variant!r}" if uses_prompts else None)
     accs = {}
     for d in range(dataset.num_domains):
         accs[f"domain_{d}"] = pipeline.evaluate_accuracy(
@@ -137,6 +161,8 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
     in the JSON. Any failed run makes the exit code EXIT_CELLS_FAILED.
     """
     global _WORKER_DATASET
+    if args.num_seeds < 1:
+        raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     _WORKER_DATASET = dataset
     out = _out_root(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -190,9 +216,10 @@ def cmd_ablate(args) -> int:
 def cmd_sweep_length(args) -> int:
     run = _load_run_config(args)
     dataset = _load_or_generate_data(args, run)
-    lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else list(DEFAULT_LENGTHS)
-    if any(length <= 0 for length in lengths):
-        raise ConfigError(f"prompt lengths must be positive, got {lengths}")
+    try:
+        lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else list(DEFAULT_LENGTHS)
+    except ValueError as exc:
+        raise ConfigError(f"--lengths expects comma-separated integers, got {args.lengths!r}") from exc
     rows = {
         f"L{length}": dataclasses.replace(run, train=dataclasses.replace(run.train, prompt_length=length))
         for length in lengths
@@ -200,14 +227,17 @@ def cmd_sweep_length(args) -> int:
     return _run_table(args, run, dataset, rows, [run.target_domain], "length_sweep", "prompt_length")
 
 
-def _load_state(checkpoint_path, run: RunConfig, dataset) -> pipeline.ModelState:
+def _load_state(checkpoint_path, run: RunConfig, needs_prompts: str | None = None) -> pipeline.ModelState:
+    """The checkpoint's model; `needs_prompts` names what fails without a prompt bank."""
     if checkpoint_path is None:
         raise ConfigError("--checkpoint is required for this mode")
     path = Path(checkpoint_path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    num_sources = dataset.num_domains - 1 if VARIANTS[run.variant].uses_prompts else dataset.num_domains
-    return pipeline.ModelState.load(path, run.vit, num_sources, run.train.prompt_length)
+    state = pipeline.ModelState.load(path, run.vit)
+    if needs_prompts and state.bank is None:
+        raise ConfigError(f"{needs_prompts} needs prompts, but {path} holds a prompt-free model")
+    return state
 
 
 def _print_matrix(title, names, matrix) -> None:
@@ -229,7 +259,7 @@ def cmd_analyze(args) -> int:
         if args.features == "pixels":
             feats = [dataset.images[d].reshape(dataset.domain_size(d), -1) for d in range(dataset.num_domains)]
         else:
-            state = _load_state(args.checkpoint, run, dataset)
+            state = _load_state(args.checkpoint, run)
             feats = [pipeline.extract_features(state, dataset.images[d]) for d in range(dataset.num_domains)]
         labels = [dataset.labels[d] for d in range(dataset.num_domains)]
         report = analysis.domain_distance(feats, labels)
@@ -250,7 +280,7 @@ def cmd_analyze(args) -> int:
         (out / "distance.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
-    state = _load_state(args.checkpoint, run, dataset)
+    state = _load_state(args.checkpoint, run, f"analyze {mode}")
     if mode == "weights":
         eval_domains = list(range(dataset.num_domains))
         stats = analysis.adapter_weight_stats(state, dataset, eval_domains)
@@ -355,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (CheckpointError, DataFormatError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .datagen import DEFAULT_STYLE_TABLE, NUM_CLASSES
+from .tensor import ShapeError
 from .vit import ViTConfig
 
 __all__ = [
@@ -68,6 +70,12 @@ def get_variant(name: str) -> Variant:
     return VARIANTS[name]
 
 
+def _require_at_least(obj, low, *names) -> None:
+    for name in names:
+        if getattr(obj, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(obj, name)}")
+
+
 @dataclass
 class TrainConfig:
     steps: int = 2000
@@ -82,8 +90,10 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.steps <= 0:
-            raise ConfigError(f"steps must be > 0, got {self.steps}")
+        _require_at_least(self, 1, "steps", "batch_per_domain", "prompt_length", "eval_interval")
+        _require_at_least(self, 0, "seed")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -95,6 +105,12 @@ class DataConfig:
     num_domains: int = 4
     per_domain_count: int = 500
     data_seed: int = 0
+
+    def __post_init__(self):
+        if not 2 <= self.num_domains <= len(DEFAULT_STYLE_TABLE):
+            raise ConfigError(f"num_domains must be in [2, {len(DEFAULT_STYLE_TABLE)}], got {self.num_domains}")
+        _require_at_least(self, NUM_CLASSES, "per_domain_count")  # one image per class
+        _require_at_least(self, 0, "data_seed")
 
 
 @dataclass
@@ -125,7 +141,7 @@ for f in fields(DataConfig):
 _KEYMAP["variant"] = ("run", "variant", "str")
 _KEYMAP["target_domain"] = ("run", "target_domain", "int")
 
-_TYPES = {"int": int, "float": float, "str": str, "bool": lambda s: s.lower() in ("1", "true", "yes")}
+_TYPES = {"int": int, "float": float, "str": str}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -163,7 +179,10 @@ def build_run_config(kv: dict, overrides: dict | None = None) -> RunConfig:
     train = TrainConfig(**sections["train"])
     vit_kw = dict(sections["vit"])
     vit_kw["dropout_rate"] = train.dropout
-    vit_cfg = ViTConfig(**vit_kw)
+    try:
+        vit_cfg = ViTConfig(**vit_kw)
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
     data = DataConfig(**sections["data"])
     return RunConfig(train=train, vit=vit_cfg, data=data, **sections["run"])
 

@@ -84,15 +84,8 @@ def adamw_step(
     return params, state
 
 
-def collect_grads(params: dict) -> dict:
-    """Snapshot `.grad` arrays keyed like `params` (zeros where absent)."""
-    out = {}
-    for name, p in params.items():
-        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    return out
-
-
-def step_params(params: dict, state: AdamWState, trainable, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+def step_params(params: dict, state: AdamWState, trainable, lr, weight_decay):
     """Apply adamw_step to the subset of `params` named in `trainable`."""
     subset = {name: params[name] for name in trainable}
-    adamw_step(subset, collect_grads(subset), state, lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
+    grads = {name: p.grad for name, p in subset.items() if p.grad is not None}
+    adamw_step(subset, grads, state, lr=lr, weight_decay=weight_decay)

@@ -56,7 +56,6 @@ class ModelState:
     bank: PromptBank | None
     adapter: AdapterParams | None
     opt: optim.AdamWState
-    step: int = 0
 
     def named_params(self) -> dict:
         out = dict(self.params.named())
@@ -74,23 +73,34 @@ class ModelState:
         ckpt.save_arrays(path, {name: p.data for name, p in self.named_params().items()})
 
     @classmethod
-    def load(cls, path, cfg: ViTConfig, num_domains: int, prompt_length: int) -> "ModelState":
-        named = {n: Tensor(a, requires_grad=True) for n, a in ckpt.load_arrays(path).items()}
-        params = vit.vit_params_from_named(cfg, named)
-        bank = adapter = None
-        if "prompts.bank" in named:
-            bank = PromptBank(named["prompts.bank"])
-        if "adapter.l1.w" in named:
-            adapter = AdapterParams(
-                w1=named["adapter.l1.w"],
-                b1=named["adapter.l1.b"],
-                w2=named["adapter.l2.w"],
-                b2=named["adapter.l2.b"],
-                num_domains=num_domains,
-                length=prompt_length,
+    def load(cls, path, cfg: ViTConfig) -> "ModelState":
+        """Build the model the file's arrays describe and copy them into it.
+
+        K and L come from the (K, L, D) shape of `prompts.bank`; a file
+        without a bank holds a prompt-free model. Every other shape follows
+        from `cfg`, so the file's names and shapes must match the model
+        `init_state` builds, or this raises `CheckpointError`.
+        """
+        arrays = ckpt.load_arrays(path)
+        bank = arrays.get("prompts.bank")
+        if bank is not None and (bank.ndim != 3 or 0 in bank.shape):
+            raise ckpt.CheckpointError(f"{path}: prompts.bank has shape {bank.shape}, expected non-empty (K, L, D)")
+        k, length = bank.shape[:2] if bank is not None else (0, 0)
+        state = init_state(cfg, k, length, seed=0, with_prompts=bank is not None)
+        named = state.named_params()
+        missing, extra = sorted(named.keys() - arrays.keys()), sorted(arrays.keys() - named.keys())
+        if missing or extra:
+            raise ckpt.CheckpointError(
+                f"{path}: arrays do not fit the configured model: "
+                f"{len(missing)} missing {missing[:1]}, {len(extra)} unexpected {extra[:1]}"
             )
-        return cls(cfg=cfg, params=params, bank=bank, adapter=adapter,
-                   opt=optim.init_adamw_state(named), step=0)
+        for name, p in named.items():
+            if arrays[name].shape != p.shape:
+                raise ckpt.CheckpointError(
+                    f"{path}: {name} has shape {arrays[name].shape}, the configured model has {p.shape}"
+                )
+            p.data[...] = arrays[name]
+        return state
 
 
 @dataclass
@@ -164,7 +174,6 @@ def train_step(
         weight_decay=config.weight_decay,
     )
     optim.zero_grads(named)
-    state.step += 1
     return state, breakdown
 
 
@@ -303,6 +312,12 @@ def run_experiment(
     train_idx, val_idx = {}, {}
     for d in source_domains:
         train_idx[d], val_idx[d] = split_domain(dataset.domain_size(d), tc.val_fraction, split_rng)
+        if len(train_idx[d]) == 0 or len(val_idx[d]) == 0:
+            raise ConfigError(
+                f"source domain {d} has {dataset.domain_size(d)} images, which val_fraction "
+                f"{tc.val_fraction} splits {len(train_idx[d])}/{len(val_idx[d])}; "
+                "training and validation need >= 1 each"
+            )
 
     vit_cfg = run_cfg.vit
     state = init_state(
@@ -369,5 +384,4 @@ def run_experiment(
         (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     report["_state"] = state
-    report["_selection"] = selection
     return report

@@ -145,18 +145,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return detach(self)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
@@ -504,10 +492,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis (biased variance), then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)  # biased
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)  # biased
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = gamma.data * xhat + beta.data
 
     def bwd(g):
@@ -647,7 +635,7 @@ def backward(loss: Tensor) -> None:
     """Populate `grad` on every tensor reachable from a scalar loss.
 
     Gradients accumulate, both at fan-in nodes within one pass and across
-    repeated calls; clear with `zero_grad` between steps. A first
+    repeated calls; clear with `optim.zero_grads` between steps. A first
     contribution is stored as is and later ones are added out of place, so
     one array may be the grad of several tensors and is never written to.
     """

@@ -39,6 +39,11 @@ class ViTConfig:
     num_classes: int = 5
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "channels", "embed_dim", "num_heads", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.embed_dim * self.mlp_ratio >= 1:  # also rejects NaN
+            raise ShapeError(f"mlp_ratio {self.mlp_ratio} gives an MLP width below 1")
         if self.image_size % self.patch_size != 0:
             raise ShapeError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -106,15 +111,11 @@ class ViTParams:
         yield "vit.pos", self.pos
         for i, blk in enumerate(self.blocks):
             for f in fields(BlockParams):
-                yield _block_name(i, f.name), getattr(blk, f.name)
+                yield f"vit.block{i}." + f.name.replace("_", "."), getattr(blk, f.name)
         yield "vit.norm.g", self.norm_g
         yield "vit.norm.b", self.norm_b
         yield "classifier.w", self.head_w
         yield "classifier.b", self.head_b
-
-
-def _block_name(i: int, field_name: str) -> str:
-    return f"vit.block{i}." + field_name.replace("_", ".")
 
 
 def init_vit_params(cfg: ViTConfig, rng: np.random.Generator) -> ViTParams:
@@ -153,23 +154,6 @@ def init_vit_params(cfg: ViTConfig, rng: np.random.Generator) -> ViTParams:
                 w2=w(cfg.mlp_dim, d), b2=zeros(d),
             )
         )
-    return params
-
-
-def vit_params_from_named(cfg: ViTConfig, named: dict) -> ViTParams:
-    """Rebuild structured params from a flat name -> Tensor mapping."""
-    params = ViTParams(
-        patch_w=named["vit.patch.w"],
-        patch_b=named["vit.patch.b"],
-        cls=named["vit.cls"],
-        pos=named["vit.pos"],
-        norm_g=named["vit.norm.g"],
-        norm_b=named["vit.norm.b"],
-        head_w=named["classifier.w"],
-        head_b=named["classifier.b"],
-    )
-    for i in range(cfg.depth):
-        params.blocks.append(BlockParams(**{f.name: named[_block_name(i, f.name)] for f in fields(BlockParams)}))
     return params
 
 

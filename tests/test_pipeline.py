@@ -1,11 +1,15 @@
 """Training harness: seed determinism, frozen parameters and checkpoint
 round trips for every variant of the ablation table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from doprompt import checkpoint as ckpt
 from doprompt import optim, pipeline, vit
 from doprompt import tensor as T
+from doprompt.checkpoint import CheckpointError
 from doprompt.config import VARIANTS, ConfigError
 from doprompt.datagen import DomainBatch, generate_dataset
 
@@ -27,6 +31,23 @@ def test_run_experiment_is_byte_identical_for_one_seed(tmp_path, dataset, varian
     pipeline.run_experiment(dataset, 1, variant, run, out_dir=tmp_path / "first")
     pipeline.run_experiment(dataset, 1, variant, run, out_dir=tmp_path / "second")
     assert _artifacts(tmp_path / "second") == _artifacts(tmp_path / "first")
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_reloaded_checkpoint_predicts_bitwise_like_the_run(tmp_path, dataset, variant):
+    run = tiny_run_config(dropout=0.1, seed=3)
+    report = pipeline.run_experiment(dataset, 1, variant, run, out_dir=tmp_path)
+    loaded = pipeline.ModelState.load(tmp_path / "checkpoint.dpt", run.vit)
+    images = dataset.images[1]
+    expected = pipeline.predict_logits(report["_state"], images, variant)
+    assert pipeline.predict_logits(loaded, images, variant).tobytes() == expected.tobytes()
+
+
+def test_run_experiment_needs_a_train_and_a_validation_image_per_source():
+    five_per_domain = generate_dataset(3, 5, 0)
+    run = tiny_run_config(val_fraction=0.95)  # rounds to 5 validation images of 5
+    with pytest.raises(ConfigError, match="training and validation need >= 1 each"):
+        pipeline.run_experiment(five_per_domain, 0, "erm", run)
 
 
 def _batch(cfg, num_domains, per_domain, seed=0):
@@ -127,7 +148,7 @@ def test_model_state_save_load_round_trip(tmp_path, with_prompts):
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, with_prompts=with_prompts)
     path = tmp_path / "model.dpt"
     state.save(path)
-    loaded = pipeline.ModelState.load(path, run.vit, 3, run.train.prompt_length)
+    loaded = pipeline.ModelState.load(path, run.vit)
 
     original, restored = state.named_params(), loaded.named_params()
     assert list(restored) == list(original)
@@ -139,6 +160,30 @@ def test_model_state_save_load_round_trip(tmp_path, with_prompts):
         np.testing.assert_array_equal(
             pipeline.predict_logits(loaded, images, variant), pipeline.predict_logits(state, images, variant)
         )
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"embed_dim": 8}, r"vit.patch.w has shape \(192, 16\), the configured model has \(192, 8\)"),
+    ({"depth": 2}, r"16 missing \['vit.block1.b1'\], 0 unexpected"),
+    ({"mlp_ratio": 4.0}, r"vit.block0.w1 has shape \(16, 32\), the configured model has \(16, 64\)"),
+], ids=["embed_dim", "depth", "mlp_ratio"])
+def test_load_into_a_model_the_arrays_do_not_fit_raises(tmp_path, change, message):
+    run = tiny_run_config()
+    path = tmp_path / "model.dpt"
+    pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0).save(path)
+    with pytest.raises(CheckpointError, match=message):
+        pipeline.ModelState.load(path, dataclasses.replace(run.vit, **change))
+
+
+@pytest.mark.parametrize("bank_shape", [(3, 16), (3, 0, 16)])
+def test_load_rejects_a_bank_that_is_not_a_k_l_d_array(tmp_path, bank_shape):
+    run = tiny_run_config()
+    arrays = {n: p.data for n, p in pipeline.init_state(run.vit, 3, 2, seed=0).named_params().items()}
+    arrays["prompts.bank"] = np.zeros(bank_shape, dtype=np.float32)
+    path = tmp_path / "model.dpt"
+    ckpt.save_arrays(path, arrays)
+    with pytest.raises(CheckpointError, match="expected non-empty \\(K, L, D\\)"):
+        pipeline.ModelState.load(path, run.vit)
 
 
 def test_predict_logits_uses_the_variant_inference_mode():

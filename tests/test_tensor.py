@@ -114,6 +114,43 @@ def test_layer_norm_matches_direct_formula():
     np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
 
+def var_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """The `x.var` form of layer norm and its backward: the oracle for the
+    single-centring form `tensor.layer_norm` computes."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gxhat = g * gamma
+    gx = inv * (
+        gxhat
+        - gxhat.mean(axis=-1, keepdims=True)
+        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+
+    def to_row(a):  # the engine sums broadcast axes off one at a time
+        while a.ndim > 1:
+            a = a.sum(axis=0)
+        return a
+
+    return gamma * xhat + beta, gx, to_row(g * xhat), to_row(g)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(48, 21, 64), (128, 21, 64), (2, 3)])
+def test_layer_norm_is_bitwise_the_var_formula(dtype, shape):
+    rng = np.random.default_rng(7)
+    x, g = (rng.normal(1.0, 2.0, size=shape).astype(dtype) for _ in range(2))
+    gamma, beta = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+    with T.default_dtype(dtype):
+        xt, gt, bt = Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+        out = T.layer_norm(xt, gt, bt)
+        T.backward(T.tensor_sum(out * Tensor(g)))
+    for got, want in zip((out.data, xt.grad, gt.grad, bt.grad), var_layer_norm(x, gamma, beta, g)):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gelu
 

@@ -293,12 +293,3 @@ def test_named_params_namespacing():
     assert "vit.block0.wq" in names and "vit.block1.w2" in names
     assert "classifier.w" in names and "classifier.b" in names
     assert len(names) == len(set(names))
-
-
-def test_vit_params_from_named_round_trip():
-    cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=2, num_heads=2)
-    params = make_model(cfg, seed=5)
-    rebuilt = vit.vit_params_from_named(cfg, dict(params.named()))
-    for (na, a), (nb, b) in zip(params.named(), rebuilt.named()):
-        assert na == nb
-        assert a is b
