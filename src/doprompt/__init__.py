@@ -12,9 +12,8 @@ from .objectives import LossBreakdown, loss_prompt, loss_w, total_loss, variant_
 from .pipeline import (
     ModelState,
     infer,
-    infer_prompt_averaged,
-    infer_with_domain_prompt,
     init_state,
+    per_prompt_logits,
     run_experiment,
     train_step,
 )

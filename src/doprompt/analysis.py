@@ -2,7 +2,9 @@
 
 Distances are cosine distances between domain (or per-class) centroids,
 normalized by the mean in-domain spread of the two operands, so they are
-invariant to uniform feature rescaling.
+invariant to uniform feature rescaling. The tables read the model through
+`pipeline.infer` and `pipeline.per_prompt_logits`, the chunked forward that
+evaluation uses; their column k is source slot k, the bank's k-th prompt.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline
+from .config import ConfigError
 from .datagen import SyntheticDataset
 from .pipeline import ModelState
 
@@ -30,8 +33,9 @@ __all__ = [
 SPREAD_FLOOR = 1e-9
 
 
-class DegenerateDomainError(ValueError):
-    """A domain's in-domain spread is too small to normalize by."""
+class DegenerateDomainError(ConfigError):
+    """The data leaves a distance undefined: too few vectors, no shared
+    class, or an in-domain spread too small to normalize by."""
 
 
 @dataclass
@@ -95,7 +99,7 @@ def domain_distance(features_by_domain, labels_by_domain=None) -> DistanceReport
     n = len(feats)
     for d, f in enumerate(feats):
         if len(f) < 2:
-            raise ValueError(f"domain {d} has {len(f)} feature vectors, need >= 2")
+            raise DegenerateDomainError(f"domain {d} has {len(f)} feature vectors, need >= 2")
     stats = [_centroid_and_spread(f) for f in feats]
 
     dist = np.zeros((n, n))
@@ -114,59 +118,45 @@ def domain_distance(features_by_domain, labels_by_domain=None) -> DistanceReport
 
 
 def class_distance(feats_i, labels_i, feats_j, labels_j) -> float:
-    """Mean over classes of the normalized distance between per-class subsets.
+    """Mean over shared classes of the normalized distance between per-class subsets.
 
-    Classes missing from either domain (or with fewer than two vectors) are
-    skipped with a warning and the divisor adjusted.
+    Classes missing from either domain are skipped with a warning.
     """
     feats_i, feats_j = np.asarray(feats_i, dtype=np.float64), np.asarray(feats_j, dtype=np.float64)
     labels_i, labels_j = np.asarray(labels_i), np.asarray(labels_j)
-    classes = np.union1d(np.unique(labels_i), np.unique(labels_j))
-    total, used = 0.0, 0
-    for c in classes:
-        sub_i = feats_i[labels_i == c]
-        sub_j = feats_j[labels_j == c]
-        if len(sub_i) == 0 or len(sub_j) == 0:
-            warnings.warn(f"class {c} missing from one domain; skipped", stacklevel=2)
-            continue
-        total += _normalized_distance(_centroid_and_spread(sub_i), _centroid_and_spread(sub_j))
-        used += 1
-    if used == 0:
-        raise ValueError("no class present in both domains")
-    return total / used
+    shared = np.intersect1d(labels_i, labels_j)
+    if len(shared) == 0:
+        raise DegenerateDomainError("no class present in both domains")
+    for c in np.setxor1d(labels_i, labels_j):
+        warnings.warn(f"class {c} missing from one domain; skipped", stacklevel=2)
+    total = sum(_normalized_distance(_centroid_and_spread(feats_i[labels_i == c]),
+                                     _centroid_and_spread(feats_j[labels_j == c])) for c in shared)
+    return total / len(shared)
 
 
 def adapter_weight_stats(state: ModelState, dataset: SyntheticDataset, eval_domains) -> AdapterWeightStats:
     """Argmax-share percentages and mean adapter weights per evaluated domain.
 
-    Weights come from the same pass inference uses, averaged over prompt
-    positions before the argmax / mean reductions.
+    Weights come from `pipeline.infer`, averaged over prompt positions before
+    the argmax / mean reductions; column k is source slot k.
     """
     k = state.bank.num_domains
     eval_domains = [d for d in eval_domains if dataset.domain_size(d) > 0]
     percentages = np.zeros((len(eval_domains), k))
     averages = np.zeros((len(eval_domains), k))
     for row, d in enumerate(eval_domains):
-        _, weights = pipeline.infer(state, dataset.images[d])
-        per_sample = weights.mean(axis=1)  # (B, K): mean over prompt positions
-        winners = per_sample.argmax(axis=1)
-        for s in range(k):
-            percentages[row, s] = 100.0 * float((winners == s).mean())
-            averages[row, s] = float(per_sample[:, s].mean())
-    return AdapterWeightStats(
-        eval_domains=list(eval_domains),
-        source_domains=list(range(k)),
-        percentages=percentages,
-        averages=averages,
-    )
+        per_sample = pipeline.infer(state, dataset.images[d])[1].mean(axis=1)  # (N, K)
+        winners = np.bincount(per_sample.argmax(axis=1), minlength=k)
+        percentages[row] = 100.0 * (winners / len(per_sample))
+        averages[row] = np.ascontiguousarray(per_sample.T).mean(axis=1)  # a 1-D mean's pairwise sum per slot
+    return AdapterWeightStats(list(eval_domains), list(range(k)), percentages, averages)
 
 
 def per_prompt_accuracy_table(state: ModelState, images: np.ndarray, labels: np.ndarray) -> dict:
-    """Accuracy (%) under adapted inference and under each single domain prompt."""
-    table = {}
-    logits, _ = pipeline.infer(state, images)
-    table["adapted"] = 100.0 * float((logits.argmax(axis=1) == labels).mean())
-    for d in range(state.bank.num_domains):
-        logits = pipeline.infer_with_domain_prompt(state, images, d)
-        table[f"domain_{d}"] = 100.0 * float((logits.argmax(axis=1) == labels).mean())
+    """Accuracy (%) under adapted inference ("adapted") and under the prompt
+    of each single source slot k alone ("domain_<k>")."""
+    adapted = pipeline.infer(state, images)[0].argmax(axis=1) == labels
+    single = pipeline.per_prompt_logits(state, images).argmax(axis=2) == labels[:, None]  # (N, K)
+    table = {"adapted": 100.0 * float(adapted.mean())}
+    table.update({f"domain_{k}": 100.0 * float(acc) for k, acc in enumerate(single.mean(axis=0))})
     return table

@@ -6,10 +6,10 @@ Exit codes, each failure with one line on stderr:
 - 1 (`ablate`, `sweep-length`) some cells of the table failed: each is
   listed on stderr and left out of its cell's mean, and a cell with no run
   left reads NaN in the CSV and null in the JSON;
-- 2 (every command) a config problem: a bad key, value or flag, a dataset
-  that the configured model cannot take or that is too small to train on,
-  or a checkpoint without prompts for a variant or an `analyze` mode that
-  needs them;
+- 2 (every command) a config problem: a bad key, value or flag, a
+  `target_domain` outside the data, a dataset that the configured model
+  cannot take, that is too small to train on or that leaves a distance
+  undefined, or a checkpoint without prompts where they are needed;
 - 3 (`train`) a loss term became non-finite;
 - 4 (every command) an I/O or format problem: a missing or corrupt dataset
   or checkpoint, or a checkpoint whose arrays do not fit the configured
@@ -17,8 +17,10 @@ Exit codes, each failure with one line on stderr:
 
 `eval` and `analyze` build the model from the config, except the number of
 source-domain prompts K and the prompt length L, which come from the shape
-of the checkpoint's prompt bank. All randomness flows from the seeds in the
-config (overridable with --seed); outputs carry no timestamps, so identical
+of the checkpoint's prompt bank. The `src_<k>` (weights) and `domain_<k>`
+(prompt-table) columns of `analyze` are source slot k: the k-th domain other
+than the training target. All randomness flows from the seeds in the config
+(overridable with --seed); outputs carry no timestamps, so identical
 invocations produce byte-identical artifacts.
 """
 
@@ -81,6 +83,8 @@ def _load_or_generate_data(args, run: RunConfig) -> datagen.SyntheticDataset:
     else:
         dc = run.data
         dataset = datagen.generate_dataset(dc.num_domains, dc.per_domain_count, dc.data_seed)
+    if run.target_domain >= dataset.num_domains:
+        raise ConfigError(f"target_domain {run.target_domain} out of range [0, {dataset.num_domains})")
     cfg = run.vit
     shapes = {images.shape[1:] for images in dataset.images}
     if shapes != {(cfg.channels, cfg.image_size, cfg.image_size)} or dataset.num_classes > cfg.num_classes:

@@ -125,6 +125,7 @@ class RunConfig:
 
     def __post_init__(self):
         get_variant(self.variant)
+        _require_at_least(self, 0, "target_domain")  # the upper bound is the dataset's domain count
 
 
 # file key -> (section, attribute, type); "lambda" maps onto TrainConfig.lam

@@ -278,13 +278,21 @@ def load_dataset(path) -> SyntheticDataset:
 
 
 def _load_dataset_dir(path: Path) -> SyntheticDataset:
-    """Directory layout: domain_00/images.npy (N,C,H,W) + labels.npy (N,)."""
+    """Directory layout: domain_00/images.npy (N>=1,C,H,W) + labels.npy (N,) ints >= 0."""
     domain_dirs = sorted(p for p in path.iterdir() if p.is_dir() and p.name.startswith("domain_"))
     if not domain_dirs:
         raise DataFormatError(f"{path}: no domain_* subdirectories")
     images, labels = [], []
     for ddir in domain_dirs:
-        images.append(np.load(ddir / "images.npy").astype(np.float32))
-        labels.append(np.load(ddir / "labels.npy").astype(np.int64))
+        try:
+            img, lab = [np.load(ddir / name) for name in ("images.npy", "labels.npy")]
+        except (ValueError, EOFError) as exc:  # not an .npy file, or a pickled object array
+            raise DataFormatError(f"{ddir}: images.npy or labels.npy is not a readable .npy: {exc}") from exc
+        if img.ndim != 4 or len(img) == 0 or not np.issubdtype(img.dtype, np.number):
+            raise DataFormatError(f"{ddir}: images.npy holds {img.dtype} {img.shape}, expected (N>=1, C, H, W)")
+        if lab.shape != (len(img),) or not np.issubdtype(lab.dtype, np.integer) or lab.astype(np.int64).min() < 0:
+            raise DataFormatError(f"{ddir}: labels.npy holds {lab.dtype} {lab.shape}, expected {len(img)} ints >= 0")
+        images.append(img.astype(np.float32))
+        labels.append(lab.astype(np.int64))
     num_classes = int(max(lab.max() for lab in labels)) + 1
     return SyntheticDataset(images, labels, seed=-1, num_classes=num_classes)

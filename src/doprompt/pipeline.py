@@ -1,4 +1,4 @@
-"""Training loop, two-pass inference, evaluation, and model selection.
+"""Training loop, inference, evaluation, and model selection.
 
 Every variant trains and predicts from its row of `config.VARIANTS`: the
 loss terms go to `objectives.variant_loss`, the frozen name prefixes to
@@ -31,10 +31,10 @@ __all__ = [
     "NumericalError",
     "SelectionRecord",
     "evaluate_accuracy",
+    "extract_features",
     "infer",
-    "infer_prompt_averaged",
-    "infer_with_domain_prompt",
     "init_state",
+    "per_prompt_logits",
     "predict_logits",
     "run_experiment",
     "train_step",
@@ -181,48 +181,52 @@ def train_step(
 # inference
 
 
+def _forward_eval(state: ModelState, images: np.ndarray, prompts: np.ndarray | None = None):
+    """(features NxD, logits NxC) of a no-grad forward in chunks of EVAL_BATCH rows.
+
+    `prompts` is None (prompt-free) or per-row (N, P, D) tokens, sliced along
+    with the images, so K prompts per image run as one gathered pass.
+    """
+    feats, logits = [], []
+    with T.no_grad():
+        for start in range(0, len(images), EVAL_BATCH):
+            rows = slice(start, start + EVAL_BATCH)
+            tokens = None if prompts is None else Tensor(prompts[rows])
+            feat, out = vit.forward(state.params, state.cfg, Tensor(images[rows]), tokens)
+            feats.append(feat.data)
+            logits.append(out.data)
+    return np.concatenate(feats), np.concatenate(logits)
+
+
 def infer(state: ModelState, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-pass adapted-prompt inference; returns (logits BxC, weights BxLxK).
+    """Two-pass adapted-prompt inference; returns (logits NxC, weights NxLxK).
 
     Pass 1 runs prompt-free to get the class feature, the adapter maps it to
-    simplex weights, pass 2 runs with the composed adapted prompts. Records
-    no gradients.
+    simplex weights over all N rows at once, pass 2 runs with the composed
+    adapted prompts.
     """
+    feat, _ = _forward_eval(state, images)
     with T.no_grad():
-        feat, _ = vit.forward(state.params, state.cfg, Tensor(images))
-        weights = prompting.adapter_forward(state.adapter, feat)
+        weights = prompting.adapter_forward(state.adapter, Tensor(feat))
         adapted = prompting.compose_adapted_prompts(state.bank, weights)
-        _, logits = vit.forward(state.params, state.cfg, Tensor(images), adapted)
-    return logits.data, weights.data
+    return _forward_eval(state, images, adapted.data)[1], weights.data
 
 
-def infer_with_domain_prompt(state: ModelState, images: np.ndarray, d: int) -> np.ndarray:
-    """Single forward with domain d's own prompts."""
-    with T.no_grad():
-        tokens = prompting.domain_prompts(state.bank, d)
-        _, logits = vit.forward(state.params, state.cfg, Tensor(images), tokens)
-    return logits.data
+def per_prompt_logits(state: ModelState, images: np.ndarray) -> np.ndarray:
+    """(N, K, C) logits of every image under each single source-domain prompt.
 
-
-def infer_prompt_averaged(state: ModelState, images: np.ndarray) -> np.ndarray:
-    """Mean of single-domain-prompt logits over all source domains."""
-    acc = None
-    for d in range(state.bank.num_domains):
-        logits = infer_with_domain_prompt(state, images, d)
-        acc = logits if acc is None else acc + logits
-    return acc / state.bank.num_domains
-
-
-def infer_prompt_free(state: ModelState, images: np.ndarray) -> np.ndarray:
-    with T.no_grad():
-        _, logits = vit.forward(state.params, state.cfg, Tensor(images))
-    return logits.data
+    One pass over N*K rows: row i*K + k is image i with prompt k of the bank.
+    """
+    k = state.bank.num_domains
+    tiled = np.tile(state.bank.tokens.data, (len(images), 1, 1))
+    logits = _forward_eval(state, np.repeat(images, k, axis=0), tiled)[1]
+    return logits.reshape(len(images), k, -1)
 
 
 _INFERENCE = {
     "adapted": lambda state, images: infer(state, images)[0],
-    "prompt_free": infer_prompt_free,
-    "prompt_averaged": infer_prompt_averaged,
+    "prompt_free": lambda state, images: _forward_eval(state, images)[1],
+    "prompt_averaged": lambda state, images: per_prompt_logits(state, images).mean(axis=1),
 }
 
 
@@ -232,22 +236,13 @@ def predict_logits(state: ModelState, images: np.ndarray, variant: str) -> np.nd
 
 
 def evaluate_accuracy(state: ModelState, images, labels, variant: str) -> float:
-    correct = 0
-    for start in range(0, len(labels), EVAL_BATCH):
-        chunk = slice(start, start + EVAL_BATCH)
-        logits = predict_logits(state, images[chunk], variant)
-        correct += int((logits.argmax(axis=1) == labels[chunk]).sum())
-    return correct / len(labels)
+    correct = predict_logits(state, images, variant).argmax(axis=1) == labels
+    return int(correct.sum()) / len(labels)
 
 
 def extract_features(state: ModelState, images: np.ndarray) -> np.ndarray:
     """Prompt-free class-token features, the representation the adapter sees."""
-    feats = []
-    with T.no_grad():
-        for start in range(0, len(images), EVAL_BATCH):
-            feat, _ = vit.forward(state.params, state.cfg, Tensor(images[start : start + EVAL_BATCH]))
-            feats.append(feat.data)
-    return np.concatenate(feats, axis=0)
+    return _forward_eval(state, images)[0]
 
 
 # ---------------------------------------------------------------------------

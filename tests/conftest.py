@@ -1,11 +1,12 @@
-"""Shared helpers: finite-difference gradient checking, tiny model builders
-and the unfused attention oracles."""
+"""Shared helpers: finite-difference gradient checking, tiny model builders,
+the unfused attention oracles and the looped inference oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
+from doprompt import prompting, vit
 from doprompt import tensor as T
 from doprompt.config import DataConfig, RunConfig, TrainConfig
 from doprompt.vit import ViTConfig
@@ -137,3 +138,32 @@ def unfused_attention_block(x, blk, num_heads, dropout_rate=0.0, train=False, rn
     m = T.dropout(T.gelu(T.matmul(h2, blk.w1) + blk.b1), dropout_rate, rng, train)
     m = T.dropout(T.matmul(m, blk.w2) + blk.b2, dropout_rate, rng, train)
     return x + m
+
+
+# ---------------------------------------------------------------------------
+# looped inference oracles for the chunked read path
+
+
+def looped_prompt_free_logits(state, images):
+    """One unchunked prompt-free pass."""
+    with T.no_grad():
+        return vit.forward(state.params, state.cfg, T.Tensor(images))[1].data
+
+
+def looped_per_prompt_logits(state, images):
+    """(N, K, C): one unchunked pass per source-domain prompt, the K passes
+    that `pipeline.per_prompt_logits` gathers into one."""
+    with T.no_grad():
+        return np.stack([
+            vit.forward(state.params, state.cfg, T.Tensor(images), prompting.domain_prompts(state.bank, k))[1].data
+            for k in range(state.bank.num_domains)
+        ], axis=1)
+
+
+def looped_infer(state, images):
+    """Unchunked two-pass adapted inference: (logits, weights)."""
+    with T.no_grad():
+        feat, _ = vit.forward(state.params, state.cfg, T.Tensor(images))
+        weights = prompting.adapter_forward(state.adapter, feat)
+        adapted = prompting.compose_adapted_prompts(state.bank, weights)
+        return vit.forward(state.params, state.cfg, T.Tensor(images), adapted)[1].data, weights.data

@@ -1,9 +1,15 @@
-"""Domain-distance metrics against the per-vector loop they replace."""
+"""Domain-distance metrics and the adapter-weight table against the loops
+they replace."""
 
 import numpy as np
 import pytest
 
-from doprompt import analysis
+from doprompt import analysis, pipeline
+from doprompt import tensor as T
+from doprompt.config import ConfigError
+from doprompt.datagen import generate_dataset
+
+from conftest import looped_infer, tiny_run_config
 
 
 def loop_cosine(x, y):
@@ -61,3 +67,35 @@ def test_zero_spread_raises_degenerate_domain_error():
         analysis.domain_distance([same, 2.0 * same])
     with pytest.raises(analysis.DegenerateDomainError):
         analysis.class_distance(same, np.zeros(4), same, np.zeros(4))
+
+
+def test_too_few_vectors_or_no_shared_class_raise_before_any_warning(recwarn):
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(4, 3))
+    assert issubclass(analysis.DegenerateDomainError, ConfigError)
+    with pytest.raises(analysis.DegenerateDomainError, match="domain 1 has 1 feature vectors, need >= 2"):
+        analysis.domain_distance([feats, feats[:1]])
+    with pytest.raises(analysis.DegenerateDomainError, match="no class present in both domains"):
+        analysis.class_distance(feats, np.zeros(4), 2.0 * feats, np.ones(4))
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_adapter_weight_stats_match_the_per_source_loop():
+    # 130 images a domain, so the chunked read path crosses a chunk edge
+    dataset = generate_dataset(3, 130, 0)
+    state = pipeline.init_state(tiny_run_config().vit, 2, 2, seed=0)
+    adapter = state.adapter
+    adapter.w2.data *= 100.0  # sharper weights
+    # centre the adapter's logits over all images, so that which slot wins varies by image
+    hidden = T.gelu(T.linear(T.Tensor(pipeline.extract_features(state, np.concatenate(dataset.images))),
+                             adapter.w1, adapter.b1))
+    adapter.b2.data -= (hidden.data @ adapter.w2.data).mean(axis=0)
+    stats = analysis.adapter_weight_stats(state, dataset, range(3))
+    assert stats.eval_domains == [0, 1, 2] and stats.source_domains == [0, 1]
+    for row, d in enumerate(range(3)):
+        per_sample = looped_infer(state, dataset.images[d])[1].mean(axis=1)
+        winners = per_sample.argmax(axis=1)
+        for s in range(2):
+            assert stats.percentages[row, s] == 100.0 * float((winners == s).mean())
+            assert stats.averages[row, s] == float(per_sample[:, s].mean())
+    assert 0.0 < stats.percentages[:, 0].min() < 100.0  # both slots win somewhere

@@ -1,14 +1,17 @@
-"""Command line: the sweep table layout, checkpoint reloads, and the exit
-code and one-line message of every kind of failure."""
+"""Command line: the sweep table layout, checkpoint reloads, the analysis
+reports, and the exit code and one-line message of every kind of failure."""
 
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from doprompt import checkpoint as ckpt
-from doprompt import cli, pipeline
+from doprompt import cli, datagen, pipeline
 from doprompt.config import VARIANTS, load_config
+
+from conftest import looped_per_prompt_logits
 
 TINY = {
     "embed_dim": 16,
@@ -76,6 +79,52 @@ def test_eval_of_a_trained_checkpoint_reproduces_test_acc(tmp_path, config, caps
     assert json.loads(evals[0])[f"domain_{report['target_domain']}"] == report["test_acc"]
 
 
+def test_analyze_reports_agree_with_the_model_and_with_each_other(tmp_path, config, capsys):
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert cli.main(["train", "--config", config, "--out", str(run_dir)]) == cli.EXIT_OK
+    checkpoint = str(run_dir / "checkpoint.dpt")
+    for mode in ("distance", "weights", "prompt-table"):
+        argv = ["analyze", mode, "--config", config, "--checkpoint", checkpoint, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+
+    def csv(name):
+        return np.loadtxt(out / name, delimiter=",")
+
+    distance = json.loads((out / "distance.json").read_text())
+    for name in ("domain", "class"):
+        matrix = np.array(distance[f"{name}_dist"])
+        assert matrix.shape == (3, 3) and np.all(matrix.T == matrix) and np.all(np.diag(matrix) == 0.0)
+        assert np.all(matrix[~np.eye(3, dtype=bool)] > 0.0)
+        np.testing.assert_allclose(csv(f"{name}_distance.csv"), matrix, rtol=0, atol=5e-7)
+
+    weights = json.loads((out / "adapter_weights.json").read_text())
+    percentages, averages = np.array(weights["percentages"]), np.array(weights["averages"])
+    assert weights["eval_domains"] == [0, 1, 2] and percentages.shape == averages.shape == (3, 2)
+    np.testing.assert_allclose(percentages.sum(axis=1), 100.0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(averages.sum(axis=1), 1.0, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(csv("adapter_percentages.csv"), percentages, rtol=0, atol=5e-5)
+    np.testing.assert_allclose(csv("adapter_averages.csv"), averages, rtol=0, atol=5e-7)
+
+    run = load_config(config)
+    dataset = datagen.generate_dataset(run.data.num_domains, run.data.per_domain_count, run.data.data_seed)
+    images, labels = dataset.images[run.target_domain], dataset.labels[run.target_domain]
+    state = pipeline.ModelState.load(checkpoint, run.vit)
+
+    def accuracy(logits):
+        return 100.0 * float((logits.argmax(axis=-1) == labels).mean())
+
+    oracle = looped_per_prompt_logits(state, images)
+    expected = {"adapted": accuracy(pipeline.infer(state, images)[0])}
+    expected.update({f"domain_{k}": accuracy(oracle[:, k]) for k in range(2)})
+    table = json.loads((out / "prompt_table.json").read_text())
+    assert table == expected
+    lines = (out / "prompt_table.csv").read_text().splitlines()
+    assert lines[0] == "mode,accuracy"
+    assert {key: float(value) for key, value in (line.split(",") for line in lines[1:])} == pytest.approx(
+        table, rel=0, abs=5e-5
+    )
+
+
 @pytest.fixture
 def checkpoints(tmp_path, config):
     """A doprompt and a prompt-free checkpoint of the tiny model, and one whose
@@ -90,7 +139,44 @@ def checkpoints(tmp_path, config):
     return paths
 
 
+@pytest.fixture
+def data_dirs(tmp_path):
+    """`--data` directories of raw arrays, each wrong in one way."""
+    rng = np.random.default_rng(0)
+
+    def images(n):
+        return rng.random((n, 3, 32, 32)).astype(np.float32)
+
+    classes = np.arange(5)
+    good = (images(5), classes)
+    layouts = {
+        "zero_spread": [(np.full((5, 3, 32, 32), 0.5, np.float32), classes)] * 2,
+        "one_image": [(images(1), classes[:1]), good],
+        "no_shared_class": [(images(5), np.zeros(5, np.int64)), (images(5), np.ones(5, np.int64))],
+        "npy_unreadable": [good, (b"not an npy file", classes)],
+        "images_not_nchw": [good, (images(5)[:, 0], classes)],
+        "no_image": [good, (images(0), classes[:0])],
+        "label_count": [good, (images(5), classes[:4])],
+        "negative_label": [good, (images(5), classes - 1)],
+        "float_labels": [good, (images(5), classes + 0.5)],
+        "label_past_int64": [good, (images(5), np.array([0, 1, 2, 3, 2**64 - 1], np.uint64))],
+    }
+    dirs = {}
+    for name, domains in layouts.items():
+        dirs[name] = tmp_path / "data" / name
+        for d, arrays in enumerate(domains):
+            ddir = dirs[name] / f"domain_{d:02d}"
+            ddir.mkdir(parents=True)
+            for filename, array in zip(("images.npy", "labels.npy"), arrays):
+                if isinstance(array, bytes):
+                    (ddir / filename).write_bytes(array)
+                else:
+                    np.save(ddir / filename, array)
+    return dirs
+
+
 CONFIG, FORMAT = cli.EXIT_CONFIG, cli.EXIT_FORMAT
+PIXEL_DISTANCE = ["analyze", "distance", "--features", "pixels", "--data"]
 EVAL_DOPROMPT = ["eval", "--checkpoint", "{doprompt}"]
 # case -> (argv, exit code, a fragment of the one stderr line)
 BAD_INPUTS = {
@@ -121,14 +207,31 @@ BAD_INPUTS = {
     "weights_on_erm": (["analyze", "weights", "--checkpoint", "{erm}"], CONFIG, "analyze weights needs prompts"),
     "prompt_table_on_erm": (["analyze", "prompt-table", "--checkpoint", "{erm}"], CONFIG, "prompt-table needs prompts"),
     "data_dir_without_domains": (["train", "--data", "{dir}"], FORMAT, "no domain_* subdirectories"),
+    "zero_spread": ([*PIXEL_DISTANCE, "{zero_spread}"], CONFIG, "between domains 0, 1 below 1e-09"),
+    "one_image": ([*PIXEL_DISTANCE, "{one_image}"], CONFIG, "domain 0 has 1 feature vectors, need >= 2"),
+    "no_shared_class": ([*PIXEL_DISTANCE, "{no_shared_class}"], CONFIG, "no class present in both domains"),
+    "npy_unreadable": (["train", "--data", "{npy_unreadable}"], FORMAT, "images.npy or labels.npy is not a readable .npy"),
+    "images_not_nchw": (["train", "--data", "{images_not_nchw}"], FORMAT, "float32 (5, 32, 32), expected (N>=1, C, H, W)"),
+    "no_image": (["train", "--data", "{no_image}"], FORMAT, "float32 (0, 3, 32, 32), expected (N>=1, C, H, W)"),
+    "label_count": (["train", "--data", "{label_count}"], FORMAT, "labels.npy holds int64 (4,), expected 5 ints >= 0"),
+    "negative_label": (["train", "--data", "{negative_label}"], FORMAT, "labels.npy holds int64 (5,), expected 5 ints >= 0"),
+    "float_labels": (["train", "--data", "{float_labels}"], FORMAT, "labels.npy holds float64 (5,), expected 5 ints >= 0"),
+    "label_past_int64": (["train", "--data", "{label_past_int64}"], FORMAT, "holds uint64 (5,), expected 5 ints >= 0"),
+    "target_domain_negative": (["train", "--set", "target_domain=-1"], CONFIG, "target_domain must be >= 0, got -1"),
+    "target_domain_not_in_the_data": (
+        ["analyze", "prompt-table", "--checkpoint", "{doprompt}", "--set", "target_domain=9"],
+        CONFIG, "target_domain 9 out of range [0, 3)",
+    ),
     "out_is_a_file": (["gen-data", "--out", "{erm}"], FORMAT, "File exists"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_exits_with_its_code_and_one_stderr_line(tmp_path, config, checkpoints, capsys, recwarn, case):
+def test_bad_input_exits_with_its_code_and_one_stderr_line(
+    tmp_path, config, checkpoints, data_dirs, capsys, recwarn, case
+):
     argv, code, message = BAD_INPUTS[case]
-    argv = [a.format(dir=tmp_path, **checkpoints) for a in argv]
+    argv = [a.format(dir=tmp_path, **checkpoints, **data_dirs) for a in argv]
     assert cli.main([argv[0], "--config", config, "--out", str(tmp_path / "out"), *argv[1:]]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n") and message in err, err

@@ -13,7 +13,13 @@ from doprompt.checkpoint import CheckpointError
 from doprompt.config import VARIANTS, ConfigError
 from doprompt.datagen import DomainBatch, generate_dataset
 
-from conftest import tiny_run_config, unfused_attention_block
+from conftest import (
+    looped_infer,
+    looped_per_prompt_logits,
+    looped_prompt_free_logits,
+    tiny_run_config,
+    unfused_attention_block,
+)
 
 
 @pytest.fixture(scope="module")
@@ -186,15 +192,55 @@ def test_load_rejects_a_bank_that_is_not_a_k_l_d_array(tmp_path, bank_shape):
         pipeline.ModelState.load(path, run.vit)
 
 
+def _prompted_state(run, k=3):
+    """A fresh model whose prompts are large enough to move the logits."""
+    state = pipeline.init_state(run.vit, k, run.train.prompt_length, seed=0)
+    state.bank.tokens.data *= 50.0
+    return state
+
+
 def test_predict_logits_uses_the_variant_inference_mode():
     run = tiny_run_config()
-    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    state = _prompted_state(run)
     images = _batch(run.vit, 1, 5).images
     for variant in VARIANTS:
         if variant == "erm":
-            expected = pipeline.infer_prompt_free(state, images)
+            expected = looped_prompt_free_logits(state, images)
         elif variant == "no_adapter":
-            expected = np.mean([pipeline.infer_with_domain_prompt(state, images, d) for d in range(3)], axis=0)
+            expected = looped_per_prompt_logits(state, images).mean(axis=1)
         else:
-            expected = pipeline.infer(state, images)[0]
+            expected = looped_infer(state, images)[0]
         np.testing.assert_allclose(pipeline.predict_logits(state, images, variant), expected, rtol=0, atol=1e-6)
+
+
+def test_per_prompt_logits_match_one_pass_per_prompt_across_a_chunk_edge():
+    # 130 images x K=3 prompts: image 42's rows 126..128 straddle the 128-row chunk edge
+    run = tiny_run_config()
+    state = _prompted_state(run)
+    images = _batch(run.vit, 1, 130).images
+    expected = looped_per_prompt_logits(state, images)
+    assert pipeline.EVAL_BATCH == 128
+    assert np.abs(expected[:, 1] - expected[:, 0]).max() > 1e-3  # the prompts matter, far above atol
+    got = pipeline.per_prompt_logits(state, images)
+    assert got.shape == (130, 3, run.vit.num_classes)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+
+
+def test_readers_over_more_than_one_chunk_equal_their_per_chunk_calls():
+    run = tiny_run_config()
+    state = _prompted_state(run)
+    images = _batch(run.vit, 1, 2 * pipeline.EVAL_BATCH + 44).images
+    chunks = [images[s : s + pipeline.EVAL_BATCH] for s in range(0, len(images), pipeline.EVAL_BATCH)]
+
+    logits, weights = pipeline.infer(state, images)
+    per_chunk = [pipeline.infer(state, c) for c in chunks]
+    np.testing.assert_array_equal(logits, np.concatenate([lg for lg, _ in per_chunk]))
+    np.testing.assert_array_equal(weights, np.concatenate([w for _, w in per_chunk]))
+    for variant in VARIANTS:
+        np.testing.assert_array_equal(
+            pipeline.predict_logits(state, images, variant),
+            np.concatenate([pipeline.predict_logits(state, c, variant) for c in chunks]),
+        )
+    np.testing.assert_array_equal(
+        pipeline.extract_features(state, images), np.concatenate([pipeline.extract_features(state, c) for c in chunks])
+    )
