@@ -25,7 +25,6 @@ __all__ = [
     "DistanceReport",
     "adapter_weight_stats",
     "class_distance",
-    "cosine_distance",
     "domain_distance",
     "per_prompt_accuracy_table",
 ]
@@ -34,27 +33,24 @@ SPREAD_FLOOR = 1e-9
 
 
 class DegenerateDomainError(ConfigError):
-    """The data leaves a distance undefined: too few vectors, no shared
-    class, or an in-domain spread too small to normalize by."""
+    """The data leaves a distance undefined: fewer than two domains, too few
+    vectors, no shared class, or an in-domain spread too small to normalize by."""
 
 
 @dataclass
 class DistanceReport:
     """Pairwise normalized distances plus per-domain spread and aggregates."""
 
-    domain_dist: np.ndarray  # (n, n), symmetric, zero diagonal
-    class_dist: np.ndarray | None  # (n, n) or None when classes unavailable
+    domain_dist: np.ndarray  # (n, n), n >= 2, symmetric, zero diagonal
+    class_dist: np.ndarray  # (n, n) averaged per-class distances
     in_dist: np.ndarray  # (n,) mean cosine distance to own centroid
     cross_in_ratio: float = field(init=False)
-    cross_in_class_ratio: float | None = field(init=False)
+    cross_in_class_ratio: float = field(init=False)
 
     def __post_init__(self):
-        n = self.domain_dist.shape[0]
-        off = ~np.eye(n, dtype=bool)
-        self.cross_in_ratio = float(self.domain_dist[off].mean()) if n > 1 else 0.0
-        self.cross_in_class_ratio = (
-            float(self.class_dist[off].mean()) if self.class_dist is not None and n > 1 else None
-        )
+        off = ~np.eye(self.domain_dist.shape[0], dtype=bool)
+        self.cross_in_ratio = float(self.domain_dist[off].mean())
+        self.cross_in_class_ratio = float(self.class_dist[off].mean())
 
 
 @dataclass
@@ -67,7 +63,7 @@ class AdapterWeightStats:
     averages: np.ndarray  # (E, K), rows sum to 1
 
 
-def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
+def _cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.dot(x, y)) / (float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
 
 
@@ -85,18 +81,20 @@ def _normalized_distance(a, b, where: str = "") -> float:
         raise DegenerateDomainError(
             f"in-domain spread {denom:.3g}{where} below {SPREAD_FLOOR}; distance undefined"
         )
-    return cosine_distance(a[0], b[0]) / denom
+    return _cosine_distance(a[0], b[0]) / denom
 
 
-def domain_distance(features_by_domain, labels_by_domain=None) -> DistanceReport:
-    """Pairwise normalized centroid distances between domains.
+def domain_distance(features_by_domain, labels_by_domain) -> DistanceReport:
+    """Pairwise normalized centroid distances between domains, and the
+    averaged per-class distances under `labels_by_domain`.
 
-    `features_by_domain` is a sequence of (N_d, D) arrays, each with at least
-    two vectors and nonzero spread. When `labels_by_domain` is given, the
-    averaged per-class distance matrix is computed as well.
+    `features_by_domain` is a sequence of at least two (N_d, D) arrays, each
+    with at least two vectors and nonzero spread.
     """
     feats = [np.asarray(f, dtype=np.float64) for f in features_by_domain]
     n = len(feats)
+    if n < 2:
+        raise DegenerateDomainError(f"a distance needs >= 2 domains, got {n}")
     for d, f in enumerate(feats):
         if len(f) < 2:
             raise DegenerateDomainError(f"domain {d} has {len(f)} feature vectors, need >= 2")
@@ -107,13 +105,11 @@ def domain_distance(features_by_domain, labels_by_domain=None) -> DistanceReport
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = _normalized_distance(stats[i], stats[j], f" between domains {i}, {j}")
 
-    cdist = None
-    if labels_by_domain is not None:
-        labels = [np.asarray(lab) for lab in labels_by_domain]
-        cdist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                cdist[i, j] = cdist[j, i] = class_distance(feats[i], labels[i], feats[j], labels[j])
+    labels = [np.asarray(lab) for lab in labels_by_domain]
+    cdist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            cdist[i, j] = cdist[j, i] = class_distance(feats[i], labels[i], feats[j], labels[j])
     return DistanceReport(domain_dist=dist, class_dist=cdist, in_dist=np.array([s for _, s in stats]))
 
 
@@ -134,22 +130,21 @@ def class_distance(feats_i, labels_i, feats_j, labels_j) -> float:
     return total / len(shared)
 
 
-def adapter_weight_stats(state: ModelState, dataset: SyntheticDataset, eval_domains) -> AdapterWeightStats:
-    """Argmax-share percentages and mean adapter weights per evaluated domain.
+def adapter_weight_stats(state: ModelState, dataset: SyntheticDataset) -> AdapterWeightStats:
+    """Argmax-share percentages and mean adapter weights for every domain of
+    `dataset` (each holds at least one image; see `datagen.load_dataset`).
 
     Weights come from `pipeline.infer`, averaged over prompt positions before
     the argmax / mean reductions; column k is source slot k.
     """
-    k = state.bank.num_domains
-    eval_domains = [d for d in eval_domains if dataset.domain_size(d) > 0]
-    percentages = np.zeros((len(eval_domains), k))
-    averages = np.zeros((len(eval_domains), k))
-    for row, d in enumerate(eval_domains):
+    n, k = dataset.num_domains, state.bank.num_domains
+    percentages, averages = np.zeros((n, k)), np.zeros((n, k))
+    for d in range(n):
         per_sample = pipeline.infer(state, dataset.images[d])[1].mean(axis=1)  # (N, K)
         winners = np.bincount(per_sample.argmax(axis=1), minlength=k)
-        percentages[row] = 100.0 * (winners / len(per_sample))
-        averages[row] = np.ascontiguousarray(per_sample.T).mean(axis=1)  # a 1-D mean's pairwise sum per slot
-    return AdapterWeightStats(list(eval_domains), list(range(k)), percentages, averages)
+        percentages[d] = 100.0 * (winners / len(per_sample))
+        averages[d] = np.ascontiguousarray(per_sample.T).mean(axis=1)  # a 1-D mean's pairwise sum per slot
+    return AdapterWeightStats(list(range(n)), list(range(k)), percentages, averages)
 
 
 def per_prompt_accuracy_table(state: ModelState, images: np.ndarray, labels: np.ndarray) -> dict:

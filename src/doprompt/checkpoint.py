@@ -16,9 +16,10 @@ the model's shape: the names give the depth and whether there is a prompt
 bank and adapter; the shapes give the embedding and MLP widths, the patch
 and position sizes, the number of classes, and, from `prompts.bank`
 (K, L, D), the number of source-domain prompts K and the prompt length L.
-`pipeline.ModelState.load` builds the model from them. `num_heads` is not
-among them: it splits D into heads without changing any array's shape, so
-it comes from the run config.
+`pipeline.ModelState.load` builds the model from them. `num_heads` splits
+D into heads without changing any array's shape, so the model records it as
+a last, 0-d record named `meta.num_heads`. A file written before that record
+existed takes `num_heads` from the run config.
 """
 
 from __future__ import annotations

@@ -9,19 +9,23 @@ Exit codes, each failure with one line on stderr:
 - 2 (every command) a config problem: a bad key, value or flag, a
   `target_domain` outside the data, a dataset that the configured model
   cannot take, that is too small to train on or that leaves a distance
-  undefined, or a checkpoint without prompts where they are needed;
+  undefined (`analyze distance` needs two domains), or a checkpoint without
+  prompts where they are needed;
 - 3 (`train`) a loss term became non-finite;
 - 4 (every command) an I/O or format problem: a missing or corrupt dataset
-  or checkpoint, or a checkpoint whose arrays do not fit the configured
-  model.
+  or checkpoint, a dataset with an empty domain or a label outside its
+  classes, or a checkpoint whose arrays or head count do not fit the
+  configured model.
 
 `eval` and `analyze` build the model from the config, except the number of
 source-domain prompts K and the prompt length L, which come from the shape
-of the checkpoint's prompt bank. The `src_<k>` (weights) and `domain_<k>`
-(prompt-table) columns of `analyze` are source slot k: the k-th domain other
-than the training target. All randomness flows from the seeds in the config
-(overridable with --seed); outputs carry no timestamps, so identical
-invocations produce byte-identical artifacts.
+of the checkpoint's prompt bank. A checkpoint records the `num_heads` it was
+trained with, and a config that differs exits 4; a checkpoint written before
+that record existed takes the config's `num_heads`. The `src_<k>` (weights)
+and `domain_<k>` (prompt-table) columns of `analyze` are source slot k: the
+k-th domain other than the training target. All randomness flows from the
+seeds in the config (overridable with --seed); outputs carry no timestamps,
+so identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -286,8 +290,7 @@ def cmd_analyze(args) -> int:
 
     state = _load_state(args.checkpoint, run, f"analyze {mode}")
     if mode == "weights":
-        eval_domains = list(range(dataset.num_domains))
-        stats = analysis.adapter_weight_stats(state, dataset, eval_domains)
+        stats = analysis.adapter_weight_stats(state, dataset)
         names = [f"domain_{d}" for d in stats.eval_domains]
         src = [f"src_{s}" for s in stats.source_domains]
         print("argmax share (%)")
@@ -307,20 +310,16 @@ def cmd_analyze(args) -> int:
         (out / "adapter_weights.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
-    if mode == "prompt-table":
-        target = run.target_domain
-        table = analysis.per_prompt_accuracy_table(
-            state, dataset.images[target], dataset.labels[target]
-        )
-        lines = ["mode,accuracy"]
-        for key, value in table.items():
-            print(f"{key:>12}: {value:.2f}")
-            lines.append(f"{key},{value:.4f}")
-        (out / "prompt_table.csv").write_text("\n".join(lines) + "\n")
-        (out / "prompt_table.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-
-    raise ConfigError(f"unknown analyze mode {mode!r}")
+    # prompt-table, the last of the parser's choices
+    target = run.target_domain
+    table = analysis.per_prompt_accuracy_table(state, dataset.images[target], dataset.labels[target])
+    lines = ["mode,accuracy"]
+    for key, value in table.items():
+        print(f"{key:>12}: {value:.2f}")
+        lines.append(f"{key},{value:.4f}")
+    (out / "prompt_table.csv").write_text("\n".join(lines) + "\n")
+    (out / "prompt_table.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

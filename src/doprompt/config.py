@@ -56,7 +56,7 @@ class Variant:
 
 VARIANTS = {
     "doprompt": Variant(("prompt", "w", "adapt")),
-    "erm": Variant(("erm",), frozen=("prompts.", "adapter."), inference="prompt_free"),
+    "erm": Variant(("erm",), inference="prompt_free"),  # no bank or adapter to freeze
     "no_adapter": Variant(("prompt",), frozen=("adapter.",), inference="prompt_averaged"),
     "no_lw": Variant(("prompt", "adapt")),
     "no_ladapt": Variant(("prompt", "w")),

@@ -1,9 +1,12 @@
 """Deterministic procedural multi-domain image dataset.
 
-Class identity is carried by shape geometry only (disk, square, cross,
-triangle, stripes); domain identity by rendering style only (hue, background,
-noise, outline, texture), so the two factors are disentangled by construction.
-Every pixel is a pure function of (class, style, seed).
+Class identity is carried by shape geometry (disk, square, cross, triangle,
+stripes) and domain identity by rendering style (hue, background, noise,
+outline, texture). The renderer keeps the two apart, but a model need not:
+each domain draws every image with one fixed hue and background grey, and
+an ERM model trained on the default table keys on those exact values (moving
+only the hue or the background of a source domain's images drops it to near
+chance). Every pixel is a pure function of (class, style, seed).
 """
 
 from __future__ import annotations
@@ -73,11 +76,11 @@ DEFAULT_STYLE_TABLE = (
 
 @dataclass
 class DomainBatch:
-    """Images + class labels + domain indices from one or more domains."""
+    """Images + class labels + source slots from one or more source domains."""
 
     images: np.ndarray  # (B, 3, 32, 32) float32 in [0, 1]
     labels: np.ndarray  # (B,) int64
-    domains: np.ndarray  # (B,) int64
+    domains: np.ndarray  # (B,) int64 source slot: the row of the prompt bank
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -98,14 +101,6 @@ class SyntheticDataset:
 
     def domain_size(self, d: int) -> int:
         return len(self.labels[d])
-
-    def batch(self, d: int, idx) -> DomainBatch:
-        idx = np.asarray(idx)
-        return DomainBatch(
-            images=self.images[d][idx],
-            labels=self.labels[d][idx],
-            domains=np.full(len(idx), d, dtype=np.int64),
-        )
 
 
 def _hsv_to_rgb(h: float, s: float, v: float) -> np.ndarray:
@@ -177,22 +172,18 @@ def render_image(c: int, style: DomainStyleSpec, rng: np.random.Generator) -> np
     return np.clip(img, 0.0, 1.0).astype(np.float32)
 
 
-def generate_dataset(
-    num_domains: int,
-    per_domain_count: int,
-    seed: int,
-    style_table=DEFAULT_STYLE_TABLE,
-) -> SyntheticDataset:
+def generate_dataset(num_domains: int, per_domain_count: int, seed: int) -> SyntheticDataset:
     """Balanced classes per domain; identical seed gives bit-identical data.
 
-    Images are rendered from per-image rng streams derived from
-    (seed, domain, index), so generation order never matters.
+    Domain d is rendered in style d of `DEFAULT_STYLE_TABLE`. Images are
+    rendered from per-image rng streams derived from (seed, domain, index),
+    so generation order never matters.
     """
     if num_domains < 2:
         raise ValueError(f"need at least 2 domains, got {num_domains}")
-    if num_domains > len(style_table):
+    if num_domains > len(DEFAULT_STYLE_TABLE):
         raise ValueError(
-            f"style table has {len(style_table)} entries, cannot supply {num_domains} domains"
+            f"style table has {len(DEFAULT_STYLE_TABLE)} entries, cannot supply {num_domains} domains"
         )
     per_class = per_domain_count // NUM_CLASSES
     if per_class * NUM_CLASSES != per_domain_count:
@@ -210,7 +201,7 @@ def generate_dataset(
         for i in range(n):
             c = i % NUM_CLASSES
             rng = np.random.default_rng(np.random.SeedSequence([seed, d, i]))
-            images[i] = render_image(c, style_table[d], rng)
+            images[i] = render_image(c, DEFAULT_STYLE_TABLE[d], rng)
             labels[i] = c
         all_images.append(images)
         all_labels.append(labels)
@@ -250,6 +241,8 @@ def save_dataset(path, dataset: SyntheticDataset) -> None:
 
 
 def load_dataset(path) -> SyntheticDataset:
+    """A DPD1 file or a directory of raw arrays; every domain must hold at
+    least one image, and every label must be a class of the dataset."""
     path = Path(path)
     if path.is_dir():
         return _load_dataset_dir(path)
@@ -270,9 +263,16 @@ def load_dataset(path) -> SyntheticDataset:
     images, labels = [], []
     for d in range(num_domains):
         (count,) = struct.unpack("<Q", take(8, "domain count"))
+        if count == 0:
+            raise DataFormatError(f"{path}: domain {d} holds no images, expected >= 1")
         px = np.frombuffer(take(4 * count * channels * h * w, "pixels"), dtype="<f4")
         images.append(px.reshape(count, channels, h, w).copy())
-        labels.append(np.frombuffer(take(8 * count, "labels"), dtype="<u8").astype(np.int64))
+        lab = np.frombuffer(take(8 * count, "labels"), dtype="<u8")
+        if lab.max() >= num_classes:
+            raise DataFormatError(
+                f"{path}: domain {d} has label {lab.max()}, outside the header's {num_classes} classes"
+            )
+        labels.append(lab.astype(np.int64))
         take(8 * count, "domain indices")
     return SyntheticDataset(images, labels, seed=int(seed), num_classes=int(num_classes))
 

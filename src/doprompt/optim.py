@@ -8,6 +8,8 @@ from .tensor import ShapeError, Tensor
 
 __all__ = ["AdamWState", "adamw_step", "init_adamw_state", "zero_grads"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamWState:
     """First/second moment estimates plus the shared step counter."""
@@ -34,12 +36,10 @@ def adamw_step(
     grads: dict,
     state: AdamWState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> tuple[dict, AdamWState]:
-    """One update over `params` (name -> Tensor), in place.
+    """One update over `params` (name -> Tensor), in place, with the moment
+    decays BETA1, BETA2 and the denominator offset EPS.
 
     The moments and `p.data` are updated in place, in the operation order of
     the out-of-place formula, so the results are bitwise equal to it.
@@ -50,8 +50,8 @@ def adamw_step(
     """
     state.t += 1
     t = state.t
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -67,16 +67,16 @@ def adamw_step(
                 f"adamw_step: moment shape {m.shape} != param shape {p.data.shape} for {name!r}"
             )
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), then p -= lr * wd * p
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS), then p -= lr * wd * p
         step = m / bc1
         step *= lr
         denom = v / bc2
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += EPS
         step /= denom
         p.data -= step
         if weight_decay:

@@ -70,7 +70,9 @@ class ModelState:
         return [n for n in self.named_params() if not n.startswith(frozen)]
 
     def save(self, path) -> None:
-        ckpt.save_arrays(path, {name: p.data for name, p in self.named_params().items()})
+        """One record per parameter, then the 0-d `meta.num_heads` record."""
+        arrays = {name: p.data for name, p in self.named_params().items()}
+        ckpt.save_arrays(path, {**arrays, "meta.num_heads": np.array(self.cfg.num_heads)})
 
     @classmethod
     def load(cls, path, cfg: ViTConfig) -> "ModelState":
@@ -78,10 +80,18 @@ class ModelState:
 
         K and L come from the (K, L, D) shape of `prompts.bank`; a file
         without a bank holds a prompt-free model. Every other shape follows
-        from `cfg`, so the file's names and shapes must match the model
-        `init_state` builds, or this raises `CheckpointError`.
+        from `cfg`, so the file's parameter names and shapes must match the
+        model `init_state` builds, and its `meta.num_heads` record, when it
+        has one, must equal `cfg.num_heads`; otherwise this raises
+        `CheckpointError`. A file without the record takes `cfg.num_heads`.
         """
         arrays = ckpt.load_arrays(path)
+        meta = {name: arrays.pop(name) for name in list(arrays) if name.startswith("meta.")}
+        heads = meta.get("meta.num_heads")
+        if heads is not None and not np.array_equal(heads, np.array(cfg.num_heads)):
+            raise ckpt.CheckpointError(
+                f"{path}: meta.num_heads is {heads.tolist()}, the configured model has num_heads {cfg.num_heads}"
+            )
         bank = arrays.get("prompts.bank")
         if bank is not None and (bank.ndim != 3 or 0 in bank.shape):
             raise ckpt.CheckpointError(f"{path}: prompts.bank has shape {bank.shape}, expected non-empty (K, L, D)")
@@ -135,14 +145,10 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
 
 
 def _check_finite(breakdown: LossBreakdown) -> None:
-    for name, value in (
-        ("l_prompt", breakdown.l_prompt),
-        ("l_w", breakdown.l_w),
-        ("l_adapt", breakdown.l_adapt),
-        ("total", breakdown.total),
-    ):
-        if not np.isfinite(value.item()):
-            raise NumericalError(f"loss component {name} is non-finite ({value.item()})")
+    names = LossBreakdown.CSV_HEADER.split(",")[1:]
+    for name, value in zip(names, breakdown.floats()):
+        if not np.isfinite(value):
+            raise NumericalError(f"loss component {name} is non-finite ({value})")
 
 
 def train_step(
@@ -259,17 +265,17 @@ def split_domain(n: int, val_fraction: float, rng: np.random.Generator):
 def sample_step_batch(
     dataset: SyntheticDataset, source_domains, train_idx, batch_per_domain, rng
 ) -> DomainBatch:
-    """Equal-size sub-batch from every source domain, concatenated."""
-    parts = []
-    for d in source_domains:
-        pool = train_idx[d]
-        replace = len(pool) < batch_per_domain
-        sel = rng.choice(pool, size=batch_per_domain, replace=replace)
-        parts.append(dataset.batch(d, sel))
+    """`batch_per_domain` training images of each source domain, in
+    `source_domains` order; `domains` holds each image's source slot, the
+    index of its domain in `source_domains`."""
+    picks = [
+        (d, rng.choice(train_idx[d], size=batch_per_domain, replace=len(train_idx[d]) < batch_per_domain))
+        for d in source_domains
+    ]
     return DomainBatch(
-        images=np.concatenate([p.images for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-        domains=np.concatenate([p.domains for p in parts]),
+        images=np.concatenate([dataset.images[d][sel] for d, sel in picks]),
+        labels=np.concatenate([dataset.labels[d][sel] for d, sel in picks]),
+        domains=np.repeat(np.arange(len(source_domains), dtype=np.int64), batch_per_domain),
     )
 
 
@@ -295,9 +301,6 @@ def run_experiment(
         raise ConfigError(f"variant {variant!r} needs >= 2 source domains, got {len(source_domains)}")
 
     tc = run_cfg.train
-    # domains keep their dataset indices; the bank/adapter index source slots
-    domain_slot = {d: i for i, d in enumerate(source_domains)}
-
     root = np.random.SeedSequence(tc.seed)
     split_seq, batch_seq, dropout_seq = root.spawn(3)
     split_rng = np.random.default_rng(split_seq)
@@ -330,10 +333,6 @@ def run_experiment(
     selection = SelectionRecord(steps=[], val_accuracies=[])
     best_snapshot = None
 
-    def remap(batch: DomainBatch) -> DomainBatch:
-        slots = np.array([domain_slot[int(d)] for d in batch.domains], dtype=np.int64)
-        return DomainBatch(batch.images, batch.labels, slots)
-
     def evaluate_and_record(step: int):
         nonlocal best_snapshot
         acc = evaluate_accuracy(state, val_images, val_labels, variant)
@@ -343,7 +342,7 @@ def run_experiment(
             best_snapshot = {n: p.data.copy() for n, p in state.named_params().items()}
 
     for step in range(1, tc.steps + 1):
-        batch = remap(sample_step_batch(dataset, source_domains, train_idx, tc.batch_per_domain, batch_rng))
+        batch = sample_step_batch(dataset, source_domains, train_idx, tc.batch_per_domain, batch_rng)
         state, breakdown = train_step(state, batch, tc, dropout_rng, variant)
         loss_rows.append(breakdown.csv_row(step))
         if step % tc.eval_interval == 0 or step == tc.steps:

@@ -40,17 +40,13 @@ class PromptBank:
     def length(self) -> int:
         return self.tokens.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[2]
-
     def named(self):
         yield "prompts.bank", self.tokens
 
 
 @dataclass
 class AdapterParams:
-    """Two affine layers D -> H -> L*K; softmax over K applied per position."""
+    """Two affine layers D -> D -> L*K; softmax over K applied per position."""
 
     w1: Tensor
     b1: Tensor
@@ -72,14 +68,12 @@ def init_prompt_bank(num_domains: int, length: int, dim: int, rng: np.random.Gen
     return PromptBank(tokens)
 
 
-def init_adapter_params(
-    dim: int, num_domains: int, length: int, rng: np.random.Generator, hidden: int | None = None
-) -> AdapterParams:
-    h = dim if hidden is None else hidden
+def init_adapter_params(dim: int, num_domains: int, length: int, rng: np.random.Generator) -> AdapterParams:
+    """The adapter for a D = `dim` model; its hidden layer is D wide too."""
     return AdapterParams(
-        w1=Tensor(rng.normal(0.0, 0.02, size=(dim, h)), requires_grad=True),
-        b1=Tensor(np.zeros(h), requires_grad=True),
-        w2=Tensor(rng.normal(0.0, 0.02, size=(h, length * num_domains)), requires_grad=True),
+        w1=Tensor(rng.normal(0.0, 0.02, size=(dim, dim)), requires_grad=True),
+        b1=Tensor(np.zeros(dim), requires_grad=True),
+        w2=Tensor(rng.normal(0.0, 0.02, size=(dim, length * num_domains)), requires_grad=True),
         b2=Tensor(np.zeros(length * num_domains), requires_grad=True),
         num_domains=num_domains,
         length=length,

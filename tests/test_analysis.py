@@ -56,15 +56,15 @@ def test_domain_and_class_distance_match_loop_reference(seed):
 
 
 def test_distance_is_invariant_to_uniform_rescaling():
-    feats, _ = make_domains(7)
-    base = analysis.domain_distance(feats).domain_dist
-    np.testing.assert_allclose(analysis.domain_distance([3.0 * f for f in feats]).domain_dist, base, atol=1e-12)
+    feats, labels = make_domains(7)
+    base = analysis.domain_distance(feats, labels).domain_dist
+    np.testing.assert_allclose(analysis.domain_distance([3.0 * f for f in feats], labels).domain_dist, base, atol=1e-12)
 
 
 def test_zero_spread_raises_degenerate_domain_error():
     same = np.ones((4, 3))
     with pytest.raises(analysis.DegenerateDomainError, match="between domains 0, 1"):
-        analysis.domain_distance([same, 2.0 * same])
+        analysis.domain_distance([same, 2.0 * same], [np.zeros(4)] * 2)
     with pytest.raises(analysis.DegenerateDomainError):
         analysis.class_distance(same, np.zeros(4), same, np.zeros(4))
 
@@ -74,7 +74,7 @@ def test_too_few_vectors_or_no_shared_class_raise_before_any_warning(recwarn):
     feats = rng.normal(size=(4, 3))
     assert issubclass(analysis.DegenerateDomainError, ConfigError)
     with pytest.raises(analysis.DegenerateDomainError, match="domain 1 has 1 feature vectors, need >= 2"):
-        analysis.domain_distance([feats, feats[:1]])
+        analysis.domain_distance([feats, feats[:1]], [np.zeros(4), np.zeros(1)])
     with pytest.raises(analysis.DegenerateDomainError, match="no class present in both domains"):
         analysis.class_distance(feats, np.zeros(4), 2.0 * feats, np.ones(4))
     assert [str(w.message) for w in recwarn] == []
@@ -90,7 +90,7 @@ def test_adapter_weight_stats_match_the_per_source_loop():
     hidden = T.gelu(T.linear(T.Tensor(pipeline.extract_features(state, np.concatenate(dataset.images))),
                              adapter.w1, adapter.b1))
     adapter.b2.data -= (hidden.data @ adapter.w2.data).mean(axis=0)
-    stats = analysis.adapter_weight_stats(state, dataset, range(3))
+    stats = analysis.adapter_weight_stats(state, dataset)
     assert stats.eval_domains == [0, 1, 2] and stats.source_domains == [0, 1]
     for row, d in enumerate(range(3)):
         per_sample = looped_infer(state, dataset.images[d])[1].mean(axis=1)

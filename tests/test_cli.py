@@ -47,6 +47,18 @@ def test_ablate_writes_one_table_row_and_curve_per_cell(tmp_path, config, capsys
     assert curves == sorted(f"{v}_t{t}_s0" for v in VARIANTS for t in range(3))
 
 
+def test_ablate_writes_the_same_bytes_on_one_and_two_workers(tmp_path, config, capsys):
+    written = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(["ablate", "--config", config, "--out", str(out), "--workers", str(workers)]) == cli.EXIT_OK
+        written.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(written[0]) == 2 + 3 * len(VARIANTS) * 3  # the table's CSV and JSON, three files a cell
+    assert written[1].keys() == written[0].keys()
+    for name, content in written[0].items():
+        assert written[1][name] == content, name
+
+
 def test_sweep_length_lists_failed_cells_and_exits_1(tmp_path, config, capsys, recwarn):
     # with two domains the only source cannot train an adapter
     out = tmp_path / "out"
@@ -141,7 +153,7 @@ def checkpoints(tmp_path, config):
 
 @pytest.fixture
 def data_dirs(tmp_path):
-    """`--data` directories of raw arrays, each wrong in one way."""
+    """`--data` paths, each wrong in one way: directories of raw arrays and DPD1 files."""
     rng = np.random.default_rng(0)
 
     def images(n):
@@ -153,6 +165,7 @@ def data_dirs(tmp_path):
         "zero_spread": [(np.full((5, 3, 32, 32), 0.5, np.float32), classes)] * 2,
         "one_image": [(images(1), classes[:1]), good],
         "no_shared_class": [(images(5), np.zeros(5, np.int64)), (images(5), np.ones(5, np.int64))],
+        "single_domain": [good],
         "npy_unreadable": [good, (b"not an npy file", classes)],
         "images_not_nchw": [good, (images(5)[:, 0], classes)],
         "no_image": [good, (images(0), classes[:0])],
@@ -172,6 +185,13 @@ def data_dirs(tmp_path):
                     (ddir / filename).write_bytes(array)
                 else:
                     np.save(ddir / filename, array)
+    dpd_files = {
+        "dpd_empty_domain": [good, (images(0), classes[:0])],
+        "dpd_label_past_classes": [good, (images(5), np.array([0, 1, 2, 3, 7]))],
+    }
+    for name, domains in dpd_files.items():
+        dirs[name] = tmp_path / "data" / f"{name}.dpd"
+        datagen.save_dataset(dirs[name], datagen.SyntheticDataset(*map(list, zip(*domains)), seed=0))
     return dirs
 
 
@@ -210,6 +230,15 @@ BAD_INPUTS = {
     "zero_spread": ([*PIXEL_DISTANCE, "{zero_spread}"], CONFIG, "between domains 0, 1 below 1e-09"),
     "one_image": ([*PIXEL_DISTANCE, "{one_image}"], CONFIG, "domain 0 has 1 feature vectors, need >= 2"),
     "no_shared_class": ([*PIXEL_DISTANCE, "{no_shared_class}"], CONFIG, "no class present in both domains"),
+    "single_domain": ([*PIXEL_DISTANCE, "{single_domain}"], CONFIG, "a distance needs >= 2 domains, got 1"),
+    "dpd_empty_domain_on_eval": ([*EVAL_DOPROMPT, "--data", "{dpd_empty_domain}"], FORMAT, "domain 1 holds no images"),
+    "dpd_empty_domain_on_distance": ([*PIXEL_DISTANCE, "{dpd_empty_domain}"], FORMAT, "domain 1 holds no images"),
+    "dpd_label_past_classes": (
+        ["train", "--data", "{dpd_label_past_classes}"], FORMAT, "domain 1 has label 7, outside the header's 5 classes",
+    ),
+    "ckpt_num_heads": (
+        [*EVAL_DOPROMPT, "--set", "num_heads=4"], FORMAT, "meta.num_heads is 2.0, the configured model has num_heads 4",
+    ),
     "npy_unreadable": (["train", "--data", "{npy_unreadable}"], FORMAT, "images.npy or labels.npy is not a readable .npy"),
     "images_not_nchw": (["train", "--data", "{images_not_nchw}"], FORMAT, "float32 (5, 32, 32), expected (N>=1, C, H, W)"),
     "no_image": (["train", "--data", "{no_image}"], FORMAT, "float32 (0, 3, 32, 32), expected (N>=1, C, H, W)"),

@@ -29,7 +29,7 @@ def test_single_step_matches_closed_form():
     params = {"w": Tensor(p0.copy(), requires_grad=True)}
     state = optim.init_adamw_state(params)
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-    optim.adamw_step(params, {"w": g}, state, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
+    optim.adamw_step(params, {"w": g}, state, lr=lr, weight_decay=0.0)
 
     m = (1 - b1) * g
     v = (1 - b2) * g * g
@@ -47,8 +47,8 @@ def test_two_steps_match_hand_rolled_moments():
     params = {"w": Tensor(p0.copy(), requires_grad=True)}
     state = optim.init_adamw_state(params)
     lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.1
-    optim.adamw_step(params, {"w": g1}, state, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
-    optim.adamw_step(params, {"w": g2}, state, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+    optim.adamw_step(params, {"w": g1}, state, lr=lr, weight_decay=wd)
+    optim.adamw_step(params, {"w": g2}, state, lr=lr, weight_decay=wd)
 
     p, m, v = p0.astype(np.float64), np.zeros(4), np.zeros(4)
     for t, g in enumerate((g1, g2), start=1):

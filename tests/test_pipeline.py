@@ -192,6 +192,35 @@ def test_load_rejects_a_bank_that_is_not_a_k_l_d_array(tmp_path, bank_shape):
         pipeline.ModelState.load(path, run.vit)
 
 
+def test_load_checks_the_recorded_head_count_and_takes_the_config_without_it(tmp_path):
+    run = tiny_run_config()
+    path, legacy = tmp_path / "model.dpt", tmp_path / "legacy.dpt"
+    pipeline.init_state(run.vit, 3, 2, seed=0).save(path)
+    arrays = ckpt.load_arrays(path)
+    assert list(arrays)[-1] == "meta.num_heads" and arrays["meta.num_heads"].shape == ()
+    assert arrays.pop("meta.num_heads") == run.vit.num_heads
+    ckpt.save_arrays(legacy, arrays)  # the layout before the head count was recorded
+    assert path.read_bytes().startswith(legacy.read_bytes())
+    four_heads = dataclasses.replace(run.vit, num_heads=4)
+    with pytest.raises(CheckpointError, match="meta.num_heads is 2.0, the configured model has num_heads 4"):
+        pipeline.ModelState.load(path, four_heads)
+    assert pipeline.ModelState.load(legacy, four_heads).cfg.num_heads == 4
+
+
+def test_sample_step_batch_labels_each_image_with_its_source_slot():
+    dataset = generate_dataset(4, 20, 0)
+    source_domains = [0, 2, 3]
+    train_idx = {d: np.arange(3, 13) for d in source_domains}
+    # 12 draws from a pool of 10 take the with-replacement path
+    batch = pipeline.sample_step_batch(dataset, source_domains, train_idx, 12, np.random.default_rng(0))
+    assert batch.domains.dtype == np.int64
+    np.testing.assert_array_equal(batch.domains, np.repeat(np.arange(3), 12))
+    for image, label, slot in zip(batch.images, batch.labels, batch.domains):
+        d = source_domains[slot]
+        rows = [i for i in train_idx[d] if np.array_equal(dataset.images[d][i], image)]
+        assert rows and dataset.labels[d][rows[0]] == label
+
+
 def _prompted_state(run, k=3):
     """A fresh model whose prompts are large enough to move the logits."""
     state = pipeline.init_state(run.vit, k, run.train.prompt_length, seed=0)
