@@ -55,12 +55,11 @@ class DistanceReport:
 
 @dataclass
 class AdapterWeightStats:
-    """Per evaluated domain: argmax share (%) and mean weight per source."""
+    """Row d is domain d of the data, column k source slot k: argmax share
+    (%) and mean weight."""
 
-    eval_domains: list
-    source_domains: list
-    percentages: np.ndarray  # (E, K), rows sum to 100
-    averages: np.ndarray  # (E, K), rows sum to 1
+    percentages: np.ndarray  # (n, K), rows sum to 100
+    averages: np.ndarray  # (n, K), rows sum to 1
 
 
 def _cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -144,7 +143,7 @@ def adapter_weight_stats(state: ModelState, dataset: SyntheticDataset) -> Adapte
         winners = np.bincount(per_sample.argmax(axis=1), minlength=k)
         percentages[d] = 100.0 * (winners / len(per_sample))
         averages[d] = np.ascontiguousarray(per_sample.T).mean(axis=1)  # a 1-D mean's pairwise sum per slot
-    return AdapterWeightStats(list(range(n)), list(range(k)), percentages, averages)
+    return AdapterWeightStats(percentages, averages)
 
 
 def per_prompt_accuracy_table(state: ModelState, images: np.ndarray, labels: np.ndarray) -> dict:

@@ -291,8 +291,8 @@ def cmd_analyze(args) -> int:
     state = _load_state(args.checkpoint, run, f"analyze {mode}")
     if mode == "weights":
         stats = analysis.adapter_weight_stats(state, dataset)
-        names = [f"domain_{d}" for d in stats.eval_domains]
-        src = [f"src_{s}" for s in stats.source_domains]
+        names = [f"domain_{d}" for d in range(len(stats.percentages))]
+        src = [f"src_{s}" for s in range(stats.percentages.shape[1])]
         print("argmax share (%)")
         print(" " * 12 + "".join(f"{n:>10}" for n in src))
         for name, row in zip(names, stats.percentages):
@@ -303,7 +303,7 @@ def cmd_analyze(args) -> int:
         np.savetxt(out / "adapter_percentages.csv", stats.percentages, delimiter=",", fmt="%.4f")
         np.savetxt(out / "adapter_averages.csv", stats.averages, delimiter=",", fmt="%.6f")
         payload = {
-            "eval_domains": stats.eval_domains,
+            "eval_domains": list(range(len(names))),
             "percentages": stats.percentages.tolist(),
             "averages": stats.averages.tolist(),
         }

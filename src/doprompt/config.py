@@ -3,6 +3,7 @@ key=value file format."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -94,8 +95,11 @@ class TrainConfig:
         _require_at_least(self, 0, "seed")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 < self.learning_rate < math.inf:  # also rejects NaN
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for key, value in (("weight_decay", self.weight_decay), ("lambda", self.lam)):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
@@ -126,6 +130,10 @@ class RunConfig:
     def __post_init__(self):
         get_variant(self.variant)
         _require_at_least(self, 0, "target_domain")  # the upper bound is the dataset's domain count
+        if self.train.dropout != self.vit.dropout_rate:  # the model reads only the ViT's rate
+            raise ConfigError(
+                f"train dropout {self.train.dropout} differs from the ViT's dropout_rate {self.vit.dropout_rate}"
+            )
 
 
 # file key -> (section, attribute, type); "lambda" maps onto TrainConfig.lam

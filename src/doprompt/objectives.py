@@ -50,19 +50,20 @@ class LossBreakdown:
     CSV_HEADER = "step,l_prompt,l_w,l_adapt,total"
 
 
-def loss_erm(params, cfg, batch: DomainBatch, train=False, rng=None) -> Tensor:
-    """Plain pooled cross-entropy, no prompts."""
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), None, train, rng)
+def loss_erm(params, cfg, batch: DomainBatch, rng=None) -> Tensor:
+    """Plain pooled cross-entropy, no prompts; dropout runs when `rng` is given."""
+    _, logits = vit.forward(params, cfg, Tensor(batch.images), None, rng)
     return T.cross_entropy(logits, batch.labels)
 
 
-def loss_prompt(params, cfg, bank: PromptBank, batch: DomainBatch, train=False, rng=None) -> Tensor:
-    """One pass in which each sample carries its own domain's prompts; mean over the batch."""
+def loss_prompt(params, cfg, bank: PromptBank, batch: DomainBatch, rng=None) -> Tensor:
+    """One pass in which each sample carries its own domain's prompts; mean
+    over the batch. Dropout runs when `rng` is given."""
     domains = np.asarray(batch.domains)
     bad = (domains < 0) | (domains >= bank.num_domains)
     if bad.any():
         raise IndexError(f"domain index {domains[bad][0]} out of range [0, {bank.num_domains})")
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), bank.tokens[domains], train, rng)
+    _, logits = vit.forward(params, cfg, Tensor(batch.images), bank.tokens[domains], rng)
     return T.cross_entropy(logits, batch.labels)
 
 
@@ -90,30 +91,30 @@ def variant_loss(
     adapter: AdapterParams | None,
     batch: DomainBatch,
     lam: float,
-    train=False,
     rng=None,
 ) -> LossBreakdown:
     """The variant's loss terms and their total, in the order the passes draw dropout.
 
     The adapter-input pass comes first, then the prompt (or prompt-free ERM)
-    pass, then the adapted pass; see `Variant` for which of them run.
+    pass, then the adapted pass; see `Variant` for which of them run. Each
+    pass runs dropout, drawn from `rng`, exactly when `rng` is given.
     """
-    if lam < 0:
+    if not lam >= 0:  # also rejects NaN
         raise ValueError(f"lambda must be >= 0, got {lam}")
     l_w = l_a = Tensor(0.0)
     if variant.uses_adapter:
         with T.no_grad():
-            feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, train, rng)
+            feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, rng)
         weights = adapter_forward(adapter, feat)
         l_w = loss_w(weights, batch.domains)
     if variant.uses_prompts:
-        l_p = loss_prompt(params, cfg, bank, batch, train, rng)
+        l_p = loss_prompt(params, cfg, bank, batch, rng)
     else:
-        l_p = loss_erm(params, cfg, batch, train, rng)
+        l_p = loss_erm(params, cfg, batch, rng)
     total = l_p
     if "adapt" in variant.terms:
         adapted = compose_adapted_prompts(bank, weights)
-        _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted, train, rng)
+        _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted, rng)
         l_a = T.cross_entropy(logits, batch.labels)
         total = total + l_a
     if "w" in variant.terms:
@@ -128,10 +129,9 @@ def total_loss(
     adapter: AdapterParams,
     batch: DomainBatch,
     lam: float,
-    train=False,
     rng=None,
 ) -> LossBreakdown:
     """The full DoPrompt objective, l_prompt + l_adapt + lambda * l_w: a
     no-grad prompt-free pass for the adapter input, a gathered-prompt pass
-    and an adapted-prompt pass."""
-    return variant_loss(VARIANTS["doprompt"], params, cfg, bank, adapter, batch, lam, train, rng)
+    and an adapted-prompt pass, each with dropout when `rng` is given."""
+    return variant_loss(VARIANTS["doprompt"], params, cfg, bank, adapter, batch, lam, rng)

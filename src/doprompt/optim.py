@@ -37,7 +37,7 @@ def adamw_step(
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
-) -> tuple[dict, AdamWState]:
+) -> None:
     """One update over `params` (name -> Tensor), in place, with the moment
     decays BETA1, BETA2 and the denominator offset EPS.
 
@@ -81,7 +81,6 @@ def adamw_step(
         p.data -= step
         if weight_decay:
             p.data -= lr * weight_decay * p.data
-    return params, state
 
 
 def step_params(params: dict, state: AdamWState, trainable, lr, weight_decay):

@@ -161,12 +161,12 @@ def train_step(
     """One optimization step on one multi-domain batch.
 
     The batch carries one sub-batch per source domain. Computes the variant's
-    objective, backpropagates, and applies AdamW to the variant's trainable
-    parameters. Raises NumericalError if any component goes non-finite.
+    objective with dropout masks drawn from `rng`, backpropagates, and
+    applies AdamW to the variant's trainable parameters. Raises
+    NumericalError if any component goes non-finite.
     """
     breakdown = objectives.variant_loss(
-        get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch,
-        config.lam, train=True, rng=rng,
+        get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch, config.lam, rng
     )
     _check_finite(breakdown)
     named = state.named_params()

@@ -21,13 +21,13 @@ the engine to 64-bit (used by the gradient-check suite). GELU follows the
 input's dtype: float64 uses `scipy.special.erf` (exact to float64), float32 a
 rational erf approximation, evaluated in cache-sized chunks, that keeps GELU
 within 2e-6 absolute of the float64 value on [-10, 10] (about 1.4e-6 at
-worst). Dropout masks come from float32 uniform draws in both modes.
+worst). Dropout runs exactly when it is given a generator, and its masks
+come from float32 uniform draws in both modes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -70,25 +70,18 @@ class ShapeError(ValueError):
 
 
 _DTYPE = np.float32
-
-# Grad recording is per-thread so independent graphs may run on
-# separate threads without sharing state.
-_state = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_GRAD_ENABLED = True
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference mode)."""
-    prev = _grad_enabled()
-    _state.grad_enabled = False
+    global _GRAD_ENABLED
+    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _GRAD_ENABLED = prev
 
 
 def set_default_dtype(dtype) -> None:
@@ -198,7 +191,7 @@ def _wrap(x) -> Tensor:
 def _node(data, parents, backward_fn) -> Tensor:
     """Build an output tensor, recording the edge only when grads are live."""
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -328,15 +321,14 @@ def attention(
     num_heads: int,
     rate: float,
     rng: np.random.Generator | None,
-    train: bool,
 ) -> Tensor:
     """Multi-head self-attention of (B, T, D) tokens, before the output projection.
 
     One (D, 3D) GEMM projects q, k and v; each splits into `num_heads` heads
     of width dh = D / num_heads. P = softmax(q k^T / sqrt(dh)) row-wise with
     the row max subtracted, P is dropped out like `dropout` does (one mask
-    drawn from `rng`, only when `train` and `rate` > 0), O = P V, and the heads
-    are merged back to (B, T, D).
+    drawn from `rng`, only when `rng` is given and `rate` > 0), O = P V, and
+    the heads are merged back to (B, T, D).
 
     The backward pass uses the saved P and mask, as FlashAttention does
     without tiling: with Pd = P * mask, dV = Pd^T dO, dP = (dO V^T) * mask,
@@ -359,7 +351,7 @@ def attention(
     s -= s.max(axis=-1, keepdims=True)
     p = np.exp(s, out=s)
     p /= p.sum(axis=-1, keepdims=True)
-    mask = _dropout_mask(p.shape, rate, rng, p.dtype) if train and rate != 0.0 else None
+    mask = _dropout_mask(p.shape, rate, rng, p.dtype) if rng is not None and rate != 0.0 else None
     pd = p if mask is None else p * mask
     out = (pd @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
 
@@ -604,9 +596,10 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _node(out, (logits,), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
-    """Inverted dropout; identity when eval or rate == 0."""
-    if not train or rate == 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with a mask drawn from `rng`; `x` itself when `rng`
+    is None or `rate` == 0."""
+    if rng is None or rate == 0.0:
         return x
     mask = _dropout_mask(x.shape, rate, rng, x.dtype)
 

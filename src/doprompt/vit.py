@@ -39,9 +39,11 @@ class ViTConfig:
     num_classes: int = 5
 
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "channels", "embed_dim", "num_heads", "num_classes"):
+        for name in ("image_size", "patch_size", "channels", "embed_dim", "depth", "num_heads", "num_classes"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ShapeError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not self.embed_dim * self.mlp_ratio >= 1:  # also rejects NaN
             raise ShapeError(f"mlp_ratio {self.mlp_ratio} gives an MLP width below 1")
         if self.image_size % self.patch_size != 0:
@@ -172,31 +174,26 @@ def patch_embed(params: ViTParams, cfg: ViTConfig, images: Tensor) -> Tensor:
     return T.linear(x, params.patch_w, params.patch_b)
 
 
-def attention_block(
-    x: Tensor,
-    blk: BlockParams,
-    num_heads: int,
-    dropout_rate: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def attention_block(x: Tensor, blk: BlockParams, cfg: ViTConfig, rng: np.random.Generator | None = None) -> Tensor:
     """Pre-norm residual block with full bidirectional attention.
 
     x + Drop(Attn(LN1(x)) Wo + bo), then + Drop(Drop(GELU(LN2(.) W1 + b1)) W2 + b2).
-    Attention is one fused `tensor.attention` node, from the QKV projection
-    through the head merge with dropout on the attention probabilities; the
-    output projection and both MLP layers are `tensor.linear` nodes. Dropout
-    masks are drawn from `rng` in this order: attention probabilities,
+    Attention is one fused `tensor.attention` node over `cfg.num_heads`
+    heads, from the QKV projection through the head merge with dropout on the
+    attention probabilities; the output projection and both MLP layers are
+    `tensor.linear` nodes. Dropout at `cfg.dropout_rate` runs only when `rng`
+    is given; its masks are drawn in this order: attention probabilities,
     attention output, MLP hidden layer, MLP output.
     """
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
-    o = T.attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, num_heads, dropout_rate, rng, train)
-    o = T.dropout(T.linear(o, blk.wo, blk.bo), dropout_rate, rng, train)
+    rate = cfg.dropout_rate
+    o = T.attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, cfg.num_heads, rate, rng)
+    o = T.dropout(T.linear(o, blk.wo, blk.bo), rate, rng)
     x = x + o
 
     h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)
-    m = T.dropout(T.gelu(T.linear(h2, blk.w1, blk.b1)), dropout_rate, rng, train)
-    m = T.dropout(T.linear(m, blk.w2, blk.b2), dropout_rate, rng, train)
+    m = T.dropout(T.gelu(T.linear(h2, blk.w1, blk.b1)), rate, rng)
+    m = T.dropout(T.linear(m, blk.w2, blk.b2), rate, rng)
     return x + m
 
 
@@ -205,7 +202,6 @@ def forward(
     cfg: ViTConfig,
     images: Tensor,
     prompt_tokens: Tensor | None = None,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Full forward pass; returns (cls_feature BxD, logits BxC).
@@ -213,7 +209,8 @@ def forward(
     `prompt_tokens` may be (P, D), shared by the batch, or (B, P, D); they are
     concatenated after the patch tokens and receive no positional embedding.
     The cls feature is the final-norm class token, the same tensor the
-    classifier consumes.
+    classifier consumes. Dropout at `cfg.dropout_rate` runs exactly when
+    `rng` is given; without it the pass is deterministic.
     """
     x = patch_embed(params, cfg, images)
     b = x.shape[0]
@@ -229,9 +226,9 @@ def forward(
             p = prompt_tokens.shape[0]
             prompt_tokens = T.broadcast_to(T.reshape(prompt_tokens, (1, p, d)), (b, p, d))
         x = T.concat([x, prompt_tokens], axis=1)
-    x = T.dropout(x, cfg.dropout_rate, rng, train)
+    x = T.dropout(x, cfg.dropout_rate, rng)
     for blk in params.blocks:
-        x = attention_block(x, blk, cfg.num_heads, cfg.dropout_rate, train, rng)
+        x = attention_block(x, blk, cfg, rng)
     cls_feature = T.layer_norm(x[:, 0, :], params.norm_g, params.norm_b)
     logits = T.linear(cls_feature, params.head_w, params.head_b)
     return cls_feature, logits

@@ -109,7 +109,7 @@ def tiny_run_config(**train_kwargs) -> RunConfig:
 # unfused oracles for the fused attention node and the transformer block
 
 
-def unfused_attention(h, wq, bq, wk, bk, wv, bv, num_heads, rate, rng, train):
+def unfused_attention(h, wq, bq, wk, bk, wv, bv, num_heads, rate, rng):
     """`tensor.attention` composed of single-op nodes: three projections, head
     split, scaled softmax, dropout on the probabilities, P @ V, head merge."""
     b, t, d = h.shape
@@ -122,21 +122,22 @@ def unfused_attention(h, wq, bq, wk, bk, wv, bv, num_heads, rate, rng, train):
     k = split_heads(T.matmul(h, wk) + bk)
     v = split_heads(T.matmul(h, wv) + bv)
     att = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    att = T.dropout(T.softmax(att, axis=-1), rate, rng, train)
+    att = T.dropout(T.softmax(att, axis=-1), rate, rng)
     o = T.matmul(att, v)  # (B, heads, T, dh)
     return T.reshape(T.transpose(o, (0, 2, 1, 3)), (b, t, d))
 
 
-def unfused_attention_block(x, blk, num_heads, dropout_rate=0.0, train=False, rng=None):
+def unfused_attention_block(x, blk, cfg, rng=None):
     """`vit.attention_block` with matmul + bias in place of every linear node
     and `unfused_attention` in place of the attention node."""
+    rate = cfg.dropout_rate
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
-    o = unfused_attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, num_heads, dropout_rate, rng, train)
-    o = T.dropout(T.matmul(o, blk.wo) + blk.bo, dropout_rate, rng, train)
+    o = unfused_attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, cfg.num_heads, rate, rng)
+    o = T.dropout(T.matmul(o, blk.wo) + blk.bo, rate, rng)
     x = x + o
     h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)
-    m = T.dropout(T.gelu(T.matmul(h2, blk.w1) + blk.b1), dropout_rate, rng, train)
-    m = T.dropout(T.matmul(m, blk.w2) + blk.b2, dropout_rate, rng, train)
+    m = T.dropout(T.gelu(T.matmul(h2, blk.w1) + blk.b1), rate, rng)
+    m = T.dropout(T.matmul(m, blk.w2) + blk.b2, rate, rng)
     return x + m
 
 

@@ -91,7 +91,7 @@ def test_adapter_weight_stats_match_the_per_source_loop():
                              adapter.w1, adapter.b1))
     adapter.b2.data -= (hidden.data @ adapter.w2.data).mean(axis=0)
     stats = analysis.adapter_weight_stats(state, dataset)
-    assert stats.eval_domains == [0, 1, 2] and stats.source_domains == [0, 1]
+    assert stats.percentages.shape == stats.averages.shape == (3, 2)
     for row, d in enumerate(range(3)):
         per_sample = looped_infer(state, dataset.images[d])[1].mean(axis=1)
         winners = per_sample.argmax(axis=1)

@@ -215,6 +215,12 @@ BAD_INPUTS = {
     "embed_dim": (["train", "--set", "embed_dim=0"], CONFIG, "embed_dim must be >= 1"),
     "mlp_ratio": (["train", "--set", "mlp_ratio=0"], CONFIG, "MLP width below 1"),
     "dropout": (["train", "--set", "dropout=1"], CONFIG, "dropout must be in [0, 1)"),
+    "depth": (["train", "--set", "depth=0"], CONFIG, "depth must be >= 1, got 0"),
+    "learning_rate_negative": (["train", "--set", "learning_rate=-0.01"], CONFIG, "learning_rate must be finite and > 0"),
+    "learning_rate_nan": (["train", "--set", "learning_rate=nan"], CONFIG, "learning_rate must be finite and > 0, got nan"),
+    "weight_decay_negative": (["train", "--set", "weight_decay=-1"], CONFIG, "weight_decay must be finite and >= 0"),
+    "weight_decay_inf": (["train", "--set", "weight_decay=inf"], CONFIG, "weight_decay must be finite and >= 0, got inf"),
+    "lambda_nan": (["train", "--set", "lambda=nan"], CONFIG, "lambda must be finite and >= 0, got nan"),
     "seed": (["train", "--seed", "-1"], CONFIG, "seed must be >= 0"),
     "num_seeds": (["ablate", "--num-seeds", "0"], CONFIG, "--num-seeds must be >= 1"),
     "lengths": (["sweep-length", "--lengths", "a"], CONFIG, "--lengths expects comma-separated integers"),

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from doprompt.config import ConfigError, load_config, save_config
+from doprompt.config import ConfigError, RunConfig, load_config, save_config
+from doprompt.vit import ViTConfig
 
 from conftest import tiny_run_config
 
@@ -35,3 +36,10 @@ def test_bad_config_raises_config_error(tmp_path, text, overrides, message):
 def test_missing_config_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.cfg")
+
+
+@pytest.mark.parametrize("train_dropout", [0.0, 0.5])
+def test_run_config_rejects_a_train_dropout_the_vit_does_not_use(train_dropout):
+    run = tiny_run_config(dropout=train_dropout)
+    with pytest.raises(ConfigError, match=f"train dropout {train_dropout} differs from the ViT's dropout_rate 0.1"):
+        RunConfig(train=run.train, vit=ViTConfig(dropout_rate=0.1), data=run.data)

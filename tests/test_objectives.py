@@ -239,6 +239,8 @@ def test_total_loss_rejects_negative_lambda(tiny_vit_cfg):
     batch = make_batch(tiny_vit_cfg, [0, 1])
     with pytest.raises(ValueError):
         objectives.total_loss(params, tiny_vit_cfg, bank, adapter, batch, lam=-1.0)
+    with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
+        objectives.total_loss(params, tiny_vit_cfg, bank, adapter, batch, lam=float("nan"))
 
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])

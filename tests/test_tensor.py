@@ -307,14 +307,14 @@ def test_detach_mixed_graph_gradient_is_one():
 
 def test_dropout_eval_is_identity():
     x = Tensor(np.ones((4, 4)), requires_grad=True)
-    out = T.dropout(x, 0.5, np.random.default_rng(0), train=False)
+    out = T.dropout(x, 0.5, None)
     assert out is x
 
 
 def test_dropout_deterministic_given_seed():
     x = Tensor(np.ones((8, 8)))
-    a = T.dropout(x, 0.3, np.random.default_rng(5), train=True)
-    b = T.dropout(x, 0.3, np.random.default_rng(5), train=True)
+    a = T.dropout(x, 0.3, np.random.default_rng(5))
+    b = T.dropout(x, 0.3, np.random.default_rng(5))
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -429,7 +429,7 @@ def _attention_inputs(rng, b=2, t=5, d=8):
 def _attention_loss(attend, inputs, weights, rate, seed=7):
     # a fresh generator per evaluation draws the same dropout mask every time
     rng = np.random.default_rng(seed)
-    out = attend(*(inputs[n] for n in ("h",) + ATTENTION_WEIGHTS), 2, rate, rng, True)
+    out = attend(*(inputs[n] for n in ("h",) + ATTENTION_WEIGHTS), 2, rate, rng)
     return T.tensor_sum(out * weights)
 
 

@@ -1,6 +1,8 @@
 """ViT core: shapes, patch-embedding oracle, an independent dense reference
 for the transformer block, prompt handling, and prompt-token gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,7 +157,7 @@ def test_zero_value_projection_makes_attention_identity():
     blk.b2.data[:] = 0.0
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
-    out = vit.attention_block(x, blk, cfg.num_heads)
+    out = vit.attention_block(x, blk, cfg)
     np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
 
@@ -165,7 +167,7 @@ def test_block_matches_per_head_reference(seed):
     params = make_model(cfg, seed=seed)
     rng = np.random.default_rng(seed + 10)
     x = rng.normal(size=(2, 6, 8)).astype(np.float32)
-    out = vit.attention_block(Tensor(x), params.blocks[0], cfg.num_heads)
+    out = vit.attention_block(Tensor(x), params.blocks[0], cfg)
     expected = ref_block(x.astype(np.float64), params.blocks[0], cfg.num_heads)
     np.testing.assert_allclose(out.data, expected, atol=1e-5)
 
@@ -231,6 +233,19 @@ def test_eval_forward_bit_identical(tiny_vit_cfg):
     np.testing.assert_array_equal(a, b)
 
 
+def test_dropout_runs_exactly_when_a_generator_is_passed(tiny_vit_cfg):
+    cfg = dataclasses.replace(tiny_vit_cfg, dropout_rate=0.3)
+    params = make_model(cfg)
+    images = Tensor(np.random.default_rng(3).random((2, 3, 8, 8)).astype(np.float32))
+    prompts = Tensor(np.random.default_rng(4).normal(size=(2, cfg.embed_dim)))
+    no_rng = vit.forward(params, cfg, images, prompts)[1].data
+    rate_zero = vit.forward(params, tiny_vit_cfg, images, prompts)[1].data
+    seeded = [vit.forward(params, cfg, images, prompts, np.random.default_rng(5))[1].data for _ in range(2)]
+    assert no_rng.tobytes() == rate_zero.tobytes()
+    assert seeded[0].tobytes() == seeded[1].tobytes()
+    assert not np.array_equal(seeded[0], no_rng)
+
+
 def test_positional_embedding_covers_cls_and_patches_only(tiny_vit_cfg):
     params = make_model(tiny_vit_cfg)
     assert params.pos.shape == (1 + tiny_vit_cfg.num_patches, tiny_vit_cfg.embed_dim)
@@ -283,6 +298,11 @@ def test_config_invariants():
         ViTConfig(image_size=30, patch_size=8)
     with pytest.raises(ShapeError, match="divisible"):
         ViTConfig(embed_dim=30, num_heads=4)
+    with pytest.raises(ShapeError, match="depth must be >= 1, got 0"):
+        ViTConfig(depth=0)
+    for rate in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ShapeError, match="dropout_rate must be in"):
+            ViTConfig(dropout_rate=rate)
 
 
 def test_named_params_namespacing():
