@@ -131,7 +131,8 @@ def class_distance(feats_i, labels_i, feats_j, labels_j) -> float:
 
 def adapter_weight_stats(state: ModelState, dataset: SyntheticDataset) -> AdapterWeightStats:
     """Argmax-share percentages and mean adapter weights for every domain of
-    `dataset` (each holds at least one image; see `datagen.load_dataset`).
+    `dataset` (each holds at least one finite image, which `datagen.load_dataset`
+    checks for a `--data` directory).
 
     Weights come from `pipeline.infer`, averaged over prompt positions before
     the argmax / mean reductions; column k is source slot k.

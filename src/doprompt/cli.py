@@ -12,10 +12,12 @@ Exit codes, each failure with one line on stderr:
   undefined (`analyze distance` needs two domains), or a checkpoint without
   prompts where they are needed;
 - 3 (`train`) a loss term became non-finite;
-- 4 (every command) an I/O or format problem: a missing or corrupt dataset
-  or checkpoint, a dataset with an empty domain or a label outside its
-  classes, or a checkpoint whose arrays or head count do not fit the
-  configured model.
+- 4 (every command) an I/O or format problem: a missing or corrupt
+  checkpoint, or one whose arrays or head count do not fit the configured
+  model; a missing `--data` path, or one that is not a directory of
+  `domain_*` arrays (an old `.dpd` file among them); a truncated or
+  unreadable `.npy`, a domain with no image, a non-finite pixel or a label
+  that is not an int >= 0.
 
 `eval` and `analyze` build the model from the config, except the number of
 source-domain prompts K and the prompt length L, which come from the shape
@@ -109,7 +111,7 @@ def cmd_gen_data(args) -> int:
     dataset = datagen.generate_dataset(dc.num_domains, dc.per_domain_count, dc.data_seed)
     out = _out_root(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "dataset.dpd"
+    path = out / "dataset"
     datagen.save_dataset(path, dataset)
     sizes = [dataset.domain_size(d) for d in range(dataset.num_domains)]
     print(f"wrote {path}: {dataset.num_domains} domains x {sizes} images")
@@ -171,6 +173,8 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
     global _WORKER_DATASET
     if args.num_seeds < 1:
         raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     _WORKER_DATASET = dataset
     out = _out_root(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,10 +182,11 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
     seeds = [run.train.seed + i for i in range(args.num_seeds)]
     cells = [(label, target, seed) for label in rows for target in targets for seed in seeds]
     jobs = [(target, seed, rows[label], out / f"{label}_t{target}_s{seed}") for label, target, seed in cells]
-    if args.workers <= 1:
+    workers = min(args.workers, len(jobs))
+    if workers == 1:
         results = [_ablate_worker(job) for job in jobs]
     else:
-        with get_context("fork").Pool(args.workers) as pool:
+        with get_context("fork").Pool(workers) as pool:
             results = pool.map(_ablate_worker, jobs)
 
     accs = {}
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="flat key=value config file")
-        p.add_argument("--data", help="dataset file (.dpd) or directory of raw arrays")
+        p.add_argument("--data", help="dataset directory: domain_00/images.npy and labels.npy, and so on")
         p.add_argument("--out", help="output directory (default $DOPROMPT_OUT or ./runs)")
         p.add_argument("--seed", type=int, help="override the training seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")

@@ -7,11 +7,16 @@ each domain draws every image with one fixed hue and background grey, and
 an ERM model trained on the default table keys on those exact values (moving
 only the hue or the background of a source domain's images drops it to near
 chance). Every pixel is a pure function of (class, style, seed).
+
+On disk a dataset is one directory per domain, `domain_00/images.npy`
+(N, C, H, W) and `labels.npy` (N,), and so on: the layout that
+`save_dataset` writes, that `load_dataset` reads, and that outside data
+arrives in.
 """
 
 from __future__ import annotations
 
-import struct
+import shutil
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,11 +41,8 @@ NUM_CLASSES = len(CLASS_NAMES)
 IMAGE_SIZE = 32
 CHANNELS = 3
 
-DATA_MAGIC = b"DPD1"
-
-
 class DataFormatError(IOError):
-    """Corrupt or truncated dataset file."""
+    """A dataset directory that is missing, corrupt or truncated, or holds arrays outside the layout."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class DomainStyleSpec:
 
 
 # Domain 2 sits between domains 0 and 1 (interpolated hue/background/texture)
-# so a held-out domain has usable similarity structure among the sources.
+# so a held-out domain is nearer to some sources than to others.
 DEFAULT_STYLE_TABLE = (
     DomainStyleSpec(hue_rotation=0.0, background=0.10, noise=0.04, texture_freq=0.0),
     DomainStyleSpec(hue_rotation=140.0, background=0.55, noise=0.04, texture_freq=6.0),
@@ -88,11 +90,10 @@ class DomainBatch:
 
 @dataclass
 class SyntheticDataset:
-    """Per-domain image/label arrays plus the seed that generated them."""
+    """Per-domain image/label arrays."""
 
     images: list  # per domain: (N, 3, 32, 32) float32
     labels: list  # per domain: (N,) int64
-    seed: int
     num_classes: int = NUM_CLASSES
 
     @property
@@ -205,80 +206,38 @@ def generate_dataset(num_domains: int, per_domain_count: int, seed: int) -> Synt
             labels[i] = c
         all_images.append(images)
         all_labels.append(labels)
-    return SyntheticDataset(all_images, all_labels, seed=seed)
+    return SyntheticDataset(all_images, all_labels)
 
 
 # ---------------------------------------------------------------------------
-# on-disk cache
-
-# Binary layout: magic "DPD1"; header of u64 LE fields (num_domains,
-# num_classes, channels, height, width, seed); then per domain: u64 count,
-# count*C*H*W f32 LE pixels, count u64 labels, count u64 domain indices.
+# on-disk layout
 
 
 def save_dataset(path, dataset: SyntheticDataset) -> None:
+    """Write `dataset` under the directory `path` with `np.save`, replacing
+    any `domain_*` directories a previous save left there."""
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(DATA_MAGIC)
-        f.write(
-            struct.pack(
-                "<6Q",
-                dataset.num_domains,
-                dataset.num_classes,
-                CHANNELS,
-                IMAGE_SIZE,
-                IMAGE_SIZE,
-                dataset.seed,
-            )
-        )
-        for d in range(dataset.num_domains):
-            imgs = np.ascontiguousarray(dataset.images[d], dtype="<f4")
-            labels = dataset.labels[d].astype("<u8")
-            f.write(struct.pack("<Q", len(labels)))
-            f.write(imgs.tobytes())
-            f.write(labels.tobytes())
-            f.write(np.full(len(labels), d, dtype="<u8").tobytes())
+    path.mkdir(parents=True, exist_ok=True)
+    for stale in path.glob("domain_*"):
+        if stale.is_dir():
+            shutil.rmtree(stale)
+    for d in range(dataset.num_domains):
+        ddir = path / f"domain_{d:02d}"
+        ddir.mkdir()
+        np.save(ddir / "images.npy", dataset.images[d])
+        np.save(ddir / "labels.npy", dataset.labels[d])
 
 
 def load_dataset(path) -> SyntheticDataset:
-    """A DPD1 file or a directory of raw arrays; every domain must hold at
-    least one image, and every label must be a class of the dataset."""
+    """Read the directory `path`: every domain must hold at least one image,
+    every pixel must be finite and every label an int >= 0; the number of
+    classes is one past the largest label."""
     path = Path(path)
-    if path.is_dir():
-        return _load_dataset_dir(path)
-    blob = path.read_bytes()
-    if blob[:4] != DATA_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}, expected {DATA_MAGIC!r}")
-    pos = 4
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise DataFormatError(f"{path}: truncated while reading {what}")
-        chunk = blob[pos : pos + n]
-        pos += n
-        return chunk
-
-    num_domains, num_classes, channels, h, w, seed = struct.unpack("<6Q", take(48, "header"))
-    images, labels = [], []
-    for d in range(num_domains):
-        (count,) = struct.unpack("<Q", take(8, "domain count"))
-        if count == 0:
-            raise DataFormatError(f"{path}: domain {d} holds no images, expected >= 1")
-        px = np.frombuffer(take(4 * count * channels * h * w, "pixels"), dtype="<f4")
-        images.append(px.reshape(count, channels, h, w).copy())
-        lab = np.frombuffer(take(8 * count, "labels"), dtype="<u8")
-        if lab.max() >= num_classes:
-            raise DataFormatError(
-                f"{path}: domain {d} has label {lab.max()}, outside the header's {num_classes} classes"
-            )
-        labels.append(lab.astype(np.int64))
-        take(8 * count, "domain indices")
-    return SyntheticDataset(images, labels, seed=int(seed), num_classes=int(num_classes))
-
-
-def _load_dataset_dir(path: Path) -> SyntheticDataset:
-    """Directory layout: domain_00/images.npy (N>=1,C,H,W) + labels.npy (N,) ints >= 0."""
+    if not path.is_dir():
+        raise DataFormatError(
+            f"{path}: not a directory of domain_* arrays; .dpd files are no longer read, "
+            "regenerate the data with gen-data"
+        )
     domain_dirs = sorted(p for p in path.iterdir() if p.is_dir() and p.name.startswith("domain_"))
     if not domain_dirs:
         raise DataFormatError(f"{path}: no domain_* subdirectories")
@@ -286,13 +245,15 @@ def _load_dataset_dir(path: Path) -> SyntheticDataset:
     for ddir in domain_dirs:
         try:
             img, lab = [np.load(ddir / name) for name in ("images.npy", "labels.npy")]
-        except (ValueError, EOFError) as exc:  # not an .npy file, or a pickled object array
+        except (ValueError, EOFError) as exc:  # not an .npy file, truncated, or a pickled object array
             raise DataFormatError(f"{ddir}: images.npy or labels.npy is not a readable .npy: {exc}") from exc
         if img.ndim != 4 or len(img) == 0 or not np.issubdtype(img.dtype, np.number):
             raise DataFormatError(f"{ddir}: images.npy holds {img.dtype} {img.shape}, expected (N>=1, C, H, W)")
+        if not np.isfinite(img).all():
+            raise DataFormatError(f"{ddir}: images.npy holds a non-finite pixel")
         if lab.shape != (len(img),) or not np.issubdtype(lab.dtype, np.integer) or lab.astype(np.int64).min() < 0:
             raise DataFormatError(f"{ddir}: labels.npy holds {lab.dtype} {lab.shape}, expected {len(img)} ints >= 0")
         images.append(img.astype(np.float32))
         labels.append(lab.astype(np.int64))
     num_classes = int(max(lab.max() for lab in labels)) + 1
-    return SyntheticDataset(images, labels, seed=-1, num_classes=num_classes)
+    return SyntheticDataset(images, labels, num_classes=num_classes)

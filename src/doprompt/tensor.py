@@ -3,7 +3,7 @@
 Provides exactly the operations the model needs:
 
 - arithmetic: `add`, `sub`, `mul`, `div`, `exp`, `log`, `clamp_min`,
-  `tensor_sum`, `mean`, `matmul` (batched over leading axes);
+  `tensor_sum`, `matmul` (batched over leading axes);
 - fused layers: `linear` (x @ w + b as one GEMM over the flattened leading
   axes) and `attention` (multi-head self-attention from the QKV projection
   through the head merge, with dropout on the attention probabilities and a
@@ -48,16 +48,13 @@ __all__ = [
     "dropout",
     "exp",
     "gelu",
-    "get_default_dtype",
     "layer_norm",
     "linear",
     "log",
     "matmul",
-    "mean",
     "mul",
     "no_grad",
     "reshape",
-    "set_default_dtype",
     "softmax",
     "sub",
     "tensor_sum",
@@ -84,27 +81,18 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def set_default_dtype(dtype) -> None:
+@contextmanager
+def default_dtype(dtype):
+    """Temporarily switch the engine's default real type."""
     global _DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DTYPE
-
-
-@contextmanager
-def default_dtype(dtype):
-    """Temporarily switch the engine's default real type."""
-    prev = get_default_dtype()
-    set_default_dtype(dtype)
+    prev, _DTYPE = _DTYPE, dt.type
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DTYPE = prev
 
 
 class Tensor:
@@ -117,7 +105,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=get_default_dtype())
+        self.data = np.asarray(data, dtype=_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -137,18 +125,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
 
     def __getitem__(self, idx) -> "Tensor":
         return getitem(self, idx)
@@ -171,14 +147,8 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
     def __neg__(self):
         return mul(self, _wrap(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -456,11 +426,6 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g_exp, x.shape).copy(),)
 
     return _node(out, (x,), bwd)
-
-
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.data.size if axis is None else x.shape[axis]
-    return mul(tensor_sum(x, axis=axis, keepdims=keepdims), _wrap(1.0 / n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command line: the sweep table layout, checkpoint reloads, the analysis
 reports, and the exit code and one-line message of every kind of failure."""
 
+import io
 import json
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -73,6 +75,28 @@ def test_sweep_length_lists_failed_cells_and_exits_1(tmp_path, config, capsys, r
     text = (out / "length_sweep.json").read_text()
     assert "NaN" not in text
     assert json.loads(text) == {f"L{n}": {"per_target": [None], "average": None} for n in (2, 4)}
+
+
+def test_sweep_pool_is_no_larger_than_its_cells(tmp_path, config, capsys, monkeypatch):
+    requested = []
+
+    class Pool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(cli, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))
+    argv = ["sweep-length", "--config", config, "--out", str(tmp_path / "out"), "--lengths", "2,4", "--workers", "8"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert requested == [2]
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -153,11 +177,19 @@ def checkpoints(tmp_path, config):
 
 @pytest.fixture
 def data_dirs(tmp_path):
-    """`--data` paths, each wrong in one way: directories of raw arrays and DPD1 files."""
+    """`--data` paths, each wrong in one way: dataset directories and an old `.dpd` file."""
     rng = np.random.default_rng(0)
 
     def images(n):
         return rng.random((n, 3, 32, 32)).astype(np.float32)
+
+    def npy_bytes(array):
+        buf = io.BytesIO()
+        np.save(buf, array)
+        return buf.getvalue()
+
+    nan_pixel = images(5)
+    nan_pixel[3, 1, 7, 9] = np.nan
 
     classes = np.arange(5)
     good = (images(5), classes)
@@ -173,6 +205,9 @@ def data_dirs(tmp_path):
         "negative_label": [good, (images(5), classes - 1)],
         "float_labels": [good, (images(5), classes + 0.5)],
         "label_past_int64": [good, (images(5), np.array([0, 1, 2, 3, 2**64 - 1], np.uint64))],
+        "label_past_classes": [good, (images(5), np.array([0, 1, 2, 3, 7]))],
+        "npy_truncated": [good, (npy_bytes(images(5))[:-100], classes)],
+        "nan_pixel": [good, (nan_pixel, classes)],
     }
     dirs = {}
     for name, domains in layouts.items():
@@ -185,13 +220,8 @@ def data_dirs(tmp_path):
                     (ddir / filename).write_bytes(array)
                 else:
                     np.save(ddir / filename, array)
-    dpd_files = {
-        "dpd_empty_domain": [good, (images(0), classes[:0])],
-        "dpd_label_past_classes": [good, (images(5), np.array([0, 1, 2, 3, 7]))],
-    }
-    for name, domains in dpd_files.items():
-        dirs[name] = tmp_path / "data" / f"{name}.dpd"
-        datagen.save_dataset(dirs[name], datagen.SyntheticDataset(*map(list, zip(*domains)), seed=0))
+    dirs["dpd_file"] = tmp_path / "data" / "dataset.dpd"
+    dirs["dpd_file"].write_bytes(b"DPD1" + bytes(48))
     return dirs
 
 
@@ -223,6 +253,7 @@ BAD_INPUTS = {
     "lambda_nan": (["train", "--set", "lambda=nan"], CONFIG, "lambda must be finite and >= 0, got nan"),
     "seed": (["train", "--seed", "-1"], CONFIG, "seed must be >= 0"),
     "num_seeds": (["ablate", "--num-seeds", "0"], CONFIG, "--num-seeds must be >= 1"),
+    "workers": (["ablate", "--workers", "0"], CONFIG, "--workers must be >= 1, got 0"),
     "lengths": (["sweep-length", "--lengths", "a"], CONFIG, "--lengths expects comma-separated integers"),
     "ckpt_embed_dim": ([*EVAL_DOPROMPT, "--set", "embed_dim=8"], FORMAT, "vit.patch.w has shape (192, 16)"),
     "ckpt_depth": ([*EVAL_DOPROMPT, "--set", "depth=2"], FORMAT, "16 missing ['vit.block1.b1']"),
@@ -237,11 +268,14 @@ BAD_INPUTS = {
     "one_image": ([*PIXEL_DISTANCE, "{one_image}"], CONFIG, "domain 0 has 1 feature vectors, need >= 2"),
     "no_shared_class": ([*PIXEL_DISTANCE, "{no_shared_class}"], CONFIG, "no class present in both domains"),
     "single_domain": ([*PIXEL_DISTANCE, "{single_domain}"], CONFIG, "a distance needs >= 2 domains, got 1"),
-    "dpd_empty_domain_on_eval": ([*EVAL_DOPROMPT, "--data", "{dpd_empty_domain}"], FORMAT, "domain 1 holds no images"),
-    "dpd_empty_domain_on_distance": ([*PIXEL_DISTANCE, "{dpd_empty_domain}"], FORMAT, "domain 1 holds no images"),
-    "dpd_label_past_classes": (
-        ["train", "--data", "{dpd_label_past_classes}"], FORMAT, "domain 1 has label 7, outside the header's 5 classes",
-    ),
+    "no_image_on_eval": ([*EVAL_DOPROMPT, "--data", "{no_image}"], FORMAT, "float32 (0, 3, 32, 32), expected (N>=1"),
+    "no_image_on_distance": ([*PIXEL_DISTANCE, "{no_image}"], FORMAT, "float32 (0, 3, 32, 32), expected (N>=1"),
+    "label_past_classes": (["train", "--data", "{label_past_classes}"], CONFIG, "images of 8 classes"),
+    "dpd_file": (["train", "--data", "{dpd_file}"], FORMAT, ".dpd files are no longer read, regenerate the data"),
+    "npy_truncated": (["train", "--data", "{npy_truncated}"], FORMAT, "domain_01: images.npy or labels.npy is not a"),
+    "nan_pixel_on_train": (["train", "--data", "{nan_pixel}"], FORMAT, "domain_01: images.npy holds a non-finite pixel"),
+    "nan_pixel_on_eval": ([*EVAL_DOPROMPT, "--data", "{nan_pixel}"], FORMAT, "images.npy holds a non-finite pixel"),
+    "nan_pixel_on_distance": ([*PIXEL_DISTANCE, "{nan_pixel}"], FORMAT, "images.npy holds a non-finite pixel"),
     "ckpt_num_heads": (
         [*EVAL_DOPROMPT, "--set", "num_heads=4"], FORMAT, "meta.num_heads is 2.0, the configured model has num_heads 4",
     ),

@@ -1,9 +1,10 @@
-"""Procedural dataset: per-seed determinism and the DPD1 file round trip."""
+"""Procedural dataset: per-seed determinism and the `domain_*/` directory
+round trip of `save_dataset` and `load_dataset`."""
 
 import numpy as np
 import pytest
 
-from doprompt.datagen import DATA_MAGIC, DataFormatError, generate_dataset, load_dataset, save_dataset
+from doprompt.datagen import DataFormatError, generate_dataset, load_dataset, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +15,6 @@ def dataset():
 def _same(a, b) -> bool:
     return (
         a.num_domains == b.num_domains
-        and a.seed == b.seed
         and a.num_classes == b.num_classes
         and all(x.tobytes() == y.tobytes() for x, y in zip(a.images + a.labels, b.images + b.labels))
     )
@@ -25,26 +25,29 @@ def test_one_seed_gives_bit_identical_data(dataset):
     assert not _same(generate_dataset(3, 10, 5), dataset)
 
 
-def test_dpd1_round_trip_is_exact(tmp_path, dataset):
-    path = tmp_path / "data.dpd"
-    save_dataset(path, dataset)
-    assert path.read_bytes()[:4] == DATA_MAGIC
-    loaded = load_dataset(path)
+def test_directory_round_trip_is_exact(tmp_path, dataset):
+    save_dataset(tmp_path / "data", dataset)
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["domain_00", "domain_01", "domain_02"]
+    loaded = load_dataset(tmp_path / "data")
+    assert [img.dtype for img in loaded.images] == [np.float32] * 3
     assert [lab.dtype for lab in loaded.labels] == [np.int64] * 3
+    assert loaded.num_classes == 5
     assert _same(loaded, dataset)
 
 
-def test_bad_magic_raises_data_format_error(tmp_path):
-    path = tmp_path / "bad.dpd"
-    path.write_bytes(b"NOPE" + bytes(48))
-    with pytest.raises(DataFormatError, match="bad magic"):
-        load_dataset(path)
+def test_a_resave_with_fewer_domains_leaves_only_its_own(tmp_path, dataset):
+    save_dataset(tmp_path / "data", generate_dataset(5, 5, 0))
+    save_dataset(tmp_path / "data", dataset)
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["domain_00", "domain_01", "domain_02"]
+    assert _same(load_dataset(tmp_path / "data"), dataset)
 
 
-@pytest.mark.parametrize("keep", [20, -100, -10], ids=["header", "labels", "domain_indices"])
-def test_truncated_file_raises_data_format_error(tmp_path, dataset, keep):
-    path = tmp_path / "data.dpd"
-    save_dataset(path, dataset)
+@pytest.mark.parametrize(
+    "name, keep", [("images.npy", 100), ("images.npy", -100), ("labels.npy", -10)], ids=["header", "pixels", "labels"]
+)
+def test_truncated_file_raises_data_format_error(tmp_path, dataset, name, keep):
+    save_dataset(tmp_path / "data", dataset)
+    path = tmp_path / "data" / "domain_01" / name
     path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(DataFormatError, match="truncated"):
-        load_dataset(path)
+    with pytest.raises(DataFormatError, match="domain_01: images.npy or labels.npy is not a readable .npy"):
+        load_dataset(tmp_path / "data")
