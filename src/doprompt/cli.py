@@ -12,22 +12,21 @@ Exit codes, each failure with one line on stderr:
   undefined (`analyze distance` needs two domains), or a checkpoint without
   prompts where they are needed;
 - 3 (`train`) a loss term became non-finite;
-- 4 (every command) an I/O or format problem: a missing or corrupt
-  checkpoint, or one whose arrays or head count do not fit the configured
-  model; a missing `--data` path, or one that is not a directory of
-  `domain_*` arrays (an old `.dpd` file among them); a truncated or
-  unreadable `.npy`, a domain with no image, a non-finite pixel or a label
-  that is not an int >= 0.
+- 4 (every command) an I/O or format problem: a missing checkpoint, one
+  that is not a `.npz` of finite float32 arrays (an old `.dpt` file among
+  them) or whose arrays or head count do not fit the configured model; a
+  missing `--data` path, or one that is not a directory of `domain_*` arrays
+  (an old `.dpd` file among them); a truncated or unreadable `.npy`, a domain
+  with no image, a non-finite pixel or a label that is not an int >= 0.
 
 `eval` and `analyze` build the model from the config, except the number of
 source-domain prompts K and the prompt length L, which come from the shape
-of the checkpoint's prompt bank. A checkpoint records the `num_heads` it was
-trained with, and a config that differs exits 4; a checkpoint written before
-that record existed takes the config's `num_heads`. The `src_<k>` (weights)
-and `domain_<k>` (prompt-table) columns of `analyze` are source slot k: the
-k-th domain other than the training target. All randomness flows from the
-seeds in the config (overridable with --seed); outputs carry no timestamps,
-so identical invocations produce byte-identical artifacts.
+of the checkpoint's prompt bank. A checkpoint records its `num_heads`, and a
+missing record or a config that differs exits 4. The `src_<k>` (weights) and
+`domain_<k>` (prompt-table) columns of `analyze` are source slot k: the k-th
+domain other than the training target. All randomness flows from the seeds
+in the config (overridable with --seed); outputs carry no timestamps, so
+identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ class ModelState:
         return [n for n in self.named_params() if not n.startswith(frozen)]
 
     def save(self, path) -> None:
-        """One record per parameter, then the 0-d `meta.num_heads` record."""
+        """One array per parameter, then the 0-d `meta.num_heads` array."""
         arrays = {name: p.data for name, p in self.named_params().items()}
         ckpt.save_arrays(path, {**arrays, "meta.num_heads": np.array(self.cfg.num_heads)})
 
@@ -81,16 +81,15 @@ class ModelState:
         K and L come from the (K, L, D) shape of `prompts.bank`; a file
         without a bank holds a prompt-free model. Every other shape follows
         from `cfg`, so the file's parameter names and shapes must match the
-        model `init_state` builds, and its `meta.num_heads` record, when it
-        has one, must equal `cfg.num_heads`; otherwise this raises
-        `CheckpointError`. A file without the record takes `cfg.num_heads`.
+        model `init_state` builds, and its `meta.num_heads` array must equal
+        `cfg.num_heads`; otherwise this raises `CheckpointError`.
         """
         arrays = ckpt.load_arrays(path)
-        meta = {name: arrays.pop(name) for name in list(arrays) if name.startswith("meta.")}
-        heads = meta.get("meta.num_heads")
-        if heads is not None and not np.array_equal(heads, np.array(cfg.num_heads)):
+        heads = arrays.pop("meta.num_heads", None)
+        if heads is None or not np.array_equal(heads, np.array(cfg.num_heads)):
+            recorded = "missing" if heads is None else heads.tolist()
             raise ckpt.CheckpointError(
-                f"{path}: meta.num_heads is {heads.tolist()}, the configured model has num_heads {cfg.num_heads}"
+                f"{path}: meta.num_heads is {recorded}, the configured model has num_heads {cfg.num_heads}"
             )
         bank = arrays.get("prompts.bank")
         if bank is not None and (bank.ndim != 3 or 0 in bank.shape):
@@ -374,7 +373,7 @@ def run_experiment(
         csv_path = out_dir / "loss_curve.csv"
         csv_path.write_text(LossBreakdown.CSV_HEADER + "\n" + "\n".join(loss_rows) + "\n")
         report["loss_curve_csv_path"] = csv_path.name  # relative to report.json
-        state.save(out_dir / "checkpoint.dpt")
+        state.save(out_dir / "checkpoint.npz")
         (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     report["_state"] = state

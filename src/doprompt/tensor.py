@@ -18,7 +18,7 @@ several losses are handled correctly.
 
 Arrays are row-major, 32-bit by default; `default_dtype("float64")` switches
 the engine to 64-bit (used by the gradient-check suite). GELU follows the
-input's dtype: float64 uses `scipy.special.erf` (exact to float64), float32 a
+input's dtype: float64 applies `math.erf` element by element, float32 a
 rational erf approximation, evaluated in cache-sized chunks, that keeps GELU
 within 2e-6 absolute of the float64 value on [-10, 10] (about 1.4e-6 at
 worst). Dropout runs exactly when it is given a generator, and its masks
@@ -31,7 +31,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -484,12 +483,13 @@ _ERF_DEN = tuple(np.float32(c) for c in (
 # Elements per chunk of the float32 CDF: its temporaries stay in cache,
 # where a whole-array polynomial at inference sizes is bound by memory.
 _CDF_CHUNK = 1 << 16
+_erf = np.frompyfunc(math.erf, 1, 1)  # object results; cast back to float64
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """Phi(x) = (1 + erf(x / sqrt(2))) / 2 in x's dtype; see the module docstring."""
     if x.dtype != np.float32:
-        return 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
+        return 0.5 * (1.0 + np.asarray(_erf(x / math.sqrt(2.0)), dtype=np.float64))
     cdf = np.empty(x.shape, dtype=x.dtype)  # C order, so flat_cdf is a view
     flat_x, flat_cdf = x.reshape(-1), cdf.reshape(-1)
     for start in range(0, flat_x.size, _CDF_CHUNK):

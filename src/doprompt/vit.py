@@ -44,8 +44,8 @@ class ViTConfig:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ShapeError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not self.embed_dim * self.mlp_ratio >= 1:  # also rejects NaN
-            raise ShapeError(f"mlp_ratio {self.mlp_ratio} gives an MLP width below 1")
+        if not 1 <= self.embed_dim * self.mlp_ratio < np.inf:  # also rejects NaN
+            raise ShapeError(f"mlp_ratio {self.mlp_ratio} gives an MLP width below 1 or not finite")
         if self.image_size % self.patch_size != 0:
             raise ShapeError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

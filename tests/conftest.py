@@ -1,5 +1,6 @@
-"""Shared helpers: finite-difference gradient checking, tiny model builders,
-the unfused attention oracles and the looped inference oracles."""
+"""Shared helpers: finite-difference gradient checking, a float64 erf, tiny
+model builders, the unfused attention oracles and the looped inference
+oracles."""
 
 import math
 
@@ -10,6 +11,11 @@ from doprompt import prompting, vit
 from doprompt import tensor as T
 from doprompt.config import DataConfig, RunConfig, TrainConfig
 from doprompt.vit import ViTConfig
+
+
+def erf64(x) -> np.ndarray:
+    """erf of every element of x in float64, by `math.erf`."""
+    return np.asarray(np.frompyfunc(math.erf, 1, 1)(x), dtype=np.float64)
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Checkpoint format: bit-exact round trip, magic validation, truncation."""
+"""Checkpoint format: bit-exact round trip, byte-stable saves, truncation."""
 
-import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ def test_round_trip_bit_exact(tmp_path):
         "prompts.bank": rng.normal(size=(3, 4, 8)).astype(np.float32),
         "scalar": np.float32(3.25).reshape(()),
     }
-    path = tmp_path / "model.dpt"
+    path = tmp_path / "model.npz"
     ckpt.save_arrays(path, arrays)
     loaded = ckpt.load_arrays(path)
     assert list(loaded) == list(arrays)
@@ -25,21 +25,18 @@ def test_round_trip_bit_exact(tmp_path):
         assert loaded[name].tobytes() == np.asarray(arrays[name], dtype="<f4").tobytes()
 
 
-def test_magic_bytes_prefix(tmp_path):
-    path = tmp_path / "m.dpt"
-    ckpt.save_arrays(path, {"x": np.zeros(1, dtype=np.float32)})
-    assert path.read_bytes()[:4] == b"DPT1"
-
-
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "bad.dpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ckpt.CheckpointError, match="bad magic"):
-        ckpt.load_arrays(path)
+def test_save_writes_exactly_the_given_path_with_fixed_member_dates(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_arrays(path, {"x": np.zeros(2, dtype=np.float32)})
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    with zipfile.ZipFile(path) as z:
+        assert [(i.filename, i.date_time, i.compress_type) for i in z.infolist()] == [
+            ("x.npy", (1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)
+        ]
 
 
 def test_truncated_file_rejected(tmp_path):
-    path = tmp_path / "t.dpt"
+    path = tmp_path / "t.npz"
     ckpt.save_arrays(path, {"xy": np.ones((4, 4), dtype=np.float32)})
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 10])
@@ -47,26 +44,16 @@ def test_truncated_file_rejected(tmp_path):
         ckpt.load_arrays(path)
 
 
-def test_record_layout_is_little_endian_u64(tmp_path):
-    path = tmp_path / "layout.dpt"
-    values = np.array([[1.5, -2.0]], dtype=np.float32)
-    ckpt.save_arrays(path, {"ab": values})
-    blob = path.read_bytes()
-    pos = 4
-    (name_len,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    assert name_len == 2
-    assert blob[pos : pos + 2] == b"ab"
-    pos += 2
-    rank, d0, d1 = struct.unpack_from("<QQQ", blob, pos)
-    pos += 24
-    assert (rank, d0, d1) == (2, 1, 2)
-    np.testing.assert_array_equal(np.frombuffer(blob[pos : pos + 8], dtype="<f4"), [1.5, -2.0])
-    assert pos + 8 == len(blob)
+def test_member_without_the_npy_magic_rejected(tmp_path):
+    path = tmp_path / "raw.npz"
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("x.npy", b"not an array")  # np.load hands this member back as bytes
+    with pytest.raises(ckpt.CheckpointError, match="x is not a float32 array of finite values"):
+        ckpt.load_arrays(path)
 
 
 def test_float64_params_stored_as_float32(tmp_path):
-    path = tmp_path / "f64.dpt"
+    path = tmp_path / "f64.npz"
     ckpt.save_arrays(path, {"w": np.array([1.0, 2.0], dtype=np.float64)})
     loaded = ckpt.load_arrays(path)
     assert loaded["w"].dtype == np.float32

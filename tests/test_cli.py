@@ -3,8 +3,11 @@ reports, and the exit code and one-line message of every kind of failure."""
 
 import io
 import json
-import struct
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +111,7 @@ def test_eval_of_a_trained_checkpoint_reproduces_test_acc(tmp_path, config, caps
     evals = []
     for other in ([], ["--set", "prompt_length=7"]):  # L comes from the checkpoint
         out = tmp_path / f"eval{len(evals)}"
-        argv = ["eval", *common, *other, "--checkpoint", str(run_dir / "checkpoint.dpt"), "--out", str(out)]
+        argv = ["eval", *common, *other, "--checkpoint", str(run_dir / "checkpoint.npz"), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         evals.append((out / "eval.json").read_bytes())
     assert evals[1] == evals[0]
@@ -118,7 +121,7 @@ def test_eval_of_a_trained_checkpoint_reproduces_test_acc(tmp_path, config, caps
 def test_analyze_reports_agree_with_the_model_and_with_each_other(tmp_path, config, capsys):
     run_dir, out = tmp_path / "run", tmp_path / "analysis"
     assert cli.main(["train", "--config", config, "--out", str(run_dir)]) == cli.EXIT_OK
-    checkpoint = str(run_dir / "checkpoint.dpt")
+    checkpoint = str(run_dir / "checkpoint.npz")
     for mode in ("distance", "weights", "prompt-table"):
         argv = ["analyze", mode, "--config", config, "--checkpoint", checkpoint, "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
@@ -163,15 +166,30 @@ def test_analyze_reports_agree_with_the_model_and_with_each_other(tmp_path, conf
 
 @pytest.fixture
 def checkpoints(tmp_path, config):
-    """A doprompt and a prompt-free checkpoint of the tiny model, and one whose
-    only array name is not UTF-8."""
+    """A doprompt and a prompt-free checkpoint of the tiny model, and files
+    that are each a bad checkpoint in one way."""
     vit_cfg = load_config(config).vit
     paths = {}
     for name, with_prompts in (("doprompt", True), ("erm", False)):
-        paths[name] = tmp_path / f"{name}.dpt"
+        paths[name] = tmp_path / f"{name}.npz"
         pipeline.init_state(vit_cfg, 2, 2, seed=0, with_prompts=with_prompts).save(paths[name])
-    paths["bad_name"] = tmp_path / "bad_name.dpt"
-    paths["bad_name"].write_bytes(ckpt.MAGIC + struct.pack("<Q", 2) + b"\xff\xfe" + struct.pack("<Qf", 0, 1.0))
+    good = ckpt.load_arrays(paths["doprompt"])
+    nan_value = {**good, "vit.patch.w": good["vit.patch.w"].copy()}
+    nan_value["vit.patch.w"][3, 1] = np.nan
+    headless = {name: arr for name, arr in good.items() if name != "meta.num_heads"}
+    for name, arrays in (("nan_value", nan_value), ("headless", headless)):
+        paths[name] = tmp_path / f"{name}.npz"
+        ckpt.save_arrays(paths[name], arrays)
+    for name, member in (("float64", good["vit.patch.w"].astype(np.float64)), ("object", np.array([1, None]))):
+        paths[name] = tmp_path / f"{name}.npz"
+        with open(paths[name], "wb") as f:
+            np.savez(f, **{**good, "vit.patch.w": member})
+    paths["dpt"] = tmp_path / "old.dpt"
+    paths["dpt"].write_bytes(b"DPT1" + bytes(32))
+    paths["truncated"] = tmp_path / "truncated.npz"
+    paths["truncated"].write_bytes(paths["doprompt"].read_bytes()[:-100])
+    paths["npy"] = tmp_path / "patch.npy"
+    np.save(paths["npy"], good["vit.patch.w"])
     return paths
 
 
@@ -244,6 +262,7 @@ BAD_INPUTS = {
     "prompt_length": (["train", "--set", "prompt_length=0"], CONFIG, "prompt_length must be >= 1"),
     "embed_dim": (["train", "--set", "embed_dim=0"], CONFIG, "embed_dim must be >= 1"),
     "mlp_ratio": (["train", "--set", "mlp_ratio=0"], CONFIG, "MLP width below 1"),
+    "mlp_ratio_inf": (["train", "--set", "mlp_ratio=inf"], CONFIG, "mlp_ratio inf gives an MLP width below 1 or not finite"),
     "dropout": (["train", "--set", "dropout=1"], CONFIG, "dropout must be in [0, 1)"),
     "depth": (["train", "--set", "depth=0"], CONFIG, "depth must be >= 1, got 0"),
     "learning_rate_negative": (["train", "--set", "learning_rate=-0.01"], CONFIG, "learning_rate must be finite and > 0"),
@@ -258,7 +277,15 @@ BAD_INPUTS = {
     "ckpt_embed_dim": ([*EVAL_DOPROMPT, "--set", "embed_dim=8"], FORMAT, "vit.patch.w has shape (192, 16)"),
     "ckpt_depth": ([*EVAL_DOPROMPT, "--set", "depth=2"], FORMAT, "16 missing ['vit.block1.b1']"),
     "ckpt_mlp_ratio": ([*EVAL_DOPROMPT, "--set", "mlp_ratio=4"], FORMAT, "vit.block0.w1 has shape (16, 32)"),
-    "ckpt_name_not_utf8": (["eval", "--checkpoint", "{bad_name}"], FORMAT, "array name is not valid UTF-8"),
+    "ckpt_dpt": (["eval", "--checkpoint", "{dpt}"], FORMAT, ".dpt checkpoints are no longer read, retrain"),
+    "ckpt_truncated": (["eval", "--checkpoint", "{truncated}"], FORMAT, "truncated.npz: not a .npz of float32 arrays, or a truncated one"),
+    "ckpt_npy": (["eval", "--checkpoint", "{npy}"], FORMAT, "patch.npy: not a .npz of float32 arrays"),
+    "ckpt_float64": (["eval", "--checkpoint", "{float64}"], FORMAT, "float64.npz: vit.patch.w is not a float32 array of finite"),
+    "ckpt_object": (["eval", "--checkpoint", "{object}"], FORMAT, "object.npz: not a .npz of float32 arrays"),
+    "ckpt_nan_value": (["eval", "--checkpoint", "{nan_value}"], FORMAT, "nan_value.npz: vit.patch.w is not a float32 array of finite"),
+    "ckpt_no_num_heads": (
+        ["eval", "--checkpoint", "{headless}"], FORMAT, "meta.num_heads is missing, the configured model has num_heads 2",
+    ),
     "ckpt_missing": (["eval", "--checkpoint", "{doprompt}.gone"], FORMAT, "checkpoint not found"),
     "prompt_variant_on_erm": (["eval", "--checkpoint", "{erm}"], CONFIG, "variant 'doprompt' needs prompts"),
     "weights_on_erm": (["analyze", "weights", "--checkpoint", "{erm}"], CONFIG, "analyze weights needs prompts"),
@@ -305,3 +332,9 @@ def test_bad_input_exits_with_its_code_and_one_stderr_line(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n") and message in err, err
     assert [str(w.message) for w in recwarn] == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import doprompt.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

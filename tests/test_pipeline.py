@@ -28,7 +28,7 @@ def dataset():
 
 
 def _artifacts(out):
-    return {name: (out / name).read_bytes() for name in ("loss_curve.csv", "checkpoint.dpt", "report.json")}
+    return {name: (out / name).read_bytes() for name in ("loss_curve.csv", "checkpoint.npz", "report.json")}
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -43,7 +43,7 @@ def test_run_experiment_is_byte_identical_for_one_seed(tmp_path, dataset, varian
 def test_reloaded_checkpoint_predicts_bitwise_like_the_run(tmp_path, dataset, variant):
     run = tiny_run_config(dropout=0.1, seed=3)
     report = pipeline.run_experiment(dataset, 1, variant, run, out_dir=tmp_path)
-    loaded = pipeline.ModelState.load(tmp_path / "checkpoint.dpt", run.vit)
+    loaded = pipeline.ModelState.load(tmp_path / "checkpoint.npz", run.vit)
     images = dataset.images[1]
     expected = pipeline.predict_logits(report["_state"], images, variant)
     assert pipeline.predict_logits(loaded, images, variant).tobytes() == expected.tobytes()
@@ -152,7 +152,7 @@ def test_adapter_variants_need_two_source_domains(variant):
 def test_model_state_save_load_round_trip(tmp_path, with_prompts):
     run = tiny_run_config()
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, with_prompts=with_prompts)
-    path = tmp_path / "model.dpt"
+    path = tmp_path / "model.npz"
     state.save(path)
     loaded = pipeline.ModelState.load(path, run.vit)
 
@@ -175,7 +175,7 @@ def test_model_state_save_load_round_trip(tmp_path, with_prompts):
 ], ids=["embed_dim", "depth", "mlp_ratio"])
 def test_load_into_a_model_the_arrays_do_not_fit_raises(tmp_path, change, message):
     run = tiny_run_config()
-    path = tmp_path / "model.dpt"
+    path = tmp_path / "model.npz"
     pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0).save(path)
     with pytest.raises(CheckpointError, match=message):
         pipeline.ModelState.load(path, dataclasses.replace(run.vit, **change))
@@ -186,25 +186,34 @@ def test_load_rejects_a_bank_that_is_not_a_k_l_d_array(tmp_path, bank_shape):
     run = tiny_run_config()
     arrays = {n: p.data for n, p in pipeline.init_state(run.vit, 3, 2, seed=0).named_params().items()}
     arrays["prompts.bank"] = np.zeros(bank_shape, dtype=np.float32)
-    path = tmp_path / "model.dpt"
+    arrays["meta.num_heads"] = np.array(run.vit.num_heads)
+    path = tmp_path / "model.npz"
     ckpt.save_arrays(path, arrays)
     with pytest.raises(CheckpointError, match="expected non-empty \\(K, L, D\\)"):
         pipeline.ModelState.load(path, run.vit)
 
 
-def test_load_checks_the_recorded_head_count_and_takes_the_config_without_it(tmp_path):
+def test_load_checks_the_recorded_head_count_and_requires_it(tmp_path):
     run = tiny_run_config()
-    path, legacy = tmp_path / "model.dpt", tmp_path / "legacy.dpt"
+    path, headless = tmp_path / "model.npz", tmp_path / "headless.npz"
     pipeline.init_state(run.vit, 3, 2, seed=0).save(path)
     arrays = ckpt.load_arrays(path)
     assert list(arrays)[-1] == "meta.num_heads" and arrays["meta.num_heads"].shape == ()
     assert arrays.pop("meta.num_heads") == run.vit.num_heads
-    ckpt.save_arrays(legacy, arrays)  # the layout before the head count was recorded
-    assert path.read_bytes().startswith(legacy.read_bytes())
+    ckpt.save_arrays(headless, arrays)
     four_heads = dataclasses.replace(run.vit, num_heads=4)
     with pytest.raises(CheckpointError, match="meta.num_heads is 2.0, the configured model has num_heads 4"):
         pipeline.ModelState.load(path, four_heads)
-    assert pipeline.ModelState.load(legacy, four_heads).cfg.num_heads == 4
+    with pytest.raises(CheckpointError, match="meta.num_heads is missing, the configured model has num_heads 2"):
+        pipeline.ModelState.load(headless, run.vit)
+
+
+def test_two_saves_of_one_state_give_identical_bytes(tmp_path):
+    run = tiny_run_config()
+    state = pipeline.init_state(run.vit, 3, 2, seed=0)
+    state.save(tmp_path / "first.npz")
+    state.save(tmp_path / "second.npz")
+    assert (tmp_path / "first.npz").read_bytes() == (tmp_path / "second.npz").read_bytes()
 
 
 def test_sample_step_batch_labels_each_image_with_its_source_slot():

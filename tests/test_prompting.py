@@ -6,7 +6,7 @@ import pytest
 from doprompt import prompting, tensor as T
 from doprompt.tensor import ShapeError, Tensor
 
-from conftest import rel_error
+from conftest import erf64, rel_error
 
 
 def make_bank(k=3, length=4, dim=8, seed=0):
@@ -74,15 +74,13 @@ def test_adapter_zero_final_layer_gives_uniform():
 
 
 def test_adapter_matches_hand_evaluation():
-    from scipy.special import erf
-
     adapter = make_adapter(dim=8, k=3, length=2, seed=5)
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(4, 8)).astype(np.float32)
     w = prompting.adapter_forward(adapter, Tensor(feats)).data
 
     h_pre = feats @ adapter.w1.data + adapter.b1.data
-    h = h_pre * 0.5 * (1.0 + erf(h_pre / np.sqrt(2.0)))
+    h = h_pre * 0.5 * (1.0 + erf64(h_pre / np.sqrt(2.0)))
     raw = (h @ adapter.w2.data + adapter.b2.data).reshape(4, 2, 3)
     e = np.exp(raw - raw.max(axis=-1, keepdims=True))
     expected = e / e.sum(axis=-1, keepdims=True)

@@ -11,7 +11,7 @@ from doprompt import vit
 from doprompt.tensor import ShapeError, Tensor
 from doprompt.vit import ViTConfig
 
-from conftest import central_diff, norm_rel_error, rel_error
+from conftest import central_diff, erf64, norm_rel_error, rel_error
 
 
 def make_model(cfg, seed=0):
@@ -29,9 +29,7 @@ def ref_layer_norm(z, g, b, eps=1e-5):
 
 
 def ref_gelu(z):
-    from scipy.special import erf
-
-    return z * 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+    return z * 0.5 * (1.0 + erf64(z / np.sqrt(2.0)))
 
 
 def ref_softmax(z):
