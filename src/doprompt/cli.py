@@ -9,8 +9,10 @@ Exit codes, each failure with one line on stderr:
 - 2 (every command) a config problem: a bad key, value or flag, a
   `target_domain` outside the data, a dataset that the configured model
   cannot take, that is too small to train on or that leaves a distance
-  undefined (`analyze distance` needs two domains), or a checkpoint without
-  prompts where they are needed;
+  undefined (`analyze distance` needs two domains), a model or dataset too
+  large for memory, or a checkpoint without the prompts or the adapter that
+  the variant `eval` predicts with, `analyze weights` or
+  `analyze prompt-table` needs;
 - 3 (`train`) a loss term became non-finite;
 - 4 (every command) an I/O or format problem: a missing checkpoint, one
   that is not a `.npz` of finite float32 arrays (an old `.dpt` file among
@@ -19,14 +21,16 @@ Exit codes, each failure with one line on stderr:
   (an old `.dpd` file among them); a truncated or unreadable `.npy`, a domain
   with no image, a non-finite pixel or a label that is not an int >= 0.
 
-`eval` and `analyze` build the model from the config, except the number of
-source-domain prompts K and the prompt length L, which come from the shape
-of the checkpoint's prompt bank. A checkpoint records its `num_heads`, and a
-missing record or a config that differs exits 4. The `src_<k>` (weights) and
-`domain_<k>` (prompt-table) columns of `analyze` are source slot k: the k-th
-domain other than the training target. All randomness flows from the seeds
-in the config (overridable with --seed); outputs carry no timestamps, so
-identical invocations produce byte-identical artifacts.
+`eval` and `analyze` build the model from the config, except whether it has
+a prompt bank and an adapter, which comes from the checkpoint's array names,
+and the number of source-domain prompts K and the prompt length L, which
+come from the shape of its prompt bank. A checkpoint records its
+`num_heads`, and a missing record or a config that differs exits 4. The
+`src_<k>` (weights) and `domain_<k>` (prompt-table) columns of `analyze` are
+source slot k: the k-th domain other than the training target. All
+randomness flows from the seeds in the config (overridable with --seed);
+outputs carry no timestamps, so identical invocations produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -133,8 +137,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run = _load_run_config(args)
     dataset = _load_or_generate_data(args, run)
-    uses_prompts = VARIANTS[run.variant].uses_prompts
-    state = _load_state(args.checkpoint, run, f"variant {run.variant!r}" if uses_prompts else None)
+    state = _load_state(args.checkpoint, run, f"variant {run.variant!r}", run.variant)
     accs = {}
     for d in range(dataset.num_domains):
         accs[f"domain_{d}"] = pipeline.evaluate_accuracy(
@@ -239,16 +242,19 @@ def cmd_sweep_length(args) -> int:
     return _run_table(args, run, dataset, rows, [run.target_domain], "length_sweep", "prompt_length")
 
 
-def _load_state(checkpoint_path, run: RunConfig, needs_prompts: str | None = None) -> pipeline.ModelState:
-    """The checkpoint's model; `needs_prompts` names what fails without a prompt bank."""
+def _load_state(checkpoint_path, run: RunConfig, user: str, variant: str) -> pipeline.ModelState:
+    """The checkpoint's model; `user` names what fails without the parts `variant` predicts with."""
     if checkpoint_path is None:
         raise ConfigError("--checkpoint is required for this mode")
     path = Path(checkpoint_path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     state = pipeline.ModelState.load(path, run.vit)
-    if needs_prompts and state.bank is None:
-        raise ConfigError(f"{needs_prompts} needs prompts, but {path} holds a prompt-free model")
+    spec = VARIANTS[variant]
+    if spec.uses_prompts and state.bank is None:
+        raise ConfigError(f"{user} needs prompts, but {path} holds a prompt-free model")
+    if spec.uses_adapter and state.adapter is None:
+        raise ConfigError(f"{user} needs a prompt adapter, but {path} holds a model without one")
     return state
 
 
@@ -271,7 +277,7 @@ def cmd_analyze(args) -> int:
         if args.features == "pixels":
             feats = [dataset.images[d].reshape(dataset.domain_size(d), -1) for d in range(dataset.num_domains)]
         else:
-            state = _load_state(args.checkpoint, run)
+            state = _load_state(args.checkpoint, run, "analyze distance", "erm")  # prompt-free features
             feats = [pipeline.extract_features(state, dataset.images[d]) for d in range(dataset.num_domains)]
         labels = [dataset.labels[d] for d in range(dataset.num_domains)]
         report = analysis.domain_distance(feats, labels)
@@ -292,7 +298,7 @@ def cmd_analyze(args) -> int:
         (out / "distance.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
-    state = _load_state(args.checkpoint, run, f"analyze {mode}")
+    state = _load_state(args.checkpoint, run, f"analyze {mode}", "doprompt")
     if mode == "weights":
         stats = analysis.adapter_weight_stats(state, dataset)
         names = [f"domain_{d}" for d in range(len(stats.percentages))]
@@ -390,6 +396,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"config error: the configured model or data does not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (CheckpointError, DataFormatError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

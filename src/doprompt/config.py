@@ -34,11 +34,11 @@ class Variant:
 
     `terms` are summed into the total, from "erm" (prompt-free cross-entropy,
     logged in the l_prompt column), "prompt" (L_prompt), "w" (lambda * L_w)
-    and "adapt" (L_adapt). A variant with "w" or "adapt" runs the adapter and
-    logs L_w even when it carries no weight. Parameters whose names start
-    with a `frozen` prefix are never updated. `inference` names the test-time
-    logits: "adapted", "prompt_free", or "prompt_averaged" (the mean of the K
-    single-prompt logits).
+    and "adapt" (L_adapt). Only a variant with "w" or "adapt" has an adapter;
+    it runs it and logs L_w even when L_w carries no weight. Parameters
+    whose names start with a `frozen` prefix are never updated. `inference`
+    names the test-time logits: "adapted", "prompt_free", or
+    "prompt_averaged" (the mean of the K single-prompt logits).
     """
 
     terms: tuple[str, ...]
@@ -47,18 +47,19 @@ class Variant:
 
     @property
     def uses_prompts(self) -> bool:
-        """Whether the model has a prompt bank and adapter at all."""
+        """Whether the model has a prompt bank."""
         return "erm" not in self.terms
 
     @property
     def uses_adapter(self) -> bool:
+        """Whether the model has a prompt adapter."""
         return "w" in self.terms or "adapt" in self.terms
 
 
 VARIANTS = {
     "doprompt": Variant(("prompt", "w", "adapt")),
     "erm": Variant(("erm",), inference="prompt_free"),  # no bank or adapter to freeze
-    "no_adapter": Variant(("prompt",), frozen=("adapter.",), inference="prompt_averaged"),
+    "no_adapter": Variant(("prompt",), inference="prompt_averaged"),
     "no_lw": Variant(("prompt", "adapt")),
     "no_ladapt": Variant(("prompt", "w")),
     "frozen_backbone": Variant(("prompt", "w", "adapt"), frozen=("vit.",)),
@@ -114,6 +115,10 @@ class DataConfig:
         if not 2 <= self.num_domains <= len(DEFAULT_STYLE_TABLE):
             raise ConfigError(f"num_domains must be in [2, {len(DEFAULT_STYLE_TABLE)}], got {self.num_domains}")
         _require_at_least(self, NUM_CLASSES, "per_domain_count")  # one image per class
+        if self.per_domain_count % NUM_CLASSES:
+            raise ConfigError(
+                f"per_domain_count must be a multiple of the {NUM_CLASSES} classes, got {self.per_domain_count}"
+            )
         _require_at_least(self, 0, "data_seed")
 
 

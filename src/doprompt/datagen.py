@@ -17,7 +17,6 @@ arrives in.
 from __future__ import annotations
 
 import shutil
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,14 +185,9 @@ def generate_dataset(num_domains: int, per_domain_count: int, seed: int) -> Synt
         raise ValueError(
             f"style table has {len(DEFAULT_STYLE_TABLE)} entries, cannot supply {num_domains} domains"
         )
-    per_class = per_domain_count // NUM_CLASSES
-    if per_class * NUM_CLASSES != per_domain_count:
-        warnings.warn(
-            f"per_domain_count {per_domain_count} not divisible by {NUM_CLASSES} classes; "
-            f"rounding down to {per_class * NUM_CLASSES}",
-            stacklevel=2,
-        )
-    n = per_class * NUM_CLASSES
+    if per_domain_count % NUM_CLASSES:
+        raise ValueError(f"per_domain_count {per_domain_count} is not a multiple of the {NUM_CLASSES} classes")
+    n = per_domain_count
 
     all_images, all_labels = [], []
     for d in range(num_domains):

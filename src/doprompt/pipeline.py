@@ -78,11 +78,13 @@ class ModelState:
     def load(cls, path, cfg: ViTConfig) -> "ModelState":
         """Build the model the file's arrays describe and copy them into it.
 
-        K and L come from the (K, L, D) shape of `prompts.bank`; a file
-        without a bank holds a prompt-free model. Every other shape follows
-        from `cfg`, so the file's parameter names and shapes must match the
-        model `init_state` builds, and its `meta.num_heads` array must equal
-        `cfg.num_heads`; otherwise this raises `CheckpointError`.
+        The parts come from the file's names: a file without `prompts.bank`
+        holds a prompt-free model, and one with a bank but no `adapter.*`
+        array a model without an adapter. K and L come from the (K, L, D)
+        shape of `prompts.bank`. Every other shape follows from `cfg`, so the
+        file's parameter names and shapes must match the model `init_state`
+        builds, and its `meta.num_heads` array must equal `cfg.num_heads`;
+        otherwise this raises `CheckpointError`.
         """
         arrays = ckpt.load_arrays(path)
         heads = arrays.pop("meta.num_heads", None)
@@ -94,8 +96,12 @@ class ModelState:
         bank = arrays.get("prompts.bank")
         if bank is not None and (bank.ndim != 3 or 0 in bank.shape):
             raise ckpt.CheckpointError(f"{path}: prompts.bank has shape {bank.shape}, expected non-empty (K, L, D)")
-        k, length = bank.shape[:2] if bank is not None else (0, 0)
-        state = init_state(cfg, k, length, seed=0, with_prompts=bank is not None)
+        if bank is None:
+            k, length, variant = 0, 0, "erm"
+        else:  # a variant whose parts are the file's
+            k, length = bank.shape[:2]
+            variant = "doprompt" if any(name.startswith("adapter.") for name in arrays) else "no_adapter"
+        state = init_state(cfg, k, length, seed=0, variant=variant)
         named = state.named_params()
         missing, extra = sorted(named.keys() - arrays.keys()), sorted(arrays.keys() - named.keys())
         if missing or extra:
@@ -130,13 +136,19 @@ class SelectionRecord:
 
 
 def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
-               with_prompts: bool = True) -> ModelState:
+               variant: str = "doprompt") -> ModelState:
+    """A fresh model with the parts `variant` trains: the backbone and classifier,
+    a (num_domains, prompt_length, D) prompt bank if it uses prompts, and an
+    adapter if it uses one. The adapter is drawn last, so the other parts are
+    the same for every variant of one seed."""
+    spec = get_variant(variant)
     root = np.random.SeedSequence(seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
     params = vit.init_vit_params(cfg, init_rng)
     bank = adapter = None
-    if with_prompts:
+    if spec.uses_prompts:
         bank = prompting.init_prompt_bank(num_domains, prompt_length, cfg.embed_dim, init_rng)
+    if spec.uses_adapter:
         adapter = prompting.init_adapter_params(cfg.embed_dim, num_domains, prompt_length, init_rng)
     state = ModelState(cfg=cfg, params=params, bank=bank, adapter=adapter, opt=None)
     state.opt = optim.init_adamw_state(state.named_params())
@@ -322,7 +334,7 @@ def run_experiment(
         num_domains=len(source_domains),
         prompt_length=tc.prompt_length,
         seed=tc.seed,
-        with_prompts=spec.uses_prompts,
+        variant=variant,
     )
 
     val_images = np.concatenate([dataset.images[d][val_idx[d]] for d in source_domains])

@@ -5,16 +5,15 @@ Provides exactly the operations the model needs:
 - arithmetic: `add`, `sub`, `mul`, `div`, `exp`, `log`, `clamp_min`,
   `tensor_sum`, `matmul` (batched over leading axes);
 - fused layers: `linear` (x @ w + b as one GEMM over the flattened leading
-  axes) and `attention` (multi-head self-attention from the QKV projection
-  through the head merge, with dropout on the attention probabilities and a
-  hand-derived backward from the saved softmax);
+  axes) and `attention` (parameter-free multi-head self-attention of projected
+  q, k, v, with dropout on P and a backward from the saved softmax);
 - shape plumbing: `reshape`, `transpose`, `broadcast_to`, `concat`, indexing;
 - nonlinearities and losses: `softmax`, `layer_norm`, `gelu`,
   `cross_entropy`;
 - `dropout` and the stop-gradients `detach` and `no_grad`.
 
 Gradients accumulate at fan-in nodes so shared parameters appearing in
-several losses are handled correctly.
+several losses are handled correctly; only leaves keep theirs after `backward`.
 
 Arrays are row-major, 32-bit by default; `default_dtype("float64")` switches
 the engine to 64-bit (used by the gradient-check suite). GELU follows the
@@ -98,7 +97,7 @@ class Tensor:
     """A dense n-d value, optionally a node in the reverse-mode graph.
 
     `data` is always a numpy array; `grad` is populated (same shape) by
-    `backward` for every reachable tensor with `requires_grad`.
+    `backward` for every reachable leaf with `requires_grad`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -279,42 +278,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bwd)
 
 
-def attention(
-    h: Tensor,
-    wq: Tensor,
-    bq: Tensor,
-    wk: Tensor,
-    bk: Tensor,
-    wv: Tensor,
-    bv: Tensor,
-    num_heads: int,
-    rate: float,
-    rng: np.random.Generator | None,
-) -> Tensor:
-    """Multi-head self-attention of (B, T, D) tokens, before the output projection.
+def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Parameter-free multi-head self-attention of (B, T, 3D) q|k|v tokens, before the output projection.
 
-    One (D, 3D) GEMM projects q, k and v; each splits into `num_heads` heads
-    of width dh = D / num_heads. P = softmax(q k^T / sqrt(dh)) row-wise with
-    the row max subtracted, P is dropped out like `dropout` does (one mask
-    drawn from `rng`, only when `rng` is given and `rate` > 0), O = P V, and
-    the heads are merged back to (B, T, D).
+    q, k and v, side by side as a `linear` of width 3D writes them, each split
+    into `num_heads` heads of width dh = D / num_heads. P = softmax(q k^T /
+    sqrt(dh)) row-wise with the row max subtracted, P is dropped out like
+    `dropout` does (one mask drawn from `rng`, only when `rng` is given and
+    `rate` > 0), O = P V, and the heads are merged back to (B, T, D).
 
-    The backward pass uses the saved P and mask, as FlashAttention does
-    without tiling: with Pd = P * mask, dV = Pd^T dO, dP = (dO V^T) * mask,
+    The backward pass returns dqkv from the saved P and mask, as FlashAttention
+    does without tiling: with Pd = P * mask, dV = Pd^T dO, dP = (dO V^T) * mask,
     dS = P * (dP - rowsum(dP * P)) / sqrt(dh), dQ = dS K, dK = dS^T Q.
     """
-    if h.ndim != 3 or h.shape[-1] % num_heads:
-        raise ShapeError(f"attention: expected (B, T, D) with D divisible by {num_heads}, got {h.shape}")
-    b, t, d = h.shape
+    if qkv.ndim != 3 or qkv.shape[-1] % (3 * num_heads):
+        raise ShapeError(f"attention: expected (B, T, 3D) with D divisible by {num_heads}, got {qkv.shape}")
+    b, t, d = qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
-    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    bias = np.concatenate([bq.data, bk.data, bv.data])
-    h2 = h.data.reshape(b * t, d)
-    qkv = h2 @ w
-    qkv += bias
     # (3, B, heads, T, dh), contiguous so every head product is a plain GEMM
-    q, k, v = np.ascontiguousarray(qkv.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4))
+    q, k, v = np.ascontiguousarray(qkv.data.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4))
     s = q @ k.swapaxes(-1, -2)
     s *= scale
     s -= s.max(axis=-1, keepdims=True)
@@ -333,22 +316,14 @@ def attention(
         ds *= p
         ds *= scale
         # dq, dk and dv are written in the layout q, k and v were read from qkv
-        dqkv = np.empty_like(qkv)
+        dqkv = np.empty_like(qkv.data)
         dq, dk, dv = dqkv.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
         np.matmul(ds, k, out=dq)
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
         np.matmul(pd.swapaxes(-1, -2), go, out=dv)
-        gh = (dqkv @ w.T).reshape(b, t, d) if h.requires_grad else None
-        gw = h2.T @ dqkv
-        gb = dqkv.sum(axis=0)
-        return (
-            gh,
-            gw[:, :d], gb[:d],
-            gw[:, d : 2 * d], gb[d : 2 * d],
-            gw[:, 2 * d :], gb[2 * d :],
-        )
+        return (dqkv,)
 
-    return _node(out, (h, wq, bq, wk, bk, wv, bv), bwd)
+    return _node(out, (qkv,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +567,11 @@ def detach(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate `grad` on every tensor reachable from a scalar loss.
 
-    Gradients accumulate, both at fan-in nodes within one pass and across
-    repeated calls; clear with `optim.zero_grads` between steps. A first
-    contribution is stored as is and later ones are added out of place, so
-    one array may be the grad of several tensors and is never written to.
+    Gradients accumulate at fan-in nodes. An interior node (one an op made)
+    releases its `grad` once passed to its parents; leaves keep theirs, so
+    they accumulate across repeated calls: clear with `optim.zero_grads`. A
+    first contribution is stored as is and later ones are added out of place,
+    so one array may be the grad of several tensors and is never written to.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -621,6 +597,7 @@ def backward(loss: Tensor) -> None:
         if node._backward_fn is None:
             continue
         grads = node._backward_fn(node.grad)
+        node.grad = None
         for parent, g in zip(node._parents, grads):
             if not parent.requires_grad or g is None:
                 continue

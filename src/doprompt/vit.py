@@ -44,8 +44,8 @@ class ViTConfig:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ShapeError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not 1 <= self.embed_dim * self.mlp_ratio < np.inf:  # also rejects NaN
-            raise ShapeError(f"mlp_ratio {self.mlp_ratio} gives an MLP width below 1 or not finite")
+        if not 1 <= self.embed_dim * self.mlp_ratio <= np.iinfo(np.intp).max:  # exact; False for NaN
+            raise ShapeError(f"mlp_ratio {self.mlp_ratio} gives an MLP width below 1 or not finite, or too wide")
         if self.image_size % self.patch_size != 0:
             raise ShapeError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -74,14 +74,12 @@ class ViTConfig:
 
 @dataclass
 class BlockParams:
+    """One block; `wqkv` (D, 3D) and `bqkv` hold q, k and v side by side, as in timm's ViT."""
+
     ln1_g: Tensor
     ln1_b: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
+    wqkv: Tensor
+    bqkv: Tensor
     wo: Tensor
     bo: Tensor
     ln2_g: Tensor
@@ -121,7 +119,7 @@ class ViTParams:
 
 
 def init_vit_params(cfg: ViTConfig, rng: np.random.Generator) -> ViTParams:
-    """Token-embedding-scale init: N(0, 0.02) weights, zero biases, unit norms."""
+    """Token-embedding-scale init: N(0, 0.02) weights (`wqkv` as q, k, v), zero biases, unit norms."""
 
     def w(*shape):
         return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
@@ -147,9 +145,8 @@ def init_vit_params(cfg: ViTConfig, rng: np.random.Generator) -> ViTParams:
         params.blocks.append(
             BlockParams(
                 ln1_g=ones(d), ln1_b=zeros(d),
-                wq=w(d, d), bq=zeros(d),
-                wk=w(d, d), bk=zeros(d),
-                wv=w(d, d), bv=zeros(d),
+                wqkv=Tensor(np.concatenate([w(d, d).data for _ in range(3)], axis=1), requires_grad=True),
+                bqkv=zeros(3 * d),
                 wo=w(d, d), bo=zeros(d),
                 ln2_g=ones(d), ln2_b=zeros(d),
                 w1=w(d, cfg.mlp_dim), b1=zeros(cfg.mlp_dim),
@@ -178,16 +175,16 @@ def attention_block(x: Tensor, blk: BlockParams, cfg: ViTConfig, rng: np.random.
     """Pre-norm residual block with full bidirectional attention.
 
     x + Drop(Attn(LN1(x)) Wo + bo), then + Drop(Drop(GELU(LN2(.) W1 + b1)) W2 + b2).
-    Attention is one fused `tensor.attention` node over `cfg.num_heads`
-    heads, from the QKV projection through the head merge with dropout on the
-    attention probabilities; the output projection and both MLP layers are
-    `tensor.linear` nodes. Dropout at `cfg.dropout_rate` runs only when `rng`
-    is given; its masks are drawn in this order: attention probabilities,
-    attention output, MLP hidden layer, MLP output.
+    The q, k and v projection, the output projection and both MLP layers are
+    `tensor.linear` nodes; between the first two, one `tensor.attention`
+    node runs the parameter-free core over `cfg.num_heads` heads, with
+    dropout on the attention probabilities. Dropout at `cfg.dropout_rate`
+    runs only when `rng` is given; its masks are drawn in this order:
+    attention probabilities, attention output, MLP hidden layer, MLP output.
     """
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
     rate = cfg.dropout_rate
-    o = T.attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, cfg.num_heads, rate, rng)
+    o = T.attention(T.linear(h, blk.wqkv, blk.bqkv), cfg.num_heads, rate, rng)
     o = T.dropout(T.linear(o, blk.wo, blk.bo), rate, rng)
     x = x + o
 

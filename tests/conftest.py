@@ -115,18 +115,19 @@ def tiny_run_config(**train_kwargs) -> RunConfig:
 # unfused oracles for the fused attention node and the transformer block
 
 
-def unfused_attention(h, wq, bq, wk, bk, wv, bv, num_heads, rate, rng):
-    """`tensor.attention` composed of single-op nodes: three projections, head
-    split, scaled softmax, dropout on the probabilities, P @ V, head merge."""
-    b, t, d = h.shape
+def unfused_attention(qkv, num_heads, rate, rng):
+    """`tensor.attention` composed of single-op nodes: q, k and v cut out of
+    the (B, T, 3D) projection, head split, scaled softmax, dropout on the
+    probabilities, P @ V, head merge."""
+    b, t, d3 = qkv.shape
+    d = d3 // 3
     dh = d // num_heads
 
-    def split_heads(z):
+    def split_heads(i):
+        z = qkv[:, :, i * d : (i + 1) * d]
         return T.transpose(T.reshape(z, (b, t, num_heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(T.matmul(h, wq) + bq)
-    k = split_heads(T.matmul(h, wk) + bk)
-    v = split_heads(T.matmul(h, wv) + bv)
+    q, k, v = (split_heads(i) for i in range(3))
     att = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     att = T.dropout(T.softmax(att, axis=-1), rate, rng)
     o = T.matmul(att, v)  # (B, heads, T, dh)
@@ -138,7 +139,7 @@ def unfused_attention_block(x, blk, cfg, rng=None):
     and `unfused_attention` in place of the attention node."""
     rate = cfg.dropout_rate
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
-    o = unfused_attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, cfg.num_heads, rate, rng)
+    o = unfused_attention(T.matmul(h, blk.wqkv) + blk.bqkv, cfg.num_heads, rate, rng)
     o = T.dropout(T.matmul(o, blk.wo) + blk.bo, rate, rng)
     x = x + o
     h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)

@@ -166,13 +166,13 @@ def test_analyze_reports_agree_with_the_model_and_with_each_other(tmp_path, conf
 
 @pytest.fixture
 def checkpoints(tmp_path, config):
-    """A doprompt and a prompt-free checkpoint of the tiny model, and files
-    that are each a bad checkpoint in one way."""
+    """A doprompt, a no_adapter and a prompt-free checkpoint of the tiny
+    model, and files that are each a bad checkpoint in one way."""
     vit_cfg = load_config(config).vit
     paths = {}
-    for name, with_prompts in (("doprompt", True), ("erm", False)):
+    for name in ("doprompt", "no_adapter", "erm"):
         paths[name] = tmp_path / f"{name}.npz"
-        pipeline.init_state(vit_cfg, 2, 2, seed=0, with_prompts=with_prompts).save(paths[name])
+        pipeline.init_state(vit_cfg, 2, 2, seed=0, variant=name).save(paths[name])
     good = ckpt.load_arrays(paths["doprompt"])
     nan_value = {**good, "vit.patch.w": good["vit.patch.w"].copy()}
     nan_value["vit.patch.w"][3, 1] = np.nan
@@ -253,6 +253,9 @@ BAD_INPUTS = {
     "one_domain": (["train", "--set", "num_domains=1"], CONFIG, "num_domains must be in [2, 6], got 1"),
     "nine_domains": (["gen-data", "--set", "num_domains=9"], CONFIG, "num_domains must be in [2, 6], got 9"),
     "per_domain_count": (["train", "--set", "per_domain_count=3"], CONFIG, "per_domain_count must be >= 5"),
+    "per_domain_count_not_a_multiple": (
+        ["train", "--set", "per_domain_count=42"], CONFIG, "per_domain_count must be a multiple of the 5 classes, got 42",
+    ),
     "image_size_not_the_data": (["train", "--set", "image_size=16"], CONFIG, "the model takes 3x16x16 images"),
     "channels_not_the_data": ([*EVAL_DOPROMPT, "--set", "channels=1"], CONFIG, "the model takes 1x32x32 images"),
     "fewer_classes_than_the_data": (["train", "--set", "num_classes=3"], CONFIG, "images of 5 classes"),
@@ -262,6 +265,9 @@ BAD_INPUTS = {
     "prompt_length": (["train", "--set", "prompt_length=0"], CONFIG, "prompt_length must be >= 1"),
     "embed_dim": (["train", "--set", "embed_dim=0"], CONFIG, "embed_dim must be >= 1"),
     "mlp_ratio": (["train", "--set", "mlp_ratio=0"], CONFIG, "MLP width below 1"),
+    "mlp_ratio_past_any_array": (
+        ["train", "--set", "mlp_ratio=1e20"], CONFIG, "mlp_ratio 1e+20 gives an MLP width below 1 or not finite, or too wide",
+    ),
     "mlp_ratio_inf": (["train", "--set", "mlp_ratio=inf"], CONFIG, "mlp_ratio inf gives an MLP width below 1 or not finite"),
     "dropout": (["train", "--set", "dropout=1"], CONFIG, "dropout must be in [0, 1)"),
     "depth": (["train", "--set", "depth=0"], CONFIG, "depth must be >= 1, got 0"),
@@ -275,7 +281,7 @@ BAD_INPUTS = {
     "workers": (["ablate", "--workers", "0"], CONFIG, "--workers must be >= 1, got 0"),
     "lengths": (["sweep-length", "--lengths", "a"], CONFIG, "--lengths expects comma-separated integers"),
     "ckpt_embed_dim": ([*EVAL_DOPROMPT, "--set", "embed_dim=8"], FORMAT, "vit.patch.w has shape (192, 16)"),
-    "ckpt_depth": ([*EVAL_DOPROMPT, "--set", "depth=2"], FORMAT, "16 missing ['vit.block1.b1']"),
+    "ckpt_depth": ([*EVAL_DOPROMPT, "--set", "depth=2"], FORMAT, "12 missing ['vit.block1.b1']"),
     "ckpt_mlp_ratio": ([*EVAL_DOPROMPT, "--set", "mlp_ratio=4"], FORMAT, "vit.block0.w1 has shape (16, 32)"),
     "ckpt_dpt": (["eval", "--checkpoint", "{dpt}"], FORMAT, ".dpt checkpoints are no longer read, retrain"),
     "ckpt_truncated": (["eval", "--checkpoint", "{truncated}"], FORMAT, "truncated.npz: not a .npz of float32 arrays, or a truncated one"),
@@ -290,6 +296,15 @@ BAD_INPUTS = {
     "prompt_variant_on_erm": (["eval", "--checkpoint", "{erm}"], CONFIG, "variant 'doprompt' needs prompts"),
     "weights_on_erm": (["analyze", "weights", "--checkpoint", "{erm}"], CONFIG, "analyze weights needs prompts"),
     "prompt_table_on_erm": (["analyze", "prompt-table", "--checkpoint", "{erm}"], CONFIG, "prompt-table needs prompts"),
+    "adapted_eval_on_no_adapter": (
+        ["eval", "--checkpoint", "{no_adapter}"], CONFIG, "variant 'doprompt' needs a prompt adapter, but",
+    ),
+    "weights_on_no_adapter": (
+        ["analyze", "weights", "--checkpoint", "{no_adapter}"], CONFIG, "analyze weights needs a prompt adapter",
+    ),
+    "prompt_table_on_no_adapter": (
+        ["analyze", "prompt-table", "--checkpoint", "{no_adapter}"], CONFIG, "prompt-table needs a prompt adapter",
+    ),
     "data_dir_without_domains": (["train", "--data", "{dir}"], FORMAT, "no domain_* subdirectories"),
     "zero_spread": ([*PIXEL_DISTANCE, "{zero_spread}"], CONFIG, "between domains 0, 1 below 1e-09"),
     "one_image": ([*PIXEL_DISTANCE, "{one_image}"], CONFIG, "domain 0 has 1 feature vectors, need >= 2"),
@@ -332,6 +347,17 @@ def test_bad_input_exits_with_its_code_and_one_stderr_line(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n") and message in err, err
     assert [str(w.message) for w in recwarn] == []
+
+
+def test_a_model_too_large_for_memory_exits_2_with_one_line(tmp_path, config, capsys, monkeypatch):
+    # a real allocation of that size would meet the OOM killer on a host that overcommits memory
+    def init_vit_params(cfg, rng):
+        raise MemoryError("Unable to allocate 1.86 TiB for an array with shape (64, 4000000000)")
+
+    monkeypatch.setattr(pipeline.vit, "init_vit_params", init_vit_params)
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not fit in memory: Unable to allocate 1.86 TiB" in err, err
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -25,6 +25,12 @@ def test_one_seed_gives_bit_identical_data(dataset):
     assert not _same(generate_dataset(3, 10, 5), dataset)
 
 
+def test_a_domain_size_that_is_not_a_multiple_of_the_classes_raises(recwarn):
+    with pytest.raises(ValueError, match="per_domain_count 42 is not a multiple of the 5 classes"):
+        generate_dataset(2, 42, 0)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_directory_round_trip_is_exact(tmp_path, dataset):
     save_dataset(tmp_path / "data", dataset)
     assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["domain_00", "domain_01", "domain_02"]

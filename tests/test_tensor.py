@@ -247,6 +247,22 @@ def test_backward_accumulates_on_shared_input():
     np.testing.assert_allclose(x.grad, [8.0])
 
 
+def test_a_repeated_backward_doubles_the_leaf_gradients_and_releases_the_interior_ones():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    c = Tensor([2.0], requires_grad=True)
+    h = T.matmul(x, w)
+    loss = T.tensor_sum(h * h + h) + T.tensor_sum(c * 3.0)  # h fans out to two nodes
+    T.backward(loss)
+    once = [x.grad.copy(), w.grad.copy(), c.grad.copy()]
+    assert h.grad is None and loss.grad is None
+    T.backward(loss)
+    for leaf, grad in zip((x, w, c), once):
+        np.testing.assert_array_equal(leaf.grad, 2 * grad)
+    np.testing.assert_array_equal(c.grad, [6.0])
+
+
 def test_backward_two_layer_mlp_finite_difference():
     with T.default_dtype("float64"):
         rng = np.random.default_rng(11)
@@ -411,23 +427,24 @@ def test_linear_shape_error_names_all_shapes():
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
 
-ATTENTION_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv")
-
-
 def _attention_inputs(rng, b=2, t=5, d=8):
-    """h plus the six projections, scaled so the softmax is far from uniform."""
-    inputs = {"h": Tensor(rng.normal(size=(b, t, d)), requires_grad=True)}
-    for name in ATTENTION_WEIGHTS:
-        shape = (d, d) if name.startswith("w") else (d,)
-        inputs[name] = Tensor(0.5 * rng.normal(size=shape), requires_grad=True)
-    return inputs
+    """h plus the (D, 3D) q, k and v projection, scaled so the softmax is far from uniform."""
+    return {
+        "h": Tensor(rng.normal(size=(b, t, d)), requires_grad=True),
+        "wqkv": Tensor(0.5 * rng.normal(size=(d, 3 * d)), requires_grad=True),
+        "bqkv": Tensor(0.5 * rng.normal(size=3 * d), requires_grad=True),
+    }
 
 
-def _attention_loss(attend, inputs, weights, rate, seed=7):
+def _attention_loss(attend, project, inputs, weights, rate, seed=7):
     # a fresh generator per evaluation draws the same dropout mask every time
     rng = np.random.default_rng(seed)
-    out = attend(*(inputs[n] for n in ("h",) + ATTENTION_WEIGHTS), 2, rate, rng)
+    out = attend(project(inputs["h"], inputs["wqkv"], inputs["bqkv"]), 2, rate, rng)
     return T.tensor_sum(out * weights)
+
+
+def _unfused_linear(x, w, b):
+    return T.matmul(x, w) + b
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -436,10 +453,14 @@ def test_attention_gradient_64bit(rate):
         rng = np.random.default_rng(11)
         inputs = _attention_inputs(rng)
         weights = Tensor(rng.normal(size=(2, 5, 8)))
-        T.backward(_attention_loss(T.attention, inputs, weights, rate))
+
+        def loss():
+            return _attention_loss(T.attention, T.linear, inputs, weights, rate)
+
+        T.backward(loss())
         for name, p in inputs.items():
-            numeric = central_diff(lambda: _attention_loss(T.attention, inputs, weights, rate).item(), p.data, h=1e-6)
-            # bk shifts every score of a row equally, so its exact gradient is 0
+            numeric = central_diff(lambda: loss().item(), p.data, h=1e-6)
+            # the k bias shifts every score of a row equally, so its exact gradient is 0
             np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
@@ -448,8 +469,8 @@ def test_attention_matches_unfused_oracle_32bit(rate):
     rng = np.random.default_rng(12)
     weights = Tensor(rng.normal(size=(2, 5, 8)))
     fused, oracle = _attention_inputs(np.random.default_rng(13)), _attention_inputs(np.random.default_rng(13))
-    loss_fused = _attention_loss(T.attention, fused, weights, rate)
-    loss_oracle = _attention_loss(unfused_attention, oracle, weights, rate)
+    loss_fused = _attention_loss(T.attention, T.linear, fused, weights, rate)
+    loss_oracle = _attention_loss(unfused_attention, _unfused_linear, oracle, weights, rate)
     assert loss_fused.dtype == np.float32
     np.testing.assert_allclose(loss_fused.item(), loss_oracle.item(), rtol=0, atol=1e-6)
     T.backward(loss_fused)

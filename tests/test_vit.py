@@ -42,9 +42,8 @@ def ref_block(x, blk, num_heads):
     b, t, d = x.shape
     dh = d // num_heads
     h = ref_layer_norm(x, blk.ln1_g.data, blk.ln1_b.data)
-    q = h @ blk.wq.data + blk.bq.data
-    k = h @ blk.wk.data + blk.bk.data
-    v = h @ blk.wv.data + blk.bv.data
+    w, bias = blk.wqkv.data, blk.bqkv.data  # the q, k and v column blocks
+    q, k, v = (h @ w[:, i * d : (i + 1) * d] + bias[i * d : (i + 1) * d] for i in range(3))
     out = np.zeros_like(x)
     for bi in range(b):
         heads = []
@@ -145,8 +144,8 @@ def test_zero_value_projection_makes_attention_identity():
     cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=1, num_heads=2)
     params = make_model(cfg, seed=1)
     blk = params.blocks[0]
-    blk.wv.data[:] = 0.0
-    blk.bv.data[:] = 0.0
+    blk.wqkv.data[:, 16:] = 0.0  # the v columns of D = 8
+    blk.bqkv.data[16:] = 0.0
     blk.bo.data[:] = 0.0
     # kill the MLP too so only the attention sub-layer remains
     blk.w1.data[:] = 0.0
@@ -303,11 +302,23 @@ def test_config_invariants():
             ViTConfig(dropout_rate=rate)
 
 
+def test_wqkv_holds_the_q_k_v_draws_side_by_side():
+    # the init draws of a separate wq, wk and wv, so a seed gives the same model as before they merged
+    cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=1, num_heads=2)
+    rng = np.random.default_rng(3)
+    for shape in ((cfg.patch_dim, 8), (8,), (1 + cfg.num_patches, 8), (8, cfg.num_classes)):
+        rng.normal(0.0, 0.02, size=shape)  # patch, cls, pos, classifier
+    q, k, v = (rng.normal(0.0, 0.02, size=(8, 8)).astype(np.float32) for _ in range(3))
+    blk = make_model(cfg, seed=3).blocks[0]
+    assert blk.wqkv.data.tobytes() == np.concatenate([q, k, v], axis=1).tobytes()
+    assert blk.bqkv.shape == (24,) and not blk.bqkv.data.any()
+
+
 def test_named_params_namespacing():
     cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=2, num_heads=2)
     params = make_model(cfg)
     names = [n for n, _ in params.named()]
     assert "vit.cls" in names and "vit.pos" in names
-    assert "vit.block0.wq" in names and "vit.block1.w2" in names
+    assert "vit.block0.wqkv" in names and "vit.block0.bqkv" in names and "vit.block1.w2" in names
     assert "classifier.w" in names and "classifier.b" in names
     assert len(names) == len(set(names))
