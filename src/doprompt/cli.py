@@ -19,7 +19,7 @@ Exit codes, each failure with one line on stderr:
   them) or whose arrays or head count do not fit the configured model; a
   missing `--data` path, or one that is not a directory of `domain_*` arrays
   (an old `.dpd` file among them); a truncated or unreadable `.npy`, a domain
-  with no image, a non-finite pixel or a label that is not an int >= 0.
+  with no image, a pixel not finite as float32 or a label not an int >= 0.
 
 `eval` and `analyze` build the model from the config, except whether it has
 a prompt bank and an adapter, which comes from the checkpoint's array names,
@@ -235,6 +235,8 @@ def cmd_sweep_length(args) -> int:
         lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else list(DEFAULT_LENGTHS)
     except ValueError as exc:
         raise ConfigError(f"--lengths expects comma-separated integers, got {args.lengths!r}") from exc
+    if len(set(lengths)) < len(lengths):
+        raise ConfigError(f"--lengths names prompt length {max(lengths, key=lengths.count)} more than once")
     rows = {
         f"L{length}": dataclasses.replace(run, train=dataclasses.replace(run.train, prompt_length=length))
         for length in lengths

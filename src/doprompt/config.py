@@ -35,8 +35,9 @@ class Variant:
     `terms` are summed into the total, from "erm" (prompt-free cross-entropy,
     logged in the l_prompt column), "prompt" (L_prompt), "w" (lambda * L_w)
     and "adapt" (L_adapt). Only a variant with "w" or "adapt" has an adapter;
-    it runs it and logs L_w even when L_w carries no weight. Parameters
-    whose names start with a `frozen` prefix are never updated. `inference`
+    it runs it and logs L_w even when L_w carries no weight. `init_state`
+    builds the parameters whose names start with a `frozen` prefix with
+    `requires_grad=False`, so they are never updated. `inference`
     names the test-time logits: "adapted", "prompt_free", or
     "prompt_averaged" (the mean of the K single-prompt logits).
     """

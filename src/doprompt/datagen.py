@@ -224,8 +224,8 @@ def save_dataset(path, dataset: SyntheticDataset) -> None:
 
 def load_dataset(path) -> SyntheticDataset:
     """Read the directory `path`: every domain must hold at least one image,
-    every pixel must be finite and every label an int >= 0; the number of
-    classes is one past the largest label."""
+    every pixel must be finite in float32 and every label an int >= 0; the
+    number of classes is one past the largest label."""
     path = Path(path)
     if not path.is_dir():
         raise DataFormatError(
@@ -243,11 +243,13 @@ def load_dataset(path) -> SyntheticDataset:
             raise DataFormatError(f"{ddir}: images.npy or labels.npy is not a readable .npy: {exc}") from exc
         if img.ndim != 4 or len(img) == 0 or not np.issubdtype(img.dtype, np.number):
             raise DataFormatError(f"{ddir}: images.npy holds {img.dtype} {img.shape}, expected (N>=1, C, H, W)")
+        with np.errstate(over="ignore"):  # a pixel past the float32 range becomes inf, rejected below
+            img = img.astype(np.float32)
         if not np.isfinite(img).all():
-            raise DataFormatError(f"{ddir}: images.npy holds a non-finite pixel")
+            raise DataFormatError(f"{ddir}: images.npy holds a non-finite pixel, or one past the float32 range")
         if lab.shape != (len(img),) or not np.issubdtype(lab.dtype, np.integer) or lab.astype(np.int64).min() < 0:
             raise DataFormatError(f"{ddir}: labels.npy holds {lab.dtype} {lab.shape}, expected {len(img)} ints >= 0")
-        images.append(img.astype(np.float32))
+        images.append(img)
         labels.append(lab.astype(np.int64))
     num_classes = int(max(lab.max() for lab in labels)) + 1
     return SyntheticDataset(images, labels, num_classes=num_classes)

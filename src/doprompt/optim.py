@@ -1,4 +1,7 @@
-"""AdamW with decoupled weight decay."""
+"""AdamW with decoupled weight decay. The state holds moments only for the
+parameters it is built from, the ones that train, and `step_params` clears
+the grads it applies. Decay multiplies the already-updated value, where
+`torch.optim.AdamW` decays before the moment step."""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
-__all__ = ["AdamWState", "adamw_step", "init_adamw_state", "zero_grads"]
+__all__ = ["AdamWState", "adamw_step", "init_adamw_state", "step_params"]
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -24,11 +27,6 @@ def init_adamw_state(params: dict) -> AdamWState:
     m = {name: np.zeros_like(p.data) for name, p in params.items()}
     v = {name: np.zeros_like(p.data) for name, p in params.items()}
     return AdamWState(m, v, t=0)
-
-
-def zero_grads(params: dict) -> None:
-    for p in params.values():
-        p.grad = None
 
 
 def adamw_step(
@@ -84,7 +82,9 @@ def adamw_step(
 
 
 def step_params(params: dict, state: AdamWState, trainable, lr, weight_decay):
-    """Apply adamw_step to the subset of `params` named in `trainable`."""
+    """Apply adamw_step to the subset of `params` named in `trainable`, then clear their grads."""
     subset = {name: params[name] for name in trainable}
     grads = {name: p.grad for name, p in subset.items() if p.grad is not None}
     adamw_step(subset, grads, state, lr=lr, weight_decay=weight_decay)
+    for p in subset.values():
+        p.grad = None

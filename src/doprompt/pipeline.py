@@ -2,7 +2,7 @@
 
 Every variant trains and predicts from its row of `config.VARIANTS`: the
 loss terms go to `objectives.variant_loss`, the frozen name prefixes to
-`ModelState.trainable_names`, and the inference mode to `predict_logits`.
+`init_state`, and the inference mode to `predict_logits`.
 One training run is single-threaded and fully deterministic: every random
 draw (init, batch sampling, dropout) derives from the run seed. Validation
 uses the exact inference function later used on the target domain.
@@ -64,10 +64,6 @@ class ModelState:
         if self.adapter is not None:
             out.update(self.adapter.named())
         return out
-
-    def trainable_names(self, variant: str) -> list:
-        frozen = get_variant(variant).frozen
-        return [n for n in self.named_params() if not n.startswith(frozen)]
 
     def save(self, path) -> None:
         """One array per parameter, then the 0-d `meta.num_heads` array."""
@@ -140,7 +136,9 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
     """A fresh model with the parts `variant` trains: the backbone and classifier,
     a (num_domains, prompt_length, D) prompt bank if it uses prompts, and an
     adapter if it uses one. The adapter is drawn last, so the other parts are
-    the same for every variant of one seed."""
+    the same for every variant of one seed. The parameters under the variant's
+    `frozen` prefixes are built with `requires_grad=False`, so no backward
+    computes their gradients, and AdamW keeps moments for the others only."""
     spec = get_variant(variant)
     root = np.random.SeedSequence(seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
@@ -151,7 +149,9 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
     if spec.uses_adapter:
         adapter = prompting.init_adapter_params(cfg.embed_dim, num_domains, prompt_length, init_rng)
     state = ModelState(cfg=cfg, params=params, bank=bank, adapter=adapter, opt=None)
-    state.opt = optim.init_adamw_state(state.named_params())
+    for name, p in state.named_params().items():
+        p.requires_grad = not name.startswith(spec.frozen)
+    state.opt = optim.init_adamw_state({n: p for n, p in state.named_params().items() if p.requires_grad})
     return state
 
 
@@ -173,24 +173,19 @@ def train_step(
 
     The batch carries one sub-batch per source domain. Computes the variant's
     objective with dropout masks drawn from `rng`, backpropagates, and
-    applies AdamW to the variant's trainable parameters. Raises
+    applies AdamW to exactly the parameters that require grad, which clears
+    their grads. `variant` picks only the loss: `state` must come from
+    `init_state` for the same variant, as in `run_experiment`. Raises
     NumericalError if any component goes non-finite.
     """
     breakdown = objectives.variant_loss(
         get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch, config.lam, rng
     )
     _check_finite(breakdown)
-    named = state.named_params()
-    optim.zero_grads(named)
     T.backward(breakdown.total)
-    optim.step_params(
-        named,
-        state.opt,
-        state.trainable_names(variant),
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-    )
-    optim.zero_grads(named)
+    named = state.named_params()
+    trainable = [name for name, p in named.items() if p.requires_grad]
+    optim.step_params(named, state.opt, trainable, lr=config.learning_rate, weight_decay=config.weight_decay)
     return state, breakdown
 
 

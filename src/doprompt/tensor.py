@@ -262,7 +262,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the last axis of x: one GEMM over the flattened leading axes."""
+    """x @ w + b over the last axis of x: one GEMM over the flattened leading axes.
+    The backward pass computes no gradient for an operand that does not require grad."""
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
     d_in, d_out = w.shape
@@ -273,7 +274,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, d_out)
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x2.T @ g2, g2.sum(axis=0)
+        gw = x2.T @ g2 if w.requires_grad else None
+        return gx, gw, g2.sum(axis=0) if b.requires_grad else None
 
     return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bwd)
 
@@ -422,7 +424,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis (biased variance), then affine."""
+    """Normalize over the last axis (biased variance), then affine. The
+    backward pass skips the gradient of a `gamma` or `beta` that does not require grad."""
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xc * xc).mean(axis=-1, keepdims=True)  # biased
     inv = 1.0 / np.sqrt(var + eps)
@@ -436,8 +439,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             - gxhat.mean(axis=-1, keepdims=True)
             - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        ggamma = _unbroadcast(g * xhat, gamma.shape)
-        gbeta = _unbroadcast(g, beta.shape)
+        ggamma = _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None
+        gbeta = _unbroadcast(g, beta.shape) if beta.requires_grad else None
         return gx.astype(x.dtype, copy=False), ggamma, gbeta
 
     return _node(out, (x, gamma, beta), bwd)
@@ -568,8 +571,8 @@ def backward(loss: Tensor) -> None:
     """Populate `grad` on every tensor reachable from a scalar loss.
 
     Gradients accumulate at fan-in nodes. An interior node (one an op made)
-    releases its `grad` once passed to its parents; leaves keep theirs, so
-    they accumulate across repeated calls: clear with `optim.zero_grads`. A
+    releases its `grad` once passed to its parents; leaves keep theirs, so they
+    accumulate across repeated calls until `optim.step_params` clears them. A
     first contribution is stored as is and later ones are added out of place,
     so one array may be the grad of several tensors and is never written to.
     """

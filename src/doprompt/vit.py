@@ -203,8 +203,9 @@ def forward(
 ) -> tuple[Tensor, Tensor]:
     """Full forward pass; returns (cls_feature BxD, logits BxC).
 
-    `prompt_tokens` may be (P, D), shared by the batch, or (B, P, D); they are
+    `prompt_tokens` are (B, P, D), one row of P tokens per image; they are
     concatenated after the patch tokens and receive no positional embedding.
+    Any other shape raises ShapeError.
     The cls feature is the final-norm class token, the same tensor the
     classifier consumes. Dropout at `cfg.dropout_rate` runs exactly when
     `rng` is given; without it the pass is deterministic.
@@ -215,13 +216,8 @@ def forward(
     cls = T.broadcast_to(T.reshape(params.cls, (1, 1, d)), (b, 1, d))
     x = T.concat([cls, x], axis=1) + params.pos
     if prompt_tokens is not None:
-        if prompt_tokens.shape[-1] != d:
-            raise ShapeError(
-                f"prompt tokens have dim {prompt_tokens.shape[-1]}, model dim is {d}"
-            )
-        if prompt_tokens.ndim == 2:
-            p = prompt_tokens.shape[0]
-            prompt_tokens = T.broadcast_to(T.reshape(prompt_tokens, (1, p, d)), (b, p, d))
+        if prompt_tokens.ndim != 3 or prompt_tokens.shape[0] != b or prompt_tokens.shape[2] != d:
+            raise ShapeError(f"prompt tokens have shape {prompt_tokens.shape}, expected (batch {b}, P, dim {d})")
         x = T.concat([x, prompt_tokens], axis=1)
     x = T.dropout(x, cfg.dropout_rate, rng)
     for blk in params.blocks:

@@ -152,6 +152,13 @@ def unfused_attention_block(x, blk, cfg, rng=None):
 # looped inference oracles for the chunked read path
 
 
+def per_row(tokens, n):
+    """(P, D) prompt tokens as the (n, P, D) per-image tokens `vit.forward`
+    takes; gradients flow back into `tokens`."""
+    p, d = tokens.shape
+    return T.broadcast_to(T.reshape(tokens, (1, p, d)), (n, p, d))
+
+
 def looped_prompt_free_logits(state, images):
     """One unchunked prompt-free pass."""
     with T.no_grad():
@@ -163,7 +170,9 @@ def looped_per_prompt_logits(state, images):
     that `pipeline.per_prompt_logits` gathers into one."""
     with T.no_grad():
         return np.stack([
-            vit.forward(state.params, state.cfg, T.Tensor(images), prompting.domain_prompts(state.bank, k))[1].data
+            vit.forward(
+                state.params, state.cfg, T.Tensor(images), per_row(prompting.domain_prompts(state.bank, k), len(images))
+            )[1].data
             for k in range(state.bank.num_domains)
         ], axis=1)
 

@@ -208,6 +208,8 @@ def data_dirs(tmp_path):
 
     nan_pixel = images(5)
     nan_pixel[3, 1, 7, 9] = np.nan
+    past_float32 = images(5).astype(np.float64)
+    past_float32[2, 0, 4, 4] = 1e300  # finite, but inf as float32
 
     classes = np.arange(5)
     good = (images(5), classes)
@@ -226,6 +228,7 @@ def data_dirs(tmp_path):
         "label_past_classes": [good, (images(5), np.array([0, 1, 2, 3, 7]))],
         "npy_truncated": [good, (npy_bytes(images(5))[:-100], classes)],
         "nan_pixel": [good, (nan_pixel, classes)],
+        "past_float32": [good, (past_float32, classes)],
     }
     dirs = {}
     for name, domains in layouts.items():
@@ -280,6 +283,7 @@ BAD_INPUTS = {
     "num_seeds": (["ablate", "--num-seeds", "0"], CONFIG, "--num-seeds must be >= 1"),
     "workers": (["ablate", "--workers", "0"], CONFIG, "--workers must be >= 1, got 0"),
     "lengths": (["sweep-length", "--lengths", "a"], CONFIG, "--lengths expects comma-separated integers"),
+    "lengths_repeated": (["sweep-length", "--lengths", "4,2,4"], CONFIG, "--lengths names prompt length 4 more than once"),
     "ckpt_embed_dim": ([*EVAL_DOPROMPT, "--set", "embed_dim=8"], FORMAT, "vit.patch.w has shape (192, 16)"),
     "ckpt_depth": ([*EVAL_DOPROMPT, "--set", "depth=2"], FORMAT, "12 missing ['vit.block1.b1']"),
     "ckpt_mlp_ratio": ([*EVAL_DOPROMPT, "--set", "mlp_ratio=4"], FORMAT, "vit.block0.w1 has shape (16, 32)"),
@@ -318,6 +322,8 @@ BAD_INPUTS = {
     "nan_pixel_on_train": (["train", "--data", "{nan_pixel}"], FORMAT, "domain_01: images.npy holds a non-finite pixel"),
     "nan_pixel_on_eval": ([*EVAL_DOPROMPT, "--data", "{nan_pixel}"], FORMAT, "images.npy holds a non-finite pixel"),
     "nan_pixel_on_distance": ([*PIXEL_DISTANCE, "{nan_pixel}"], FORMAT, "images.npy holds a non-finite pixel"),
+    "past_float32_on_train": (["train", "--data", "{past_float32}"], FORMAT, "domain_01: images.npy holds a non-finite pixel, or one past the float32 range"),
+    "past_float32_on_eval": ([*EVAL_DOPROMPT, "--data", "{past_float32}"], FORMAT, "one past the float32 range"),
     "ckpt_num_heads": (
         [*EVAL_DOPROMPT, "--set", "num_heads=4"], FORMAT, "meta.num_heads is 2.0, the configured model has num_heads 4",
     ),

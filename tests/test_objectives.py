@@ -13,7 +13,7 @@ from doprompt.datagen import DomainBatch
 from doprompt.objectives import LossBreakdown
 from doprompt.tensor import Tensor
 
-from conftest import central_diff, check_gradient, norm_rel_error
+from conftest import central_diff, check_gradient, norm_rel_error, per_row
 
 
 def make_setup(cfg, k=2, length=2, seed=0):
@@ -98,7 +98,7 @@ def test_loss_prompt_matches_per_domain_forward_oracle_with_bank_gradient(tiny_v
     oracle = None
     for d in range(bank.num_domains):
         sel = np.flatnonzero(batch.domains == d)
-        _, logits = vit.forward(params, cfg, Tensor(batch.images[sel]), prompting.domain_prompts(bank, d))
+        _, logits = vit.forward(params, cfg, Tensor(batch.images[sel]), per_row(prompting.domain_prompts(bank, d), len(sel)))
         part = T.cross_entropy(logits, batch.labels[sel]) * (len(sel) / len(batch))
         oracle = part if oracle is None else oracle + part
     T.backward(oracle)

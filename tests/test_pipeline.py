@@ -77,6 +77,16 @@ FROZEN = {
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
+def test_init_state_builds_the_frozen_parameters_frozen(variant):
+    run = tiny_run_config()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
+    named = state.named_params()
+    trainable = {n for n in named if not n.startswith(FROZEN[variant])}
+    assert {n for n, p in named.items() if p.requires_grad} == trainable
+    assert set(state.opt.m) == set(state.opt.v) == trainable
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
 def test_train_step_updates_exactly_the_unfrozen_parameters(variant):
     run = tiny_run_config(dropout=0.1)
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
@@ -84,15 +94,18 @@ def test_train_step_updates_exactly_the_unfrozen_parameters(variant):
     pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
 
     for name, p in state.named_params().items():
+        assert p.grad is None, f"{name} kept its grad past the step"
         if name.startswith(FROZEN[variant]):
             assert p.data.tobytes() == before[name].tobytes(), f"frozen {name} changed"
         else:
             assert np.any(p.data != before[name]), f"trainable {name} did not move"
 
 
-def test_train_step_keeps_every_array_float32(monkeypatch):
+def _grads_step_params_receives(monkeypatch, variant):
+    """(state, grads): one `train_step` of a fresh `variant` model and every
+    parameter's grad as `optim.step_params` received it."""
     run = tiny_run_config(dropout=0.1)
-    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
     grads = {}
     step_params = optim.step_params
 
@@ -101,11 +114,20 @@ def test_train_step_keeps_every_array_float32(monkeypatch):
         return step_params(params, *args, **kwargs)
 
     monkeypatch.setattr(optim, "step_params", recording_step_params)
-    pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
+    pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
+    assert set(grads) == set(state.named_params())
+    return state, grads
 
-    named = state.named_params()
-    assert set(grads) == set(named)
-    for name, p in named.items():
+
+def test_frozen_backbone_backward_computes_no_backbone_gradient(monkeypatch):
+    _, grads = _grads_step_params_receives(monkeypatch, "frozen_backbone")
+    assert all(g is None for n, g in grads.items() if n.startswith("vit.")), "a frozen vit.* gradient was computed"
+    assert all(g is not None for n, g in grads.items() if not n.startswith("vit."))
+
+
+def test_train_step_keeps_every_array_float32(monkeypatch):
+    state, grads = _grads_step_params_receives(monkeypatch, "doprompt")
+    for name, p in state.named_params().items():
         assert p.data.dtype == np.float32, name
         assert grads[name].dtype == np.float32, name
         assert state.opt.m[name].dtype == state.opt.v[name].dtype == np.float32, name

@@ -422,6 +422,28 @@ def test_linear_gradient_64bit_on_3d_input():
         check_gradient(build, {"x": x, "w": w, "b": b}, h=1e-6, tol=1e-6)
 
 
+def test_frozen_linear_and_layer_norm_pass_only_the_input_gradient_64bit():
+    with T.default_dtype("float64"):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w, b = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=5))
+        gain, shift = Tensor(rng.normal(size=5) + 1.0), Tensor(rng.normal(size=5))
+
+        def build():
+            out = T.layer_norm(T.linear(x, w, b), gain, shift)
+            return T.tensor_sum(out * out)
+
+        check_gradient(build, {"x": x}, h=1e-6, tol=1e-6)
+        assert all(p.grad is None for p in (w, b, gain, shift))
+        # neither node computes a gradient for a frozen operand
+        h = T.linear(x, w, b)
+        out = T.layer_norm(h, gain, shift)
+        gh, ggain, gshift = out._backward_fn(np.ones(out.shape))
+        gx, gw, gb = h._backward_fn(gh)
+        assert gx.shape == x.shape and gh.shape == h.shape
+        assert ggain is None and gshift is None and gw is None and gb is None
+
+
 def test_linear_shape_error_names_all_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))

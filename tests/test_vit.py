@@ -75,8 +75,6 @@ def ref_forward(params, cfg, images, prompts=None):
     cls = np.broadcast_to(params.cls.data, (b, 1, cfg.embed_dim))
     x = np.concatenate([cls, x], axis=1) + params.pos.data
     if prompts is not None:
-        if prompts.ndim == 2:
-            prompts = np.broadcast_to(prompts, (b,) + prompts.shape)
         x = np.concatenate([x, prompts], axis=1)
     for blk in params.blocks:
         x = ref_block(x, blk, cfg.num_heads)
@@ -206,7 +204,7 @@ def test_token_count_with_prompts(num_prompts, tiny_vit_cfg):
     images = Tensor(np.random.default_rng(0).random((2, 3, 8, 8)).astype(np.float32))
     prompts = None
     if num_prompts:
-        prompts = Tensor(np.random.default_rng(1).normal(size=(num_prompts, cfg.embed_dim)))
+        prompts = Tensor(np.random.default_rng(1).normal(size=(2, num_prompts, cfg.embed_dim)))
     x = vit.patch_embed(params, cfg, images)
     feat, logits = vit.forward(params, cfg, images, prompts)
     # output shapes never depend on the number of prompt tokens
@@ -219,7 +217,15 @@ def test_prompt_dim_mismatch_rejected(tiny_vit_cfg):
     params = make_model(tiny_vit_cfg)
     images = Tensor(np.zeros((1, 3, 8, 8)))
     with pytest.raises(ShapeError, match="dim"):
-        vit.forward(params, tiny_vit_cfg, images, Tensor(np.zeros((2, 5))))
+        vit.forward(params, tiny_vit_cfg, images, Tensor(np.zeros((1, 2, 5))))
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (2, 2, 8)], ids=["shared", "batch"])
+def test_prompt_tokens_other_than_one_row_per_image_rejected(tiny_vit_cfg, shape):
+    params = make_model(tiny_vit_cfg)
+    images = Tensor(np.zeros((1, 3, 8, 8)))
+    with pytest.raises(ShapeError, match=r"expected \(batch 1, P, dim 8\)"):
+        vit.forward(params, tiny_vit_cfg, images, Tensor(np.zeros(shape)))
 
 
 def test_eval_forward_bit_identical(tiny_vit_cfg):
@@ -234,7 +240,7 @@ def test_dropout_runs_exactly_when_a_generator_is_passed(tiny_vit_cfg):
     cfg = dataclasses.replace(tiny_vit_cfg, dropout_rate=0.3)
     params = make_model(cfg)
     images = Tensor(np.random.default_rng(3).random((2, 3, 8, 8)).astype(np.float32))
-    prompts = Tensor(np.random.default_rng(4).normal(size=(2, cfg.embed_dim)))
+    prompts = Tensor(np.random.default_rng(4).normal(size=(2, 2, cfg.embed_dim)))
     no_rng = vit.forward(params, cfg, images, prompts)[1].data
     rate_zero = vit.forward(params, tiny_vit_cfg, images, prompts)[1].data
     seeded = [vit.forward(params, cfg, images, prompts, np.random.default_rng(5))[1].data for _ in range(2)]
@@ -254,7 +260,7 @@ def test_prompt_gradient_matches_finite_difference(tiny_vit_cfg):
         params = make_model(cfg, seed=7)
         rng = np.random.default_rng(8)
         images = rng.random((2, 3, 8, 8))
-        prompts = Tensor(rng.normal(scale=0.1, size=(3, cfg.embed_dim)), requires_grad=True)
+        prompts = Tensor(rng.normal(scale=0.1, size=(2, 3, cfg.embed_dim)), requires_grad=True)
         y = np.array([0, 2])
 
         def build():
@@ -263,7 +269,9 @@ def test_prompt_gradient_matches_finite_difference(tiny_vit_cfg):
 
         loss = build()
         T.backward(loss)
-        numeric = central_diff(lambda: build().item(), prompts.data, h=1e-6)
+        # the step of `check_gradient`: at 1e-6, rounding in the loss reaches
+        # 1e-6 relative on the smallest per-row entries (~1.7e-5)
+        numeric = central_diff(lambda: build().item(), prompts.data, h=1e-5)
         assert rel_error(prompts.grad, numeric) < 1e-6
 
 
@@ -277,7 +285,7 @@ def test_prompt_gradient_finite_difference_32bit(tiny_vit_cfg):
         if p.data.ndim >= 2 or name in ("vit.cls", "vit.pos"):
             p.data = rng.normal(0.0, 0.5, p.data.shape).astype(np.float32)
     images = rng.random((2, 3, 8, 8)).astype(np.float32)
-    prompts = Tensor(rng.normal(size=(3, cfg.embed_dim)), requires_grad=True)
+    prompts = Tensor(rng.normal(size=(2, 3, cfg.embed_dim)), requires_grad=True)
     y = np.array([0, 2])
 
     def build():
