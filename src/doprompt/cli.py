@@ -230,7 +230,6 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_length(args) -> int:
     run = _load_run_config(args)
-    dataset = _load_or_generate_data(args, run)
     try:
         lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else list(DEFAULT_LENGTHS)
     except ValueError as exc:
@@ -240,7 +239,8 @@ def cmd_sweep_length(args) -> int:
     rows = {
         f"L{length}": dataclasses.replace(run, train=dataclasses.replace(run.train, prompt_length=length))
         for length in lengths
-    }
+    }  # every length is checked here, before any data is built
+    dataset = _load_or_generate_data(args, run)
     return _run_table(args, run, dataset, rows, [run.target_domain], "length_sweep", "prompt_length")
 
 

@@ -5,8 +5,9 @@ Provides exactly the operations the model needs:
 - arithmetic: `add`, `sub`, `mul`, `div`, `exp`, `log`, `clamp_min`,
   `tensor_sum`, `matmul` (batched over leading axes);
 - fused layers: `linear` (x @ w + b as one GEMM over the flattened leading
-  axes) and `attention` (parameter-free multi-head self-attention of projected
-  q, k, v, with dropout on P and a backward from the saved softmax);
+  axes), `attention` (parameter-free multi-head self-attention of projected
+  q, k, v, with dropout on P and a backward from the saved softmax) and `mlp`
+  (a transformer MLP, Drop(Drop(GELU(x W1 + b1)) W2 + b2), as one node);
 - shape plumbing: `reshape`, `transpose`, `broadcast_to`, `concat`, indexing;
 - nonlinearities and losses: `softmax`, `layer_norm`, `gelu`,
   `cross_entropy`;
@@ -20,8 +21,15 @@ the engine to 64-bit (used by the gradient-check suite). GELU follows the
 input's dtype: float64 applies `math.erf` element by element, float32 a
 rational erf approximation, evaluated in cache-sized chunks, that keeps GELU
 within 2e-6 absolute of the float64 value on [-10, 10] (about 1.4e-6 at
-worst). Dropout runs exactly when it is given a generator, and its masks
-come from float32 uniform draws in both modes.
+worst).
+
+Dropout runs exactly when it is given a generator and a nonzero rate. Every
+mask, in `dropout`, `attention` and `mlp` alike, comes from `_keep_mask`: one
+16-bit draw per element (the generator's raw 64-bit output, split in four),
+kept where it is >= round(rate * 65536), capped at 65535. The realised rate is
+that threshold / 65536 (0.1 -> 0.1000061), while kept values are scaled by the
+nominal 1 / (1 - rate). A mask is a bool array, applied as `x * scale`, then
+`*= keep`, in both directions.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ __all__ = [
     "linear",
     "log",
     "matmul",
+    "mlp",
     "mul",
     "no_grad",
     "reshape",
@@ -286,8 +295,8 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
     q, k and v, side by side as a `linear` of width 3D writes them, each split
     into `num_heads` heads of width dh = D / num_heads. P = softmax(q k^T /
     sqrt(dh)) row-wise with the row max subtracted, P is dropped out like
-    `dropout` does (one mask drawn from `rng`, only when `rng` is given and
-    `rate` > 0), O = P V, and the heads are merged back to (B, T, D).
+    `dropout` does (one `_keep_mask` drawn from `rng`, only when `rng` is given
+    and `rate` > 0), O = P V, and the heads are merged back to (B, T, D).
 
     The backward pass returns dqkv from the saved P and mask, as FlashAttention
     does without tiling: with Pd = P * mask, dV = Pd^T dO, dP = (dO V^T) * mask,
@@ -302,18 +311,27 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
     q, k, v = np.ascontiguousarray(qkv.data.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4))
     s = q @ k.swapaxes(-1, -2)
     s *= scale
-    s -= s.max(axis=-1, keepdims=True)
+    # numpy reduces a short contiguous last axis ~5x slower than this column loop; a max is exact
+    row_max = s[..., 0].copy()
+    for j in range(1, t):
+        np.maximum(row_max, s[..., j], out=row_max)
+    s -= row_max[..., None]
     p = np.exp(s, out=s)
     p /= p.sum(axis=-1, keepdims=True)
-    mask = _dropout_mask(p.shape, rate, rng, p.dtype) if rng is not None and rate != 0.0 else None
-    pd = p if mask is None else p * mask
+    keep = _keep_mask(p.shape, rate, rng) if rng is not None and rate != 0.0 else None
+    if keep is None:
+        pd = p
+    else:
+        pd = p * (1.0 / (1.0 - rate))
+        pd *= keep
     out = (pd @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
 
     def bwd(g):
         go = g.reshape(b, t, num_heads, dh).transpose(0, 2, 1, 3)
         dp = go @ v.swapaxes(-1, -2)
-        if mask is not None:
-            dp *= mask
+        if keep is not None:
+            dp *= 1.0 / (1.0 - rate)
+            dp *= keep
         ds = dp - (dp * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
@@ -326,6 +344,65 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
         return (dqkv,)
 
     return _node(out, (qkv,), bwd)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
+        rng: np.random.Generator | None) -> Tensor:
+    """Drop(Drop(GELU(x W1 + b1)) W2 + b2) over the last axis of x, as one node.
+
+    Both GEMMs run over the flattened leading axes as in `linear`, GELU as in
+    `gelu`, and dropout, only when `rng` is given and `rate` > 0, as in
+    `dropout`, in place: one `_keep_mask` for the hidden layer, then one for
+    the output. The backward pass replays the backward operations of those
+    nodes in their order, so at rate 0 values and gradients are bitwise those
+    of `linear`, `gelu`, `linear`. It computes no gradient for an operand that
+    does not require grad.
+    """
+    if (w1.ndim != 2 or w2.ndim != 2 or x.ndim < 1 or x.shape[-1] != w1.shape[0] or b1.shape != w1.shape[1:]
+            or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ShapeError(
+            f"mlp: incompatible shapes {x.shape} x {w1.shape} + {b1.shape} x {w2.shape} + {b2.shape}"
+        )
+    d_in, d_out = w1.shape[0], w2.shape[1]
+    drop = rng is not None and rate != 0.0
+    scale = 1.0 / (1.0 - rate) if drop else 1.0
+    x2 = x.data.reshape(-1, d_in)
+    a = x2 @ w1.data
+    a += b1.data
+    cdf = _normal_cdf(a)
+    h = a * cdf
+    keep1 = keep2 = None
+    if drop:
+        keep1 = _keep_mask(h.shape, rate, rng)
+        h *= scale
+        h *= keep1
+    out = h @ w2.data
+    out += b2.data
+    if drop:
+        keep2 = _keep_mask(out.shape, rate, rng)
+        out *= scale
+        out *= keep2
+
+    def bwd(g):
+        g2 = g.reshape(-1, d_out)
+        if keep2 is not None:
+            g2 = g2 * scale
+            g2 *= keep2
+        gw2 = h.T @ g2 if w2.requires_grad else None
+        gb2 = g2.sum(axis=0) if b2.requires_grad else None
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return None, None, None, gw2, gb2
+        gh = g2 @ w2.data.T
+        if keep1 is not None:
+            gh *= scale
+            gh *= keep1
+        ga = _gelu_grad(a, cdf, gh)
+        gx = (ga @ w1.data.T).reshape(x.shape) if x.requires_grad else None
+        gw1 = x2.T @ ga if w1.requires_grad else None
+        gb1 = ga.sum(axis=0) if b1.requires_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +576,21 @@ def gelu(x: Tensor) -> Tensor:
     out = x.data * cdf
 
     def bwd(g):
-        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
-        gx = x.data * x.data
-        gx *= -0.5
-        np.exp(gx, out=gx)
-        gx *= x.data
-        gx *= 1.0 / math.sqrt(2.0 * math.pi)
-        gx += cdf
-        gx *= g
-        return (gx,)
+        return (_gelu_grad(x.data, cdf, g),)
 
     return _node(out, (x,), bwd)
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer."""
+    gx = x * x
+    gx *= -0.5
+    np.exp(gx, out=gx)
+    gx *= x
+    gx *= 1.0 / math.sqrt(2.0 * math.pi)
+    gx += cdf
+    gx *= g
+    return gx
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -540,22 +621,28 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout with a mask drawn from `rng`; `x` itself when `rng`
-    is None or `rate` == 0."""
+    """Inverted dropout with one `_keep_mask` drawn from `rng`; `x` itself
+    when `rng` is None or `rate` == 0."""
     if rng is None or rate == 0.0:
         return x
-    mask = _dropout_mask(x.shape, rate, rng, x.dtype)
+    keep = _keep_mask(x.shape, rate, rng)
+    scale = 1.0 / (1.0 - rate)
+    out = x.data * scale
+    out *= keep
 
     def bwd(g):
-        return (g * mask,)
+        gx = g * scale
+        gx *= keep
+        return (gx,)
 
-    return _node(x.data * mask, (x,), bwd)
+    return _node(out, (x,), bwd)
 
 
-def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Keep-and-rescale mask, 0 or 1 / (1 - rate), from one float32 uniform draw."""
-    keep = rng.random(shape, dtype=np.float32) >= rate
-    return np.multiply(keep, 1.0 / (1.0 - rate), dtype=dtype)
+def _keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Bool keep mask: one 16-bit draw per element, kept where it is >= min(round(rate * 65536), 65535)."""
+    n = math.prod(shape)
+    bits = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    return (bits >= min(round(rate * 65536), 65535)).reshape(shape)
 
 
 def detach(x: Tensor) -> Tensor:

@@ -175,12 +175,13 @@ def attention_block(x: Tensor, blk: BlockParams, cfg: ViTConfig, rng: np.random.
     """Pre-norm residual block with full bidirectional attention.
 
     x + Drop(Attn(LN1(x)) Wo + bo), then + Drop(Drop(GELU(LN2(.) W1 + b1)) W2 + b2).
-    The q, k and v projection, the output projection and both MLP layers are
-    `tensor.linear` nodes; between the first two, one `tensor.attention`
-    node runs the parameter-free core over `cfg.num_heads` heads, with
-    dropout on the attention probabilities. Dropout at `cfg.dropout_rate`
-    runs only when `rng` is given; its masks are drawn in this order:
-    attention probabilities, attention output, MLP hidden layer, MLP output.
+    The q, k and v projection and the output projection are `tensor.linear`
+    nodes; between them, one `tensor.attention` node runs the parameter-free
+    core over `cfg.num_heads` heads, with dropout on the attention
+    probabilities. The whole MLP, both layers, GELU and its two dropouts, is
+    one `tensor.mlp` node. Dropout at `cfg.dropout_rate` runs only when `rng`
+    is given; its masks are drawn in this order: attention probabilities,
+    attention output, MLP hidden layer, MLP output.
     """
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
     rate = cfg.dropout_rate
@@ -189,9 +190,7 @@ def attention_block(x: Tensor, blk: BlockParams, cfg: ViTConfig, rng: np.random.
     x = x + o
 
     h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)
-    m = T.dropout(T.gelu(T.linear(h2, blk.w1, blk.b1)), rate, rng)
-    m = T.dropout(T.linear(m, blk.w2, blk.b2), rate, rng)
-    return x + m
+    return x + T.mlp(h2, blk.w1, blk.b1, blk.w2, blk.b2, rate, rng)
 
 
 def forward(

@@ -1,6 +1,6 @@
 """Shared helpers: finite-difference gradient checking, a float64 erf, tiny
-model builders, the unfused attention oracles and the looped inference
-oracles."""
+model builders, the unfused attention and MLP oracles and the looped
+inference oracles."""
 
 import math
 
@@ -112,7 +112,7 @@ def tiny_run_config(**train_kwargs) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# unfused oracles for the fused attention node and the transformer block
+# unfused oracles for the fused attention and MLP nodes and the transformer block
 
 
 def unfused_attention(qkv, num_heads, rate, rng):
@@ -132,6 +132,13 @@ def unfused_attention(qkv, num_heads, rate, rng):
     att = T.dropout(T.softmax(att, axis=-1), rate, rng)
     o = T.matmul(att, v)  # (B, heads, T, dh)
     return T.reshape(T.transpose(o, (0, 2, 1, 3)), (b, t, d))
+
+
+def unfused_mlp(x, w1, b1, w2, b2, rate, rng):
+    """`tensor.mlp` composed of the linear, gelu and dropout nodes it fuses,
+    with the two masks drawn in its order: hidden layer, then output."""
+    m = T.dropout(T.gelu(T.linear(x, w1, b1)), rate, rng)
+    return T.dropout(T.linear(m, w2, b2), rate, rng)
 
 
 def unfused_attention_block(x, blk, cfg, rng=None):

@@ -284,6 +284,7 @@ BAD_INPUTS = {
     "workers": (["ablate", "--workers", "0"], CONFIG, "--workers must be >= 1, got 0"),
     "lengths": (["sweep-length", "--lengths", "a"], CONFIG, "--lengths expects comma-separated integers"),
     "lengths_repeated": (["sweep-length", "--lengths", "4,2,4"], CONFIG, "--lengths names prompt length 4 more than once"),
+    "lengths_zero": (["sweep-length", "--lengths", "0,2"], CONFIG, "prompt_length must be >= 1, got 0"),
     "ckpt_embed_dim": ([*EVAL_DOPROMPT, "--set", "embed_dim=8"], FORMAT, "vit.patch.w has shape (192, 16)"),
     "ckpt_depth": ([*EVAL_DOPROMPT, "--set", "depth=2"], FORMAT, "12 missing ['vit.block1.b1']"),
     "ckpt_mlp_ratio": ([*EVAL_DOPROMPT, "--set", "mlp_ratio=4"], FORMAT, "vit.block0.w1 has shape (16, 32)"),
@@ -364,6 +365,17 @@ def test_a_model_too_large_for_memory_exits_2_with_one_line(tmp_path, config, ca
     assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "does not fit in memory: Unable to allocate 1.86 TiB" in err, err
+
+
+@pytest.mark.parametrize("lengths", ["a", "2,2", "0,2"])
+def test_sweep_length_rejects_its_lengths_before_building_any_data(tmp_path, config, capsys, monkeypatch, lengths):
+    def load_or_generate_data(args, run):
+        raise AssertionError("the data was built before --lengths was checked")
+
+    monkeypatch.setattr(cli, "_load_or_generate_data", load_or_generate_data)
+    argv = ["sweep-length", "--config", config, "--out", str(tmp_path / "out"), "--lengths", lengths]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -9,7 +9,7 @@ import pytest
 from doprompt import tensor as T
 from doprompt.tensor import ShapeError, Tensor
 
-from conftest import central_diff, check_gradient, erf64, rel_error, unfused_attention
+from conftest import central_diff, check_gradient, erf64, rel_error, unfused_attention, unfused_mlp
 
 
 def series_erf(x: float, terms: int = 40) -> float:
@@ -332,6 +332,37 @@ def test_dropout_deterministic_given_seed():
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_keep_mask_keeps_one_minus_the_16_bit_threshold_share():
+    keep = T._keep_mask((1024, 1024), 0.1, np.random.default_rng(17))
+    assert keep.dtype == np.bool_ and keep.nbytes == keep.size
+    p = 1.0 - 6554 / 65536  # threshold round(0.1 * 65536)
+    assert abs(keep.mean() - p) < 5.0 * math.sqrt(p * (1.0 - p) / keep.size)
+
+
+def test_dropout_just_below_rate_one_keeps_the_top_16_bit_value_and_stays_finite():
+    # round(0.999999 * 65536) is 65536, which no 16-bit draw reaches; the cap keeps 65535
+    x = Tensor(np.random.default_rng(2).normal(size=(512, 512)))
+    out = T.dropout(x, 0.999999, np.random.default_rng(3))
+    kept = np.random.default_rng(3).bit_generator.random_raw(512 * 512 // 4).view(np.uint16).reshape(512, 512) == 65535
+    assert kept.any() and np.isfinite(out.data).all()
+    np.testing.assert_array_equal(out.data != 0.0, kept)
+
+
+def test_dropout_attention_and_mlp_draw_the_keep_mask_stream_in_turn():
+    data = np.random.default_rng(4)
+    x = Tensor(data.normal(size=(3, 5, 8)))
+    qkv = Tensor(data.normal(size=(3, 5, 24)))
+    w1, b1, w2, b2 = (Tensor(data.normal(size=s)) for s in ((8, 16), (16,), (16, 8), (8,)))
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    dropped = T.dropout(x, 0.3, rng)
+    T.attention(qkv, 2, 0.3, rng)
+    T.mlp(x, w1, b1, w2, b2, 0.3, rng)
+    # input, attention probabilities (odd size: 150 draws of 16 bits), MLP hidden layer, MLP output
+    masks = [T._keep_mask(shape, 0.3, twin) for shape in ((3, 5, 8), (3, 2, 5, 5), (15, 16), (15, 8))]
+    np.testing.assert_array_equal(dropped.data, x.data * (1.0 / 0.7) * masks[0])
+    assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
 def test_no_grad_records_nothing():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
@@ -404,7 +435,7 @@ def test_cross_entropy_gradient_64bit():
 
 
 # ---------------------------------------------------------------------------
-# fused nodes: linear and attention
+# fused nodes: linear, attention and mlp
 
 
 def test_linear_gradient_64bit_on_3d_input():
@@ -458,15 +489,11 @@ def _attention_inputs(rng, b=2, t=5, d=8):
     }
 
 
-def _attention_loss(attend, project, inputs, weights, rate, seed=7):
+def _attention_loss(attend, inputs, weights, rate, seed=7):
     # a fresh generator per evaluation draws the same dropout mask every time
     rng = np.random.default_rng(seed)
-    out = attend(project(inputs["h"], inputs["wqkv"], inputs["bqkv"]), 2, rate, rng)
+    out = attend(T.linear(inputs["h"], inputs["wqkv"], inputs["bqkv"]), 2, rate, rng)
     return T.tensor_sum(out * weights)
-
-
-def _unfused_linear(x, w, b):
-    return T.matmul(x, w) + b
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -477,7 +504,7 @@ def test_attention_gradient_64bit(rate):
         weights = Tensor(rng.normal(size=(2, 5, 8)))
 
         def loss():
-            return _attention_loss(T.attention, T.linear, inputs, weights, rate)
+            return _attention_loss(T.attention, inputs, weights, rate)
 
         T.backward(loss())
         for name, p in inputs.items():
@@ -488,18 +515,99 @@ def test_attention_gradient_64bit(rate):
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_attention_matches_unfused_oracle_32bit(rate):
+    # both sides project with `linear` and apply one mask with the same arithmetic, so they agree bitwise
     rng = np.random.default_rng(12)
     weights = Tensor(rng.normal(size=(2, 5, 8)))
     fused, oracle = _attention_inputs(np.random.default_rng(13)), _attention_inputs(np.random.default_rng(13))
-    loss_fused = _attention_loss(T.attention, T.linear, fused, weights, rate)
-    loss_oracle = _attention_loss(unfused_attention, _unfused_linear, oracle, weights, rate)
+    loss_fused = _attention_loss(T.attention, fused, weights, rate)
+    loss_oracle = _attention_loss(unfused_attention, oracle, weights, rate)
     assert loss_fused.dtype == np.float32
-    np.testing.assert_allclose(loss_fused.item(), loss_oracle.item(), rtol=0, atol=1e-6)
+    assert loss_fused.item() == loss_oracle.item()
     T.backward(loss_fused)
     T.backward(loss_oracle)
     for name in fused:
         assert fused[name].grad.dtype == np.float32, name
-        np.testing.assert_allclose(fused[name].grad, oracle[name].grad, rtol=0, atol=1e-6, err_msg=name)
+        np.testing.assert_array_equal(fused[name].grad, oracle[name].grad, err_msg=name)
+
+
+def _mlp_inputs(rng, b=2, t=5, d=8, hidden=16):
+    """x and the two layers, scaled so GELU's curved region and both tails are reached."""
+    return {
+        "x": Tensor(rng.normal(size=(b, t, d)), requires_grad=True),
+        "w1": Tensor(0.7 * rng.normal(size=(d, hidden)), requires_grad=True),
+        "b1": Tensor(0.5 * rng.normal(size=hidden), requires_grad=True),
+        "w2": Tensor(0.5 * rng.normal(size=(hidden, d)), requires_grad=True),
+        "b2": Tensor(0.5 * rng.normal(size=d), requires_grad=True),
+    }
+
+
+def _mlp_loss(mlp, inputs, weights, rate, seed=7):
+    # a fresh generator per evaluation draws the same two masks every time
+    out = mlp(*inputs.values(), rate, np.random.default_rng(seed))
+    return T.tensor_sum(out * weights)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_mlp_gradient_64bit(rate):
+    with T.default_dtype("float64"):
+        rng = np.random.default_rng(14)
+        inputs = _mlp_inputs(rng)
+        weights = Tensor(rng.normal(size=(2, 5, 8)))
+
+        def loss():
+            return _mlp_loss(T.mlp, inputs, weights, rate)
+
+        T.backward(loss())
+        for name, p in inputs.items():
+            numeric = central_diff(lambda: loss().item(), p.data, h=1e-6)
+            np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_mlp_matches_unfused_oracle_32bit(rate):
+    rng = np.random.default_rng(15)
+    weights = Tensor(rng.normal(size=(2, 5, 8)))
+    fused, oracle = _mlp_inputs(np.random.default_rng(16)), _mlp_inputs(np.random.default_rng(16))
+    out_fused = T.mlp(*fused.values(), rate, np.random.default_rng(7))
+    out_oracle = unfused_mlp(*oracle.values(), rate, np.random.default_rng(7))
+    assert out_fused.dtype == np.float32
+    np.testing.assert_array_equal(out_fused.data, out_oracle.data)
+    T.backward(T.tensor_sum(out_fused * weights))
+    T.backward(T.tensor_sum(out_oracle * weights))
+    for name in fused:
+        assert fused[name].grad.dtype == np.float32, name
+        np.testing.assert_array_equal(fused[name].grad, oracle[name].grad, err_msg=name)
+    assert rate == 0.0 or (out_fused.data == 0.0).any()
+
+
+@pytest.mark.parametrize("frozen", [("w1", "b1", "w2", "b2"), ("x",)])
+def test_mlp_computes_no_gradient_for_a_frozen_operand(frozen):
+    weights = Tensor(np.random.default_rng(18).normal(size=(2, 5, 8)))
+    live, part = _mlp_inputs(np.random.default_rng(19)), _mlp_inputs(np.random.default_rng(19))
+    for name in frozen:
+        part[name].requires_grad = False
+    T.backward(_mlp_loss(T.mlp, live, weights, 0.3))
+    T.backward(_mlp_loss(T.mlp, part, weights, 0.3))
+    for name, p in part.items():
+        if name in frozen:
+            assert p.grad is None, name
+        else:
+            np.testing.assert_array_equal(p.grad, live[name].grad, err_msg=name)
+    out = T.mlp(*part.values(), 0.3, np.random.default_rng(7))
+    grads = dict(zip(part, out._backward_fn(np.ones(out.shape, dtype=np.float32))))
+    assert [name for name, g in grads.items() if g is None] == list(frozen)
+
+
+def test_mlp_under_no_grad_records_no_graph():
+    inputs = _mlp_inputs(np.random.default_rng(19))
+    with T.no_grad():
+        out = T.mlp(*inputs.values(), 0.3, np.random.default_rng(7))
+    assert not out.requires_grad and out._parents == () and out._backward_fn is None
+
+
+def test_mlp_shape_error_names_all_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 8\).*\(8, 16\).*\(16,\).*\(12, 8\).*\(8,\)"):
+        T.mlp(*(Tensor(np.zeros(s)) for s in ((2, 8), (8, 16), (16,), (12, 8), (8,))), 0.0, None)
 
 
 # ---------------------------------------------------------------------------
