@@ -19,7 +19,6 @@ from .pipeline import (
 )
 from .prompting import (
     AdapterParams,
-    PromptBank,
     adapter_forward,
     compose_adapted_prompts,
     domain_prompts,

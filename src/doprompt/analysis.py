@@ -137,7 +137,7 @@ def adapter_weight_stats(state: ModelState, dataset: SyntheticDataset) -> Adapte
     Weights come from `pipeline.infer`, averaged over prompt positions before
     the argmax / mean reductions; column k is source slot k.
     """
-    n, k = dataset.num_domains, state.bank.num_domains
+    n, k = dataset.num_domains, state.bank.shape[0]
     percentages, averages = np.zeros((n, k)), np.zeros((n, k))
     for d in range(n):
         per_sample = pipeline.infer(state, dataset.images[d])[1].mean(axis=1)  # (N, K)

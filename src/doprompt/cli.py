@@ -77,14 +77,14 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _load_run_config(args) -> RunConfig:
-    overrides = _parse_overrides(getattr(args, "set", None))
-    if getattr(args, "seed", None) is not None:
+    overrides = _parse_overrides(args.set)
+    if args.seed is not None:
         overrides["seed"] = str(args.seed)
     return load_config(args.config, overrides)
 
 
 def _load_or_generate_data(args, run: RunConfig) -> datagen.SyntheticDataset:
-    if getattr(args, "data", None):
+    if args.data:
         path = Path(args.data)
         if not path.exists():
             raise DataFormatError(f"data path not found: {path}")

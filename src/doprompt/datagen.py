@@ -83,9 +83,6 @@ class DomainBatch:
     labels: np.ndarray  # (B,) int64
     domains: np.ndarray  # (B,) int64 source slot: the row of the prompt bank
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 @dataclass
 class SyntheticDataset:

@@ -18,7 +18,7 @@ from . import tensor as T
 from . import vit
 from .config import VARIANTS, Variant
 from .datagen import DomainBatch
-from .prompting import AdapterParams, PromptBank, adapter_forward, compose_adapted_prompts
+from .prompting import AdapterParams, adapter_forward, compose_adapted_prompts
 from .tensor import Tensor
 
 __all__ = ["LossBreakdown", "loss_erm", "loss_prompt", "loss_w", "total_loss", "variant_loss"]
@@ -56,14 +56,14 @@ def loss_erm(params, cfg, batch: DomainBatch, rng=None) -> Tensor:
     return T.cross_entropy(logits, batch.labels)
 
 
-def loss_prompt(params, cfg, bank: PromptBank, batch: DomainBatch, rng=None) -> Tensor:
-    """One pass in which each sample carries its own domain's prompts; mean
-    over the batch. Dropout runs when `rng` is given."""
+def loss_prompt(params, cfg, bank: Tensor, batch: DomainBatch, rng=None) -> Tensor:
+    """One pass in which each sample carries its own domain's prompts, gathered
+    from the (K, L, D) bank; mean over the batch. Dropout runs when `rng` is given."""
     domains = np.asarray(batch.domains)
-    bad = (domains < 0) | (domains >= bank.num_domains)
+    bad = (domains < 0) | (domains >= bank.shape[0])
     if bad.any():
-        raise IndexError(f"domain index {domains[bad][0]} out of range [0, {bank.num_domains})")
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), bank.tokens[domains], rng)
+        raise IndexError(f"domain index {domains[bad][0]} out of range [0, {bank.shape[0]})")
+    _, logits = vit.forward(params, cfg, Tensor(batch.images), bank[domains], rng)
     return T.cross_entropy(logits, batch.labels)
 
 
@@ -87,7 +87,7 @@ def variant_loss(
     variant: Variant,
     params,
     cfg,
-    bank: PromptBank | None,
+    bank: Tensor | None,
     adapter: AdapterParams | None,
     batch: DomainBatch,
     lam: float,
@@ -105,7 +105,7 @@ def variant_loss(
     if variant.uses_adapter:
         with T.no_grad():
             feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, rng)
-        weights = adapter_forward(adapter, feat)
+        weights = adapter_forward(adapter, bank, feat)
         l_w = loss_w(weights, batch.domains)
     if variant.uses_prompts:
         l_p = loss_prompt(params, cfg, bank, batch, rng)
@@ -125,7 +125,7 @@ def variant_loss(
 def total_loss(
     params,
     cfg,
-    bank: PromptBank,
+    bank: Tensor,
     adapter: AdapterParams,
     batch: DomainBatch,
     lam: float,

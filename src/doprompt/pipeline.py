@@ -22,7 +22,7 @@ from . import tensor as T
 from .config import ConfigError, RunConfig, TrainConfig, get_variant
 from .datagen import DomainBatch, SyntheticDataset
 from .objectives import LossBreakdown
-from .prompting import AdapterParams, PromptBank
+from .prompting import AdapterParams
 from .tensor import Tensor
 from .vit import ViTConfig, ViTParams
 
@@ -49,18 +49,26 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class ModelState:
-    """Everything a training run mutates, checkpointable bit-exactly."""
+    """Everything a training run mutates.
+
+    `bank` is the (K, L, D) prompt bank, whose shape is the one record of K
+    and L. `save` writes the parameters bit-exactly, but not `opt`: the AdamW
+    moments and step count are never saved, so a loaded state starts a fresh
+    optimizer and cannot resume a run bit-exactly.
+    """
 
     cfg: ViTConfig
     params: ViTParams
-    bank: PromptBank | None
+    bank: Tensor | None
     adapter: AdapterParams | None
     opt: optim.AdamWState
 
     def named_params(self) -> dict:
+        """Name -> parameter: the `vit.*` and `classifier.*` arrays, then
+        `prompts.bank`, then the `adapter.*` arrays, for the parts present."""
         out = dict(self.params.named())
         if self.bank is not None:
-            out.update(self.bank.named())
+            out["prompts.bank"] = self.bank
         if self.adapter is not None:
             out.update(self.adapter.named())
         return out
@@ -219,7 +227,7 @@ def infer(state: ModelState, images: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     feat, _ = _forward_eval(state, images)
     with T.no_grad():
-        weights = prompting.adapter_forward(state.adapter, Tensor(feat))
+        weights = prompting.adapter_forward(state.adapter, state.bank, Tensor(feat))
         adapted = prompting.compose_adapted_prompts(state.bank, weights)
     return _forward_eval(state, images, adapted.data)[1], weights.data
 
@@ -229,8 +237,8 @@ def per_prompt_logits(state: ModelState, images: np.ndarray) -> np.ndarray:
 
     One pass over N*K rows: row i*K + k is image i with prompt k of the bank.
     """
-    k = state.bank.num_domains
-    tiled = np.tile(state.bank.tokens.data, (len(images), 1, 1))
+    k = state.bank.shape[0]
+    tiled = np.tile(state.bank.data, (len(images), 1, 1))
     logits = _forward_eval(state, np.repeat(images, k, axis=0), tiled)[1]
     return logits.reshape(len(images), k, -1)
 

@@ -4,6 +4,14 @@ Token order is [CLS], patch tokens in raster order, then any appended prompt
 tokens. Positional embeddings cover only [CLS] and the patches; prompts ride
 along as position-free tokens and take part in every attention layer. Blocks
 are pre-norm residual: x + Attn(LN(x)), then + MLP(LN(.)).
+
+The paper places the prompts ahead of the patch tokens; appending them gives
+the same model. A prompt gets no positional embedding, so its index carries
+no information; attention runs without a mask and every other layer acts on
+each token alone, so a block treats the tokens symmetrically and reordering
+its input only reorders its output; and the class token is read at index 0
+in both layouts. Only the order of float sums over the keys and which
+dropout mask entry a token draws differ.
 """
 
 from __future__ import annotations

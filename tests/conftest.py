@@ -1,6 +1,6 @@
 """Shared helpers: finite-difference gradient checking, a float64 erf, tiny
-model builders, the unfused attention and MLP oracles and the looped
-inference oracles."""
+model builders, the unfused attention, MLP and adapter oracles and the
+looped inference oracles."""
 
 import math
 
@@ -180,14 +180,24 @@ def looped_per_prompt_logits(state, images):
             vit.forward(
                 state.params, state.cfg, T.Tensor(images), per_row(prompting.domain_prompts(state.bank, k), len(images))
             )[1].data
-            for k in range(state.bank.num_domains)
+            for k in range(state.bank.shape[0])
         ], axis=1)
 
 
+def unfused_adapter(adapter, bank, feature):
+    """`prompting.adapter_forward` composed of single-op nodes: linear, gelu,
+    linear, then the reshape to (B, L, K) and the softmax over K."""
+    k, length = bank.shape[:2]
+    h = T.gelu(T.linear(feature, adapter.w1, adapter.b1))
+    raw = T.reshape(T.linear(h, adapter.w2, adapter.b2), (feature.shape[0], length, k))
+    return T.softmax(raw, axis=-1)
+
+
 def looped_infer(state, images):
-    """Unchunked two-pass adapted inference: (logits, weights)."""
+    """Unchunked two-pass adapted inference: (logits, weights), the weights
+    from `unfused_adapter`."""
     with T.no_grad():
         feat, _ = vit.forward(state.params, state.cfg, T.Tensor(images))
-        weights = prompting.adapter_forward(state.adapter, feat)
+        weights = unfused_adapter(state.adapter, state.bank, feat)
         adapted = prompting.compose_adapted_prompts(state.bank, weights)
         return vit.forward(state.params, state.cfg, T.Tensor(images), adapted)[1].data, weights.data

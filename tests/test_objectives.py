@@ -92,19 +92,19 @@ def test_loss_prompt_matches_per_domain_forward_oracle_with_bank_gradient(tiny_v
 
     loss = objectives.loss_prompt(params, cfg, bank, batch)
     T.backward(loss)
-    grad = bank.tokens.grad.copy()
-    bank.tokens.grad = None
+    grad = bank.grad.copy()
+    bank.grad = None
 
     oracle = None
-    for d in range(bank.num_domains):
+    for d in range(bank.shape[0]):
         sel = np.flatnonzero(batch.domains == d)
         _, logits = vit.forward(params, cfg, Tensor(batch.images[sel]), per_row(prompting.domain_prompts(bank, d), len(sel)))
-        part = T.cross_entropy(logits, batch.labels[sel]) * (len(sel) / len(batch))
+        part = T.cross_entropy(logits, batch.labels[sel]) * (len(sel) / len(batch.labels))
         oracle = part if oracle is None else oracle + part
     T.backward(oracle)
 
     assert abs(loss.item() - oracle.item()) < 1e-6
-    np.testing.assert_allclose(grad, bank.tokens.grad, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(grad, bank.grad, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_loss_adapt_one_hot_vertex_equals_loss_prompt(tiny_vit_cfg):
     params, bank, adapter = make_setup(cfg, k=2, length=2)
     batch = make_batch(cfg, [1], per_domain=4)
     adapter.w2.data[:] = 0.0
-    adapter.b2.data[:] = np.tile([-100.0, 100.0], bank.length)  # (L * K,), K fastest
+    adapter.b2.data[:] = np.tile([-100.0, 100.0], bank.shape[1])  # (L * K,), K fastest
     br = objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0)
     lp, lw, la, tot = br.floats()
     assert lw == 0.0
@@ -256,15 +256,15 @@ def test_lambda_zero_gradients_match_sum_of_other_losses(tiny_vit_cfg):
     batch = make_batch(cfg, [0, 1])
 
     params, bank, adapter = make_setup(cfg, k=2)
-    named = dict(params.named()) | dict(bank.named()) | dict(adapter.named())
+    named = dict(params.named()) | {"prompts.bank": bank} | dict(adapter.named())
     br = objectives.total_loss(params, cfg, bank, adapter, batch, lam=0.0)
     T.backward(br.total)
     grads_total = {n: (p.grad.copy() if p.grad is not None else None) for n, p in named.items()}
 
     params2, bank2, adapter2 = make_setup(cfg, k=2)
-    named2 = dict(params2.named()) | dict(bank2.named()) | dict(adapter2.named())
+    named2 = dict(params2.named()) | {"prompts.bank": bank2} | dict(adapter2.named())
     feat, _ = vit.forward(params2, cfg, Tensor(batch.images), None)
-    weights = prompting.adapter_forward(adapter2, T.detach(feat))
+    weights = prompting.adapter_forward(adapter2, bank2, T.detach(feat))
     lp = objectives.loss_prompt(params2, cfg, bank2, batch)
     adapted = prompting.compose_adapted_prompts(bank2, weights)
     _, logits = vit.forward(params2, cfg, Tensor(batch.images), adapted)
@@ -289,7 +289,7 @@ def test_total_loss_bank_gradient_finite_difference(tiny_vit_cfg):
         def build():
             return objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0).total
 
-        check_gradient(build, {"bank": bank.tokens}, h=1e-6, tol=1e-6)
+        check_gradient(build, {"bank": bank}, h=1e-6, tol=1e-6)
 
 
 def test_total_loss_bank_gradient_finite_difference_32bit(tiny_vit_cfg):
@@ -300,16 +300,16 @@ def test_total_loss_bank_gradient_finite_difference_32bit(tiny_vit_cfg):
     for name, p in params.named():
         if p.data.ndim >= 2 or name in ("vit.cls", "vit.pos"):
             p.data = rng.normal(0.0, 0.5, p.data.shape).astype(np.float32)
-    bank.tokens.data = rng.normal(0, 1.0, bank.tokens.shape).astype(np.float32)
+    bank.data = rng.normal(0, 1.0, bank.shape).astype(np.float32)
     batch = make_batch(cfg, [0, 1], per_domain=2)
 
     def build():
         return objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0).total
 
-    bank.tokens.grad = None
+    bank.grad = None
     T.backward(build())
-    numeric = central_diff(lambda: build().item(), bank.tokens.data, h=1e-2)
-    assert norm_rel_error(bank.tokens.grad, numeric) < 1e-3
+    numeric = central_diff(lambda: build().item(), bank.data, h=1e-2)
+    assert norm_rel_error(bank.grad, numeric) < 1e-3
 
 
 def test_loss_breakdown_csv_row():

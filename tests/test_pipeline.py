@@ -2,6 +2,7 @@
 round trips for every variant of the ablation table."""
 
 import dataclasses
+import zipfile
 
 import numpy as np
 import pytest
@@ -207,6 +208,29 @@ def test_model_state_save_load_round_trip(tmp_path, with_prompts):
         )
 
 
+BLOCK_ARRAYS = ("ln1.g", "ln1.b", "wqkv", "bqkv", "wo", "bo", "ln2.g", "ln2.b", "w1", "b1", "w2", "b2")
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_parameters_and_checkpoint_members_keep_one_order(tmp_path, variant):
+    # vit.* in block order, classifier.*, prompts.bank, adapter.*, then meta.num_heads
+    run = tiny_run_config()
+    cfg = dataclasses.replace(run.vit, depth=2)
+    state = pipeline.init_state(cfg, 3, 2, seed=0, variant=variant)
+    expected = ["vit.patch.w", "vit.patch.b", "vit.cls", "vit.pos"]
+    expected += [f"vit.block{i}.{name}" for i in range(2) for name in BLOCK_ARRAYS]
+    expected += ["vit.norm.g", "vit.norm.b", "classifier.w", "classifier.b"]
+    if VARIANTS[variant].uses_prompts:
+        expected.append("prompts.bank")
+    if VARIANTS[variant].uses_adapter:
+        expected += ["adapter.l1.w", "adapter.l1.b", "adapter.l2.w", "adapter.l2.b"]
+    assert list(state.named_params()) == expected
+
+    state.save(tmp_path / "model.npz")
+    with zipfile.ZipFile(tmp_path / "model.npz") as zf:
+        assert zf.namelist() == [f"{name}.npy" for name in expected + ["meta.num_heads"]]
+
+
 @pytest.mark.parametrize("change, message", [
     ({"embed_dim": 8}, r"vit.patch.w has shape \(192, 16\), the configured model has \(192, 8\)"),
     ({"depth": 2}, r"12 missing \['vit.block1.b1'\], 0 unexpected"),
@@ -272,7 +296,7 @@ def test_sample_step_batch_labels_each_image_with_its_source_slot():
 def _prompted_state(run, k=3):
     """A fresh model whose prompts are large enough to move the logits."""
     state = pipeline.init_state(run.vit, k, run.train.prompt_length, seed=0)
-    state.bank.tokens.data *= 50.0
+    state.bank.data *= 50.0
     return state
 
 
