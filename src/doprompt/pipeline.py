@@ -316,7 +316,7 @@ def run_experiment(
 
     tc = run_cfg.train
     root = np.random.SeedSequence(tc.seed)
-    split_seq, batch_seq, dropout_seq = root.spawn(3)
+    _, split_seq, batch_seq, dropout_seq = root.spawn(4)  # child 0 is init_state's
     split_rng = np.random.default_rng(split_seq)
     batch_rng = np.random.default_rng(batch_seq)
     dropout_rng = np.random.default_rng(dropout_seq)

@@ -1,6 +1,7 @@
 """Training harness: seed determinism, frozen parameters and checkpoint
 round trips for every variant of the ablation table."""
 
+import copy
 import dataclasses
 import zipfile
 
@@ -55,6 +56,22 @@ def test_run_experiment_needs_a_train_and_a_validation_image_per_source():
     run = tiny_run_config(val_fraction=0.95)  # rounds to 5 validation images of 5
     with pytest.raises(ConfigError, match="training and validation need >= 1 each"):
         pipeline.run_experiment(five_per_domain, 0, "erm", run)
+
+
+def test_split_and_init_draw_from_different_streams(monkeypatch):
+    # init_state takes child 0 of the run seed; the split must not read the same bits
+    generators = {}
+
+    def recording(name, fn):
+        def wrapped(*args):
+            generators.setdefault(name, copy.deepcopy(args[-1]))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "split_domain", recording("split", pipeline.split_domain))
+    monkeypatch.setattr(vit, "init_vit_params", recording("init", vit.init_vit_params))
+    pipeline.run_experiment(generate_dataset(3, 5, 0), 0, "erm", tiny_run_config(steps=1))
+    assert not np.array_equal(generators["split"].random(3), generators["init"].random(3))
 
 
 def _batch(cfg, num_domains, per_domain, seed=0):
