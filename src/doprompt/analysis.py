@@ -33,8 +33,8 @@ SPREAD_FLOOR = 1e-9
 
 
 class DegenerateDomainError(ConfigError):
-    """The data leaves a distance undefined: fewer than two domains, too few
-    vectors, no shared class, or an in-domain spread too small to normalize by."""
+    """The data leaves a distance undefined: too few domains or vectors, no
+    shared class, a zero vector, or an in-domain spread too small to normalize by."""
 
 
 @dataclass
@@ -66,10 +66,13 @@ def _cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.dot(x, y)) / (float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
 
 
-def _centroid_and_spread(features: np.ndarray) -> tuple[np.ndarray, float]:
+def _centroid_and_spread(features: np.ndarray, where: str) -> tuple[np.ndarray, float]:
     """The centroid and the mean cosine distance of the vectors to it."""
     centroid = features.mean(axis=0)
-    cos = features @ centroid / (np.linalg.norm(features, axis=1) * np.linalg.norm(centroid))
+    norms = np.linalg.norm(features, axis=1) * np.linalg.norm(centroid)
+    if not norms.all():
+        raise DegenerateDomainError(f"a zero feature vector or centroid {where}; cosine distance undefined")
+    cos = features @ centroid / norms
     return centroid, float(np.mean(1.0 - cos))
 
 
@@ -97,7 +100,7 @@ def domain_distance(features_by_domain, labels_by_domain) -> DistanceReport:
     for d, f in enumerate(feats):
         if len(f) < 2:
             raise DegenerateDomainError(f"domain {d} has {len(f)} feature vectors, need >= 2")
-    stats = [_centroid_and_spread(f) for f in feats]
+    stats = [_centroid_and_spread(f, f"in domain {d}") for d, f in enumerate(feats)]
 
     dist = np.zeros((n, n))
     for i in range(n):
@@ -124,8 +127,8 @@ def class_distance(feats_i, labels_i, feats_j, labels_j) -> float:
         raise DegenerateDomainError("no class present in both domains")
     for c in np.setxor1d(labels_i, labels_j):
         warnings.warn(f"class {c} missing from one domain; skipped", stacklevel=2)
-    total = sum(_normalized_distance(_centroid_and_spread(feats_i[labels_i == c]),
-                                     _centroid_and_spread(feats_j[labels_j == c])) for c in shared)
+    total = sum(_normalized_distance(_centroid_and_spread(feats_i[labels_i == c], f"in class {c}"),
+                                     _centroid_and_spread(feats_j[labels_j == c], f"in class {c}")) for c in shared)
     return total / len(shared)
 
 

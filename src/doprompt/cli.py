@@ -154,10 +154,9 @@ _WORKER_DATASET = None
 
 
 def _ablate_worker(job):
-    target, seed, run, out_dir = job
-    run = dataclasses.replace(run, train=dataclasses.replace(run.train, seed=seed))
+    run, out_dir = job
     try:
-        report = pipeline.run_experiment(_WORKER_DATASET, target, run.variant, run, out_dir=out_dir)
+        report = pipeline.run_experiment(_WORKER_DATASET, run.target_domain, run.variant, run, out_dir=out_dir)
         return report["test_acc"], None
     except Exception as exc:  # recorded as a NaN cell by the caller
         return float("nan"), f"{type(exc).__name__}: {exc}"
@@ -166,7 +165,8 @@ def _ablate_worker(job):
 def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, row_header: str) -> int:
     """Train every (row, target, seed) cell and write `<name>.csv` and `<name>.json`.
 
-    `rows` maps a row label to the run config of that row. Cell outputs go to
+    `rows` maps a row label to the run config of that row; each cell runs it
+    with its own `target_domain` and `train.seed`. Cell outputs go to
     `<label>_t<target>_s<seed>/`. A table cell is the mean (and spread) over
     seeds of test accuracy over the runs that did not fail. A cell whose
     runs all failed, and its row's average, read `nan` in the CSV and `null`
@@ -183,7 +183,11 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
 
     seeds = [run.train.seed + i for i in range(args.num_seeds)]
     cells = [(label, target, seed) for label in rows for target in targets for seed in seeds]
-    jobs = [(target, seed, rows[label], out / f"{label}_t{target}_s{seed}") for label, target, seed in cells]
+    jobs = []
+    for label, target, seed in cells:
+        row = rows[label]
+        cell = dataclasses.replace(row, target_domain=target, train=dataclasses.replace(row.train, seed=seed))
+        jobs.append((cell, out / f"{label}_t{target}_s{seed}"))
     workers = min(args.workers, len(jobs))
     if workers == 1:
         results = [_ablate_worker(job) for job in jobs]

@@ -49,19 +49,17 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class ModelState:
-    """Everything a training run mutates.
+    """The model: exactly what `save` writes and `load` reads back.
 
     `bank` is the (K, L, D) prompt bank, whose shape is the one record of K
-    and L. `save` writes the parameters bit-exactly, but not `opt`: the AdamW
-    moments and step count are never saved, so a loaded state starts a fresh
-    optimizer and cannot resume a run bit-exactly.
+    and L. The AdamW moments belong to the run that trains the model, not to
+    the model, so a checkpoint cannot resume a run bit-exactly.
     """
 
     cfg: ViTConfig
     params: ViTParams
     bank: Tensor | None
     adapter: AdapterParams | None
-    opt: optim.AdamWState
 
     def named_params(self) -> dict:
         """Name -> parameter: the `vit.*` and `classifier.*` arrays, then
@@ -146,7 +144,7 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
     adapter if it uses one. The adapter is drawn last, so the other parts are
     the same for every variant of one seed. The parameters under the variant's
     `frozen` prefixes are built with `requires_grad=False`, so no backward
-    computes their gradients, and AdamW keeps moments for the others only."""
+    computes their gradients and `optim.init_adamw_state` keeps no moments for them."""
     spec = get_variant(variant)
     root = np.random.SeedSequence(seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
@@ -156,10 +154,9 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
         bank = prompting.init_prompt_bank(num_domains, prompt_length, cfg.embed_dim, init_rng)
     if spec.uses_adapter:
         adapter = prompting.init_adapter_params(cfg.embed_dim, num_domains, prompt_length, init_rng)
-    state = ModelState(cfg=cfg, params=params, bank=bank, adapter=adapter, opt=None)
+    state = ModelState(cfg=cfg, params=params, bank=bank, adapter=adapter)
     for name, p in state.named_params().items():
         p.requires_grad = not name.startswith(spec.frozen)
-    state.opt = optim.init_adamw_state({n: p for n, p in state.named_params().items() if p.requires_grad})
     return state
 
 
@@ -172,29 +169,28 @@ def _check_finite(breakdown: LossBreakdown) -> None:
 
 def train_step(
     state: ModelState,
+    opt: optim.AdamWState,
     batch: DomainBatch,
     config: TrainConfig,
     rng: np.random.Generator,
     variant: str = "doprompt",
-) -> tuple[ModelState, LossBreakdown]:
-    """One optimization step on one multi-domain batch.
+) -> LossBreakdown:
+    """One optimization step on one multi-domain batch, in place on `state` and `opt`.
 
     The batch carries one sub-batch per source domain. Computes the variant's
     objective with dropout masks drawn from `rng`, backpropagates, and
-    applies AdamW to exactly the parameters that require grad, which clears
+    applies AdamW to the parameters `opt` holds moments for, which clears
     their grads. `variant` picks only the loss: `state` must come from
-    `init_state` for the same variant, as in `run_experiment`. Raises
-    NumericalError if any component goes non-finite.
+    `init_state` for the same variant and `opt` from its `named_params()`, as
+    in `run_experiment`. Raises NumericalError if any component goes non-finite.
     """
     breakdown = objectives.variant_loss(
         get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch, config.lam, rng
     )
     _check_finite(breakdown)
     T.backward(breakdown.total)
-    named = state.named_params()
-    trainable = [name for name, p in named.items() if p.requires_grad]
-    optim.step_params(named, state.opt, trainable, lr=config.learning_rate, weight_decay=config.weight_decay)
-    return state, breakdown
+    optim.step_params(state.named_params(), opt, opt.m, lr=config.learning_rate, weight_decay=config.weight_decay)
+    return breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +335,7 @@ def run_experiment(
         seed=tc.seed,
         variant=variant,
     )
+    opt = optim.init_adamw_state(state.named_params())
 
     val_images = np.concatenate([dataset.images[d][val_idx[d]] for d in source_domains])
     val_labels = np.concatenate([dataset.labels[d][val_idx[d]] for d in source_domains])
@@ -355,12 +352,14 @@ def run_experiment(
         if selection.chosen_step == step:  # strictly better than every earlier eval
             best_snapshot = {n: p.data.copy() for n, p in state.named_params().items()}
 
-    for step in range(1, tc.steps + 1):
-        batch = sample_step_batch(dataset, source_domains, train_idx, tc.batch_per_domain, batch_rng)
-        state, breakdown = train_step(state, batch, tc, dropout_rng, variant)
-        loss_rows.append(breakdown.csv_row(step))
-        if step % tc.eval_interval == 0 or step == tc.steps:
-            evaluate_and_record(step)
+    # `_check_finite`, not numpy's overflow warnings, reports a diverging run
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, tc.steps + 1):
+            batch = sample_step_batch(dataset, source_domains, train_idx, tc.batch_per_domain, batch_rng)
+            breakdown = train_step(state, opt, batch, tc, dropout_rng, variant)
+            loss_rows.append(breakdown.csv_row(step))
+            if step % tc.eval_interval == 0 or step == tc.steps:
+                evaluate_and_record(step)
 
     # restore the selected checkpoint before the target evaluation
     named = state.named_params()

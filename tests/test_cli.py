@@ -215,6 +215,7 @@ def data_dirs(tmp_path):
     good = (images(5), classes)
     layouts = {
         "zero_spread": [(np.full((5, 3, 32, 32), 0.5, np.float32), classes)] * 2,
+        "zero_domain": [good, (np.zeros((5, 3, 32, 32), np.float32), classes)],
         "one_image": [(images(1), classes[:1]), good],
         "no_shared_class": [(images(5), np.zeros(5, np.int64)), (images(5), np.ones(5, np.int64))],
         "single_domain": [good],
@@ -246,7 +247,7 @@ def data_dirs(tmp_path):
     return dirs
 
 
-CONFIG, FORMAT = cli.EXIT_CONFIG, cli.EXIT_FORMAT
+CONFIG, NUMERICAL, FORMAT = cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_FORMAT
 PIXEL_DISTANCE = ["analyze", "distance", "--features", "pixels", "--data"]
 EVAL_DOPROMPT = ["eval", "--checkpoint", "{doprompt}"]
 # case -> (argv, exit code, a fragment of the one stderr line)
@@ -279,6 +280,8 @@ BAD_INPUTS = {
     "weight_decay_negative": (["train", "--set", "weight_decay=-1"], CONFIG, "weight_decay must be finite and >= 0"),
     "weight_decay_inf": (["train", "--set", "weight_decay=inf"], CONFIG, "weight_decay must be finite and >= 0, got inf"),
     "lambda_nan": (["train", "--set", "lambda=nan"], CONFIG, "lambda must be finite and >= 0, got nan"),
+    "learning_rate_diverges": (["train", "--set", "learning_rate=1e30"], NUMERICAL, "l_prompt is non-finite"),
+    "lambda_overflows": (["train", "--set", "lambda=1e308"], NUMERICAL, "total is non-finite"),
     "seed": (["train", "--seed", "-1"], CONFIG, "seed must be >= 0"),
     "num_seeds": (["ablate", "--num-seeds", "0"], CONFIG, "--num-seeds must be >= 1"),
     "workers": (["ablate", "--workers", "0"], CONFIG, "--workers must be >= 1, got 0"),
@@ -312,6 +315,7 @@ BAD_INPUTS = {
     ),
     "data_dir_without_domains": (["train", "--data", "{dir}"], FORMAT, "no domain_* subdirectories"),
     "zero_spread": ([*PIXEL_DISTANCE, "{zero_spread}"], CONFIG, "between domains 0, 1 below 1e-09"),
+    "zero_domain": ([*PIXEL_DISTANCE, "{zero_domain}"], CONFIG, "a zero feature vector or centroid in domain 1"),
     "one_image": ([*PIXEL_DISTANCE, "{one_image}"], CONFIG, "domain 0 has 1 feature vectors, need >= 2"),
     "no_shared_class": ([*PIXEL_DISTANCE, "{no_shared_class}"], CONFIG, "no class present in both domains"),
     "single_domain": ([*PIXEL_DISTANCE, "{single_domain}"], CONFIG, "a distance needs >= 2 domains, got 1"),

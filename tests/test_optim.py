@@ -11,13 +11,21 @@ def make_params(rng, shapes):
     return {f"p{i}": Tensor(rng.normal(size=s), requires_grad=True) for i, s in enumerate(shapes)}
 
 
+def step(params, grads, state, lr, weight_decay=0.0):
+    """`optim.step_params` over every parameter of `params`, after setting
+    each one's grad from `grads` (a name it lacks gets none)."""
+    for name, p in params.items():
+        p.grad = grads.get(name)
+    optim.step_params(params, state, list(params), lr, weight_decay)
+
+
 def test_zero_gradient_is_pure_decay():
     p = Tensor(np.array([2.0, -3.0]), requires_grad=True)
     params = {"w": p}
     state = optim.init_adamw_state(params)
     grads = {"w": np.zeros(2, dtype=np.float32)}
     before = p.data.copy()
-    optim.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
+    step(params, grads, state, lr=0.1, weight_decay=0.01)
     np.testing.assert_allclose(p.data, 0.999 * before, rtol=1e-6)
 
 
@@ -29,7 +37,8 @@ def test_single_step_matches_closed_form():
     params = {"w": Tensor(p0.copy(), requires_grad=True)}
     state = optim.init_adamw_state(params)
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-    optim.adamw_step(params, {"w": g}, state, lr=lr, weight_decay=0.0)
+    step(params, {"w": g}, state, lr=lr, weight_decay=0.0)
+    assert params["w"].grad is None
 
     m = (1 - b1) * g
     v = (1 - b2) * g * g
@@ -47,8 +56,8 @@ def test_two_steps_match_hand_rolled_moments():
     params = {"w": Tensor(p0.copy(), requires_grad=True)}
     state = optim.init_adamw_state(params)
     lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.1
-    optim.adamw_step(params, {"w": g1}, state, lr=lr, weight_decay=wd)
-    optim.adamw_step(params, {"w": g2}, state, lr=lr, weight_decay=wd)
+    step(params, {"w": g1}, state, lr=lr, weight_decay=wd)
+    step(params, {"w": g2}, state, lr=lr, weight_decay=wd)
 
     p, m, v = p0.astype(np.float64), np.zeros(4), np.zeros(4)
     for t, g in enumerate((g1, g2), start=1):
@@ -66,21 +75,20 @@ def test_determinism_bit_identical():
         state = optim.init_adamw_state(params)
         for _ in range(5):
             grads = {name: rng.normal(size=p.data.shape).astype(np.float32) for name, p in params.items()}
-            optim.adamw_step(params, grads, state, lr=1e-2, weight_decay=1e-2)
+            step(params, grads, state, lr=1e-2, weight_decay=1e-2)
         return {name: p.data.tobytes() for name, p in params.items()}
 
     assert run() == run()
 
 
-def reference_adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+def reference_adamw_step(params, state, trainable, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
     """The out-of-place AdamW formula that the in-place update must equal bitwise."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+    for name in trainable:
+        p = params[name]
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         m, v = state.m[name], state.v[name]
         m[...] = beta1 * m + (1.0 - beta1) * g
         v[...] = beta2 * v + (1.0 - beta2) * (g * g)
@@ -89,31 +97,42 @@ def reference_adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
         if weight_decay:
             p.data = p.data - lr * weight_decay * p.data
+        p.grad = None
 
 
 def test_in_place_update_is_bitwise_equal_to_the_out_of_place_formula():
-    def run(step):
+    def run(step_params):
         rng = np.random.default_rng(7)
-        params = make_params(rng, [(4, 3), (3,), (2, 2)])
+        params = make_params(rng, [(4, 3), (3,), (2, 2), (3, 2)])
+        params["p3"].requires_grad = False  # frozen: no moments, never stepped
         state = optim.init_adamw_state(params)
+        assert list(state.m) == list(state.v) == ["p0", "p1", "p2"]
         for _ in range(5):
-            grads = {name: rng.normal(size=p.data.shape).astype(np.float32) for name, p in params.items()}
-            del grads["p2"]  # a missing grad still decays its parameter
-            step(params, grads, state, lr=3e-2, weight_decay=1e-2)
-        return [a.tobytes() for name in params for a in (params[name].data, state.m[name], state.v[name])]
+            for name, p in params.items():
+                p.grad = rng.normal(size=p.data.shape).astype(np.float32)
+            params["p2"].grad = None  # a missing grad still decays its parameter
+            step_params(params, state, state.m, 3e-2, 1e-2)
+            assert [p.grad is None for p in params.values()] == [True, True, True, False]
+        return [
+            *(a.tobytes() for name in state.m for a in (params[name].data, state.m[name], state.v[name])),
+            params["p3"].data.tobytes(),
+        ]
 
-    assert run(optim.adamw_step) == run(reference_adamw_step)
+    assert run(optim.step_params) == run(reference_adamw_step)
 
 
 def test_mismatched_shapes_rejected():
     params = {"w": Tensor(np.zeros(3), requires_grad=True)}
     state = optim.init_adamw_state(params)
     with pytest.raises(ShapeError, match="grad shape"):
-        optim.adamw_step(params, {"w": np.zeros(4, dtype=np.float32)}, state, lr=0.1)
+        step(params, {"w": np.zeros(4, dtype=np.float32)}, state, lr=0.1)
+    state.m["w"] = np.zeros(4, dtype=np.float32)
+    with pytest.raises(ShapeError, match="moment shape"):
+        step(params, {"w": np.zeros(3, dtype=np.float32)}, state, lr=0.1)
 
 
 def test_missing_grad_still_decays():
     params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
     state = optim.init_adamw_state(params)
-    optim.adamw_step(params, {}, state, lr=0.1, weight_decay=0.5)
+    step(params, {}, state, lr=0.1, weight_decay=0.5)
     np.testing.assert_allclose(params["w"].data, [0.95], rtol=1e-6)

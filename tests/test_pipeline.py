@@ -41,11 +41,26 @@ def test_run_experiment_is_byte_identical_for_one_seed(tmp_path, dataset, varian
     assert _artifacts(tmp_path / "second") == _artifacts(tmp_path / "first")
 
 
+def _field_values(value):
+    """`value` with every Tensor replaced by its array's dtype, shape and bytes."""
+    if isinstance(value, T.Tensor):
+        return value.data.dtype.str, value.data.shape, value.data.tobytes()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _field_values(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, list):
+        return [_field_values(v) for v in value]
+    return value
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_reloaded_checkpoint_predicts_bitwise_like_the_run(tmp_path, dataset, variant):
     run = tiny_run_config(dropout=0.1, seed=3)
     report = pipeline.run_experiment(dataset, 1, variant, run, out_dir=tmp_path)
     loaded = pipeline.ModelState.load(tmp_path / "checkpoint.npz", run.vit)
+    # every field round-trips; requires_grad is the variant's, not the checkpoint's
+    for field in dataclasses.fields(pipeline.ModelState):
+        restored, trained = getattr(loaded, field.name), getattr(report["_state"], field.name)
+        assert _field_values(restored) == _field_values(trained), field.name
     images = dataset.images[1]
     expected = pipeline.predict_logits(report["_state"], images, variant)
     assert pipeline.predict_logits(loaded, images, variant).tobytes() == expected.tobytes()
@@ -101,7 +116,8 @@ def test_init_state_builds_the_frozen_parameters_frozen(variant):
     named = state.named_params()
     trainable = {n for n in named if not n.startswith(FROZEN[variant])}
     assert {n for n, p in named.items() if p.requires_grad} == trainable
-    assert set(state.opt.m) == set(state.opt.v) == trainable
+    opt = optim.init_adamw_state(named)
+    assert set(opt.m) == set(opt.v) == trainable
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -109,7 +125,8 @@ def test_train_step_updates_exactly_the_unfrozen_parameters(variant):
     run = tiny_run_config(dropout=0.1)
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
     before = {n: p.data.copy() for n, p in state.named_params().items()}
-    pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
+    opt = optim.init_adamw_state(state.named_params())
+    pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
 
     for name, p in state.named_params().items():
         assert p.grad is None, f"{name} kept its grad past the step"
@@ -120,10 +137,11 @@ def test_train_step_updates_exactly_the_unfrozen_parameters(variant):
 
 
 def _grads_step_params_receives(monkeypatch, variant):
-    """(state, grads): one `train_step` of a fresh `variant` model and every
-    parameter's grad as `optim.step_params` received it."""
+    """(state, opt, grads): one `train_step` of a fresh `variant` model and
+    every parameter's grad as `optim.step_params` received it."""
     run = tiny_run_config(dropout=0.1)
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
+    opt = optim.init_adamw_state(state.named_params())
     grads = {}
     step_params = optim.step_params
 
@@ -132,29 +150,30 @@ def _grads_step_params_receives(monkeypatch, variant):
         return step_params(params, *args, **kwargs)
 
     monkeypatch.setattr(optim, "step_params", recording_step_params)
-    pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
+    pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
     assert set(grads) == set(state.named_params())
-    return state, grads
+    return state, opt, grads
 
 
 def test_frozen_backbone_backward_computes_no_backbone_gradient(monkeypatch):
-    _, grads = _grads_step_params_receives(monkeypatch, "frozen_backbone")
+    _, _, grads = _grads_step_params_receives(monkeypatch, "frozen_backbone")
     assert all(g is None for n, g in grads.items() if n.startswith("vit.")), "a frozen vit.* gradient was computed"
     assert all(g is not None for n, g in grads.items() if not n.startswith("vit."))
 
 
 def test_train_step_keeps_every_array_float32(monkeypatch):
-    state, grads = _grads_step_params_receives(monkeypatch, "doprompt")
+    state, opt, grads = _grads_step_params_receives(monkeypatch, "doprompt")
     for name, p in state.named_params().items():
         assert p.data.dtype == np.float32, name
         assert grads[name].dtype == np.float32, name
-        assert state.opt.m[name].dtype == state.opt.v[name].dtype == np.float32, name
+        assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
 
 
 def test_train_step_leaves_no_gradient_on_an_interior_node():
     run = tiny_run_config(dropout=0.1)
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
-    _, breakdown = pipeline.train_step(state, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
+    opt = optim.init_adamw_state(state.named_params())
+    breakdown = pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
     stack, seen, interior = [breakdown.total], set(), 0
     while stack:
         node = stack.pop()
@@ -172,9 +191,10 @@ def test_fused_block_trains_like_the_unfused_oracle_64bit(monkeypatch):
 
     def losses():
         state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+        opt = optim.init_adamw_state(state.named_params())
         rng = np.random.default_rng(1)
         return [
-            pipeline.train_step(state, _batch(run.vit, 3, 4, seed=step), run.train, rng)[1].floats()
+            pipeline.train_step(state, opt, _batch(run.vit, 3, 4, seed=step), run.train, rng).floats()
             for step in range(20)
         ]
 
@@ -189,8 +209,9 @@ def test_fused_block_trains_like_the_unfused_oracle_64bit(monkeypatch):
 def test_train_step_rejects_unknown_variant():
     run = tiny_run_config()
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
     with pytest.raises(ConfigError, match="unknown variant"):
-        pipeline.train_step(state, _batch(run.vit, 3, 2), run.train, np.random.default_rng(0), "dopromt")
+        pipeline.train_step(state, opt, _batch(run.vit, 3, 2), run.train, np.random.default_rng(0), "dopromt")
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))

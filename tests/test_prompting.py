@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from doprompt import pipeline, prompting, tensor as T
+from doprompt import optim, pipeline, prompting, tensor as T
 from doprompt.datagen import DomainBatch
 from doprompt.tensor import ShapeError, Tensor
 
@@ -122,7 +122,8 @@ def test_doprompt_training_and_inference_call_no_gelu_node(monkeypatch):
     calls = []
     gelu = T.gelu
     monkeypatch.setattr(T, "gelu", lambda x: calls.append(x) or gelu(x))
-    pipeline.train_step(state, batch, run.train, np.random.default_rng(1))
+    opt = optim.init_adamw_state(state.named_params())
+    pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1))
     pipeline.infer(state, batch.images)
     assert calls == []
 
