@@ -44,7 +44,7 @@ EVAL_BATCH = 128
 
 
 class NumericalError(RuntimeError):
-    """A loss component became non-finite during training."""
+    """A loss component or a parameter became non-finite during training."""
 
 
 @dataclass
@@ -346,6 +346,10 @@ def run_experiment(
 
     def evaluate_and_record(step: int):
         nonlocal best_snapshot
+        # a finite loss can still take a step to non-finite parameters, which no checkpoint may hold
+        for name, p in state.named_params().items():
+            if not np.isfinite(p.data).all():
+                raise NumericalError(f"parameter {name} is non-finite after step {step}")
         acc = evaluate_accuracy(state, val_images, val_labels, variant)
         selection.steps.append(step)
         selection.val_accuracies.append(acc)

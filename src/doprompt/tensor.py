@@ -6,7 +6,8 @@ Provides exactly the operations the model needs:
   `tensor_sum`, `matmul` (batched over leading axes);
 - fused layers: `linear` (x @ w + b as one GEMM over the flattened leading
   axes), `attention` (parameter-free multi-head self-attention of projected
-  q, k, v, with dropout on P and a backward from the saved softmax) and `mlp`
+  q, k, v, with dropout on P and a backward from the saved softmax; with
+  `queries` = n, only the first n tokens' outputs) and `mlp`
   (a transformer MLP, Drop(Drop(GELU(x W1 + b1)) W2 + b2), as one node);
 - shape plumbing: `reshape`, `transpose`, `broadcast_to`, `concat`, indexing;
 - nonlinearities and losses: `softmax`, `layer_norm`, `gelu`,
@@ -289,26 +290,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bwd)
 
 
-def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator | None) -> Tensor:
+def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator | None,
+              queries: int | None = None) -> Tensor:
     """Parameter-free multi-head self-attention of (B, T, 3D) q|k|v tokens, before the output projection.
 
     q, k and v, side by side as a `linear` of width 3D writes them, each split
     into `num_heads` heads of width dh = D / num_heads. P = softmax(q k^T /
     sqrt(dh)) row-wise with the row max subtracted, P is dropped out like
     `dropout` does (one `_keep_mask` drawn from `rng`, only when `rng` is given
-    and `rate` > 0), O = P V, and the heads are merged back to (B, T, D).
+    and `rate` > 0), O = P V, and the heads are merged back to (B, n, D).
+
+    `queries` = n keeps only the first n tokens' queries (all T when None):
+    every token is a key and a value, but only those n rows enter q k^T, the
+    dropout mask and P V, so the output is the first n rows of the full one.
+    Raises ShapeError unless 1 <= n <= T.
 
     The backward pass returns dqkv from the saved P and mask, as FlashAttention
     does without tiling: with Pd = P * mask, dV = Pd^T dO, dP = (dO V^T) * mask,
-    dS = P * (dP - rowsum(dP * P)) / sqrt(dh), dQ = dS K, dK = dS^T Q.
+    dS = P * (dP - rowsum(dP * P)) / sqrt(dh), dQ = dS K, dK = dS^T Q. The q of
+    a token past the first n gets a zero gradient.
     """
     if qkv.ndim != 3 or qkv.shape[-1] % (3 * num_heads):
         raise ShapeError(f"attention: expected (B, T, 3D) with D divisible by {num_heads}, got {qkv.shape}")
     b, t, d = qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3
+    n = t if queries is None else queries
+    if not 1 <= n <= t:
+        raise ShapeError(f"attention: queries must be in [1, {t}] for {t} tokens, got {queries}")
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
     # (3, B, heads, T, dh), contiguous so every head product is a plain GEMM
     q, k, v = np.ascontiguousarray(qkv.data.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4))
+    q = q[:, :, :n]
     s = q @ k.swapaxes(-1, -2)
     s *= scale
     # numpy reduces a short contiguous last axis ~5x slower than this column loop; a max is exact
@@ -324,10 +336,10 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
     else:
         pd = p * (1.0 / (1.0 - rate))
         pd *= keep
-    out = (pd @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    out = (pd @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
 
     def bwd(g):
-        go = g.reshape(b, t, num_heads, dh).transpose(0, 2, 1, 3)
+        go = g.reshape(b, n, num_heads, dh).transpose(0, 2, 1, 3)
         dp = go @ v.swapaxes(-1, -2)
         if keep is not None:
             dp *= 1.0 / (1.0 - rate)
@@ -338,7 +350,8 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
         # dq, dk and dv are written in the layout q, k and v were read from qkv
         dqkv = np.empty_like(qkv.data)
         dq, dk, dv = dqkv.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
-        np.matmul(ds, k, out=dq)
+        np.matmul(ds, k, out=dq[:, :, :n])
+        dq[:, :, n:] = 0.0
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
         np.matmul(pd.swapaxes(-1, -2), go, out=dv)
         return (dqkv,)

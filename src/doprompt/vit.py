@@ -3,7 +3,10 @@
 Token order is [CLS], patch tokens in raster order, then any appended prompt
 tokens. Positional embeddings cover only [CLS] and the patches; prompts ride
 along as position-free tokens and take part in every attention layer. Blocks
-are pre-norm residual: x + Attn(LN(x)), then + MLP(LN(.)).
+are pre-norm residual: x + Attn(LN(x)), then + MLP(LN(.)). The model reads
+only the class token of the last block, so that block computes keys and
+values for every token but its output, with the output projection, LN2 and
+the MLP, for the class token alone, as CaiT's class-attention layers do.
 
 The paper places the prompts ahead of the patch tokens; appending them gives
 the same model. A prompt gets no positional embedding, so its index carries
@@ -179,7 +182,9 @@ def patch_embed(params: ViTParams, cfg: ViTConfig, images: Tensor) -> Tensor:
     return T.linear(x, params.patch_w, params.patch_b)
 
 
-def attention_block(x: Tensor, blk: BlockParams, cfg: ViTConfig, rng: np.random.Generator | None = None) -> Tensor:
+def attention_block(
+    x: Tensor, blk: BlockParams, cfg: ViTConfig, rng: np.random.Generator | None = None, queries: int | None = None
+) -> Tensor:
     """Pre-norm residual block with full bidirectional attention.
 
     x + Drop(Attn(LN1(x)) Wo + bo), then + Drop(Drop(GELU(LN2(.) W1 + b1)) W2 + b2).
@@ -190,11 +195,17 @@ def attention_block(x: Tensor, blk: BlockParams, cfg: ViTConfig, rng: np.random.
     one `tensor.mlp` node. Dropout at `cfg.dropout_rate` runs only when `rng`
     is given; its masks are drawn in this order: attention probabilities,
     attention output, MLP hidden layer, MLP output.
+
+    `queries` = n returns only the first n tokens, (B, n, D): keys and values
+    still come from every token, but the attention output, the residual, LN2
+    and the MLP run on those n rows alone, so the masks are drawn for them.
     """
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
     rate = cfg.dropout_rate
-    o = T.attention(T.linear(h, blk.wqkv, blk.bqkv), cfg.num_heads, rate, rng)
+    o = T.attention(T.linear(h, blk.wqkv, blk.bqkv), cfg.num_heads, rate, rng, queries)
     o = T.dropout(T.linear(o, blk.wo, blk.bo), rate, rng)
+    if queries is not None:
+        x = x[:, :queries]
     x = x + o
 
     h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)
@@ -214,8 +225,11 @@ def forward(
     concatenated after the patch tokens and receive no positional embedding.
     Any other shape raises ShapeError.
     The cls feature is the final-norm class token, the same tensor the
-    classifier consumes. Dropout at `cfg.dropout_rate` runs exactly when
-    `rng` is given; without it the pass is deterministic.
+    classifier consumes. Every block but the last runs on all tokens; the
+    last computes keys and values for every token but its output for the
+    class token alone (`attention_block(..., queries=1)`). Dropout at
+    `cfg.dropout_rate` runs exactly when `rng` is given; without it the pass
+    is deterministic.
     """
     x = patch_embed(params, cfg, images)
     b = x.shape[0]
@@ -227,8 +241,10 @@ def forward(
             raise ShapeError(f"prompt tokens have shape {prompt_tokens.shape}, expected (batch {b}, P, dim {d})")
         x = T.concat([x, prompt_tokens], axis=1)
     x = T.dropout(x, cfg.dropout_rate, rng)
-    for blk in params.blocks:
+    *inner, last = params.blocks
+    for blk in inner:
         x = attention_block(x, blk, cfg, rng)
+    x = attention_block(x, last, cfg, rng, queries=1)
     cls_feature = T.layer_norm(x[:, 0, :], params.norm_g, params.norm_b)
     logits = T.linear(cls_feature, params.head_w, params.head_b)
     return cls_feature, logits

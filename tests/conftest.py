@@ -115,23 +115,25 @@ def tiny_run_config(**train_kwargs) -> RunConfig:
 # unfused oracles for the fused attention and MLP nodes and the transformer block
 
 
-def unfused_attention(qkv, num_heads, rate, rng):
+def unfused_attention(qkv, num_heads, rate, rng, queries=None):
     """`tensor.attention` composed of single-op nodes: q, k and v cut out of
-    the (B, T, 3D) projection, head split, scaled softmax, dropout on the
-    probabilities, P @ V, head merge."""
+    the (B, T, 3D) projection, q of only the first `queries` tokens (all when
+    None), head split, scaled softmax, dropout on the probabilities, P @ V,
+    head merge."""
     b, t, d3 = qkv.shape
+    n = t if queries is None else queries
     d = d3 // 3
     dh = d // num_heads
 
-    def split_heads(i):
-        z = qkv[:, :, i * d : (i + 1) * d]
-        return T.transpose(T.reshape(z, (b, t, num_heads, dh)), (0, 2, 1, 3))
+    def split_heads(i, rows):
+        z = qkv[:, :rows, i * d : (i + 1) * d]
+        return T.transpose(T.reshape(z, (b, rows, num_heads, dh)), (0, 2, 1, 3))
 
-    q, k, v = (split_heads(i) for i in range(3))
+    q, k, v = split_heads(0, n), split_heads(1, t), split_heads(2, t)
     att = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     att = T.dropout(T.softmax(att, axis=-1), rate, rng)
-    o = T.matmul(att, v)  # (B, heads, T, dh)
-    return T.reshape(T.transpose(o, (0, 2, 1, 3)), (b, t, d))
+    o = T.matmul(att, v)  # (B, heads, n, dh)
+    return T.reshape(T.transpose(o, (0, 2, 1, 3)), (b, n, d))
 
 
 def unfused_mlp(x, w1, b1, w2, b2, rate, rng):
@@ -141,13 +143,16 @@ def unfused_mlp(x, w1, b1, w2, b2, rate, rng):
     return T.dropout(T.linear(m, w2, b2), rate, rng)
 
 
-def unfused_attention_block(x, blk, cfg, rng=None):
+def unfused_attention_block(x, blk, cfg, rng=None, queries=None):
     """`vit.attention_block` with matmul + bias in place of every linear node
-    and `unfused_attention` in place of the attention node."""
+    and `unfused_attention` in place of the attention node; `queries` slices
+    q and the residual as the block does."""
     rate = cfg.dropout_rate
     h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
-    o = unfused_attention(T.matmul(h, blk.wqkv) + blk.bqkv, cfg.num_heads, rate, rng)
+    o = unfused_attention(T.matmul(h, blk.wqkv) + blk.bqkv, cfg.num_heads, rate, rng, queries)
     o = T.dropout(T.matmul(o, blk.wo) + blk.bo, rate, rng)
+    if queries is not None:
+        x = x[:, :queries]
     x = x + o
     h2 = T.layer_norm(x, blk.ln2_g, blk.ln2_b)
     m = T.dropout(T.gelu(T.matmul(h2, blk.w1) + blk.b1), rate, rng)

@@ -280,8 +280,14 @@ BAD_INPUTS = {
     "weight_decay_negative": (["train", "--set", "weight_decay=-1"], CONFIG, "weight_decay must be finite and >= 0"),
     "weight_decay_inf": (["train", "--set", "weight_decay=inf"], CONFIG, "weight_decay must be finite and >= 0, got inf"),
     "lambda_nan": (["train", "--set", "lambda=nan"], CONFIG, "lambda must be finite and >= 0, got nan"),
-    "learning_rate_diverges": (["train", "--set", "learning_rate=1e30"], NUMERICAL, "l_prompt is non-finite"),
+    "learning_rate_diverges": (
+        ["train", "--set", "learning_rate=1e30", "--set", "eval_interval=2"], NUMERICAL, "l_prompt is non-finite",
+    ),
     "lambda_overflows": (["train", "--set", "lambda=1e308"], NUMERICAL, "total is non-finite"),
+    "last_step_overflows": (
+        ["train", "--set", "learning_rate=1e30", "--set", "steps=1", "--set", "eval_interval=1"],
+        NUMERICAL, "parameter vit.patch.w is non-finite after step 1",
+    ),
     "seed": (["train", "--seed", "-1"], CONFIG, "seed must be >= 0"),
     "num_seeds": (["ablate", "--num-seeds", "0"], CONFIG, "--num-seeds must be >= 1"),
     "workers": (["ablate", "--workers", "0"], CONFIG, "--workers must be >= 1, got 0"),

@@ -73,6 +73,14 @@ def test_run_experiment_needs_a_train_and_a_validation_image_per_source():
         pipeline.run_experiment(five_per_domain, 0, "erm", run)
 
 
+def test_a_last_step_to_non_finite_parameters_writes_no_checkpoint(tmp_path):
+    # the step-1 loss is finite; the update it takes at this rate is not
+    run = tiny_run_config(learning_rate=1e30, steps=1, eval_interval=1)
+    with pytest.raises(pipeline.NumericalError, match="parameter vit.patch.w is non-finite after step 1"):
+        pipeline.run_experiment(generate_dataset(3, 10, 0), 0, "doprompt", run, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_split_and_init_draw_from_different_streams(monkeypatch):
     # init_state takes child 0 of the run seed; the split must not read the same bits
     generators = {}

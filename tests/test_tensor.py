@@ -489,10 +489,10 @@ def _attention_inputs(rng, b=2, t=5, d=8):
     }
 
 
-def _attention_loss(attend, inputs, weights, rate, seed=7):
+def _attention_loss(attend, inputs, weights, rate, seed=7, queries=None):
     # a fresh generator per evaluation draws the same dropout mask every time
     rng = np.random.default_rng(seed)
-    out = attend(T.linear(inputs["h"], inputs["wqkv"], inputs["bqkv"]), 2, rate, rng)
+    out = attend(T.linear(inputs["h"], inputs["wqkv"], inputs["bqkv"]), 2, rate, rng, queries)
     return T.tensor_sum(out * weights)
 
 
@@ -528,6 +528,60 @@ def test_attention_matches_unfused_oracle_32bit(rate):
     for name in fused:
         assert fused[name].grad.dtype == np.float32, name
         np.testing.assert_array_equal(fused[name].grad, oracle[name].grad, err_msg=name)
+
+
+@pytest.mark.parametrize("queries", [1, 3])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_attention_of_the_first_queries_gradient_64bit(rate, queries):
+    with T.default_dtype("float64"):
+        rng = np.random.default_rng(17)
+        inputs = _attention_inputs(rng)
+        weights = Tensor(rng.normal(size=(2, queries, 8)))
+
+        def loss():
+            return _attention_loss(T.attention, inputs, weights, rate, queries=queries)
+
+        T.backward(loss())
+        for name, p in inputs.items():
+            numeric = central_diff(lambda: loss().item(), p.data, h=1e-6)
+            np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+        # the q of a token past the first `queries` reaches no output
+        qkv = T.linear(inputs["h"], inputs["wqkv"], inputs["bqkv"])
+        out = T.attention(qkv, 2, rate, np.random.default_rng(7), queries)
+        (dqkv,) = out._backward_fn(weights.data)
+        assert not dqkv[:, queries:, :8].any() and dqkv[:, queries:, 8:].any()
+
+
+@pytest.mark.parametrize("queries", [1, 3])
+def test_attention_of_the_first_queries_is_the_first_rows_32bit(queries):
+    data = np.random.default_rng(18)
+    qkv = Tensor(data.normal(size=(2, 5, 24)))
+    pruned = T.attention(qkv, 2, 0.0, None, queries)
+    assert pruned.shape == (2, queries, 8) and pruned.dtype == np.float32
+    # a GEMM of fewer rows may sum in another order, so the rows agree to rounding
+    np.testing.assert_allclose(pruned.data, T.attention(qkv, 2, 0.0, None).data[:, :queries], rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(pruned.data, unfused_attention(qkv, 2, 0.0, None).data[:, :queries], rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_attention_of_the_first_queries_matches_unfused_oracle_32bit(rate):
+    # one mask of the pruned shape on both sides; a one-row GEMM rounds by its operands' layout, so not bitwise
+    rng = np.random.default_rng(12)
+    weights = Tensor(rng.normal(size=(2, 1, 8)))
+    fused, oracle = _attention_inputs(np.random.default_rng(13)), _attention_inputs(np.random.default_rng(13))
+    loss_fused = _attention_loss(T.attention, fused, weights, rate, queries=1)
+    loss_oracle = _attention_loss(unfused_attention, oracle, weights, rate, queries=1)
+    np.testing.assert_allclose(loss_fused.item(), loss_oracle.item(), rtol=1e-6)
+    T.backward(loss_fused)
+    T.backward(loss_oracle)
+    for name in fused:
+        np.testing.assert_allclose(fused[name].grad, oracle[name].grad, rtol=1e-5, atol=1e-6, err_msg=name)
+
+
+@pytest.mark.parametrize("queries", [0, 6, -1])
+def test_attention_rejects_queries_outside_the_tokens(queries):
+    with pytest.raises(ShapeError, match=rf"queries must be in \[1, 5\] for 5 tokens, got {queries}"):
+        T.attention(Tensor(np.zeros((2, 5, 24))), 2, 0.0, None, queries)
 
 
 def _mlp_inputs(rng, b=2, t=5, d=8, hidden=16):

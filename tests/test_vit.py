@@ -167,6 +167,17 @@ def test_block_matches_per_head_reference(seed):
     np.testing.assert_allclose(out.data, expected, atol=1e-5)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_block_of_the_class_token_is_row_0_of_the_reference(seed):
+    cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=1, num_heads=2)
+    params = make_model(cfg, seed=seed)
+    x = np.random.default_rng(seed + 10).normal(size=(2, 6, 8)).astype(np.float32)
+    out = vit.attention_block(Tensor(x), params.blocks[0], cfg, queries=1)
+    expected = ref_block(x.astype(np.float64), params.blocks[0], cfg.num_heads)
+    assert out.shape == (2, 1, 8)
+    np.testing.assert_allclose(out.data, expected[:, :1], atol=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # full forward
 
@@ -247,6 +258,21 @@ def test_dropout_runs_exactly_when_a_generator_is_passed(tiny_vit_cfg):
     assert no_rng.tobytes() == rate_zero.tobytes()
     assert seeded[0].tobytes() == seeded[1].tobytes()
     assert not np.array_equal(seeded[0], no_rng)
+
+
+def test_last_block_draws_masks_for_the_class_token_only(tiny_vit_cfg):
+    cfg = dataclasses.replace(tiny_vit_cfg, depth=2, dropout_rate=0.3)
+    params = make_model(cfg)
+    images = Tensor(np.random.default_rng(3).random((2, 3, 8, 8)).astype(np.float32))
+    prompts = Tensor(np.random.default_rng(4).normal(size=(2, 3, cfg.embed_dim)))
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    vit.forward(params, cfg, images, prompts, rng)
+    b, t, d, heads, hidden = 2, 1 + cfg.num_patches + 3, cfg.embed_dim, cfg.num_heads, cfg.mlp_dim
+    full = [(b, heads, t, t), (b, t, d), (b, t, hidden), (b, t, d)]
+    last = [(b, heads, 1, t), (b, 1, d), (b, 1, hidden), (b, 1, d)]
+    for shape in [(b, t, d), *full, *last]:
+        T._keep_mask(shape, 0.3, twin)
+    assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
 
 
 def test_positional_embedding_covers_cls_and_patches_only(tiny_vit_cfg):
