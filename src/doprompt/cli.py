@@ -13,7 +13,8 @@ Exit codes, each failure with one line on stderr:
   large for memory, or a checkpoint without the prompts or the adapter that
   the variant `eval` predicts with, `analyze weights` or
   `analyze prompt-table` needs;
-- 3 (`train`) a loss term became non-finite;
+- 3 (`train`) a loss term became non-finite, or an update left a
+  parameter non-finite;
 - 4 (every command) an I/O or format problem: a missing checkpoint, one
   that is not a `.npz` of finite float32 arrays (an old `.dpt` file among
   them) or whose arrays or head count do not fit the configured model; a

@@ -6,6 +6,12 @@ pass under no_grad whose class feature feeds the adapter, so no gradient
 reaches the backbone through the adapter input; one pass in which every
 image carries its own domain's prompts, gathered from the bank; and one pass
 with the adapted prompts.
+
+A training step backpropagates the objective in two parts, each as soon as
+its passes have run: l_prompt (or the ERM loss) right after its pass, then
+l_adapt + lambda * l_w right after the adapted pass. The prompt pass's graph
+is released before the adapted pass starts, so a step holds one pass's
+graph at a time (see `variant_loss`).
 """
 
 from __future__ import annotations
@@ -92,34 +98,58 @@ def variant_loss(
     batch: DomainBatch,
     lam: float,
     rng=None,
+    backward=None,
 ) -> LossBreakdown:
     """The variant's loss terms and their total, in the order the passes draw dropout.
 
     The adapter-input pass comes first, then the prompt (or prompt-free ERM)
     pass, then the adapted pass; see `Variant` for which of them run. Each
     pass runs dropout, drawn from `rng`, exactly when `rng` is given.
+
+    Without `backward` the returned terms carry the whole graph. With it,
+    each part of the objective is backpropagated as soon as its passes have
+    run, so at most one pass's graph is alive at a time:
+    `backward(root, known)` is called on l_prompt right after its pass, then
+    on the rest of the total, l_adapt + lam * l_w (the terms the variant
+    sums), right after the adapted pass. `known` maps each loss name already
+    computed to its value, in CSV order. The adapter's two terms go back as
+    one root, so every leaf gets at most one gradient per part, and the
+    gradients equal bitwise those of one backward through `total`. The
+    returned terms are then graph-free 0-d tensors.
     """
     if not lam >= 0:  # also rejects NaN
         raise ValueError(f"lambda must be >= 0, got {lam}")
     l_w = l_a = Tensor(0.0)
     if variant.uses_adapter:
         with T.no_grad():
-            feat, _ = vit.forward(params, cfg, Tensor(batch.images), None, rng)
+            feat = vit.forward(params, cfg, Tensor(batch.images), None, rng)[0]
         weights = adapter_forward(adapter, bank, feat)
         l_w = loss_w(weights, batch.domains)
     if variant.uses_prompts:
         l_p = loss_prompt(params, cfg, bank, batch, rng)
     else:
         l_p = loss_erm(params, cfg, batch, rng)
-    total = l_p
+    if backward is not None:
+        known = {"l_prompt": l_p, "l_w": l_w}
+        if not variant.uses_adapter:  # one part: the total is l_prompt
+            known.update(l_adapt=l_a, total=l_p)
+        backward(l_p, known)
+        del known  # with l_p, the last reference to the prompt pass's graph
+        l_p = T.detach(l_p)
+    rest = []
     if "adapt" in variant.terms:
         adapted = compose_adapted_prompts(bank, weights)
         _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted, rng)
         l_a = T.cross_entropy(logits, batch.labels)
-        total = total + l_a
+        rest.append(l_a)
     if "w" in variant.terms:
-        total = total + l_w * lam
-    return LossBreakdown(l_prompt=l_p, l_w=l_w, l_adapt=l_a, total=total)
+        rest.append(l_w * lam)
+    total = sum(rest, l_p)
+    if backward is None:
+        return LossBreakdown(l_prompt=l_p, l_w=l_w, l_adapt=l_a, total=total)
+    if rest:
+        backward(sum(rest[1:], rest[0]), {"l_prompt": l_p, "l_w": l_w, "l_adapt": l_a, "total": total})
+    return LossBreakdown(*(T.detach(t) for t in (l_p, l_w, l_a, total)))
 
 
 def total_loss(

@@ -160,11 +160,13 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
     return state
 
 
-def _check_finite(breakdown: LossBreakdown) -> None:
-    names = LossBreakdown.CSV_HEADER.split(",")[1:]
-    for name, value in zip(names, breakdown.floats()):
+def _checked_backward(root: Tensor, known: dict) -> None:
+    """`T.backward(root)` once every loss term in `known` is finite."""
+    for name, term in known.items():
+        value = term.item()
         if not np.isfinite(value):
             raise NumericalError(f"loss component {name} is non-finite ({value})")
+    T.backward(root)
 
 
 def train_step(
@@ -178,17 +180,20 @@ def train_step(
     """One optimization step on one multi-domain batch, in place on `state` and `opt`.
 
     The batch carries one sub-batch per source domain. Computes the variant's
-    objective with dropout masks drawn from `rng`, backpropagates, and
-    applies AdamW to the parameters `opt` holds moments for, which clears
-    their grads. `variant` picks only the loss: `state` must come from
-    `init_state` for the same variant and `opt` from its `named_params()`, as
-    in `run_experiment`. Raises NumericalError if any component goes non-finite.
+    objective with dropout masks drawn from `rng` and backpropagates each
+    part as soon as its passes have run: l_prompt after the prompt pass, then
+    l_adapt + lambda * l_w after the adapted pass, so the step holds one
+    pass's graph at a time. Then applies AdamW to the parameters `opt` holds
+    moments for, which clears their grads. `variant` picks only the loss:
+    `state` must come from `init_state` for the same variant and `opt` from
+    its `named_params()`, as in `run_experiment`. Raises NumericalError, before
+    any backward through it, if a loss component goes non-finite. Returns the
+    graph-free loss terms.
     """
     breakdown = objectives.variant_loss(
-        get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch, config.lam, rng
+        get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch, config.lam, rng,
+        backward=_checked_backward,
     )
-    _check_finite(breakdown)
-    T.backward(breakdown.total)
     optim.step_params(state.named_params(), opt, opt.m, lr=config.learning_rate, weight_decay=config.weight_decay)
     return breakdown
 
@@ -356,7 +361,7 @@ def run_experiment(
         if selection.chosen_step == step:  # strictly better than every earlier eval
             best_snapshot = {n: p.data.copy() for n, p in state.named_params().items()}
 
-    # `_check_finite`, not numpy's overflow warnings, reports a diverging run
+    # `_checked_backward`, not numpy's overflow warnings, reports a diverging run
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, tc.steps + 1):
             batch = sample_step_batch(dataset, source_domains, train_idx, tc.batch_per_domain, batch_rng)

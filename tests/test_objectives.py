@@ -2,6 +2,7 @@
 adapted-prompt loss, stop-gradient contract, the combined objective and
 the per-variant objective."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -338,3 +339,38 @@ def test_variant_loss_terms_follow_the_table(tiny_vit_cfg, variant):
     assert la == (full[2] if "adapt" in spec.terms else 0.0)
     expected = lp + ("adapt" in spec.terms) * la + ("w" in spec.terms) * 0.7 * lw
     assert abs(tot - expected) < 1e-6
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_backward_by_parts_gives_the_gradients_of_one_backward(tiny_vit_cfg, variant):
+    # same generator, so the same dropout masks; every leaf gradient and term equal bitwise
+    cfg = dataclasses.replace(tiny_vit_cfg, dropout_rate=0.1)
+    spec = VARIANTS[variant]
+    batch = make_batch(cfg, [0, 1])
+
+    def run(by_parts):
+        params, bank, adapter = make_setup(cfg, k=2)
+        named = dict(params.named()) | {"prompts.bank": bank} | dict(adapter.named())
+        for name, p in named.items():
+            p.requires_grad = not name.startswith(spec.frozen)
+        rng = np.random.default_rng(7)
+        if by_parts:
+            known_at_each_root = []
+
+            def backward(root, known):
+                known_at_each_root.append(list(known))
+                T.backward(root)
+
+            br = objectives.variant_loss(spec, params, cfg, bank, adapter, batch, 0.7, rng, backward=backward)
+            every_term = ["l_prompt", "l_w", "l_adapt", "total"]
+            parts = [every_term[:2], every_term] if spec.uses_adapter else [every_term]
+            assert known_at_each_root == parts
+        else:
+            br = objectives.variant_loss(spec, params, cfg, bank, adapter, batch, 0.7, rng)
+            T.backward(br.total)
+        grads = {n: p.grad.tobytes() for n, p in named.items() if p.grad is not None}
+        return br.floats(), grads
+
+    by_parts, whole = run(True), run(False)
+    assert by_parts == whole
+    assert whole[1], "no gradient was computed"

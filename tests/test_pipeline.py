@@ -3,6 +3,7 @@ round trips for every variant of the ablation table."""
 
 import copy
 import dataclasses
+import weakref
 import zipfile
 
 import numpy as np
@@ -177,12 +178,26 @@ def test_train_step_keeps_every_array_float32(monkeypatch):
         assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
 
 
-def test_train_step_leaves_no_gradient_on_an_interior_node():
+def _recording_backward(monkeypatch):
+    """The roots `train_step` hands to `T.backward`, recorded as it runs them."""
+    roots, backward = [], T.backward
+
+    def recording_backward(root):
+        roots.append(root)
+        backward(root)
+
+    monkeypatch.setattr(T, "backward", recording_backward)
+    return roots
+
+
+def test_train_step_leaves_no_gradient_on_an_interior_node(monkeypatch):
+    roots = _recording_backward(monkeypatch)
     run = tiny_run_config(dropout=0.1)
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
     opt = optim.init_adamw_state(state.named_params())
-    breakdown = pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
-    stack, seen, interior = [breakdown.total], set(), 0
+    pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
+    assert len(roots) == 2  # l_prompt, then l_adapt + lambda * l_w
+    stack, seen, interior = list(roots), set(), 0
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -192,6 +207,38 @@ def test_train_step_leaves_no_gradient_on_an_interior_node():
                 assert node.grad is None, node
             stack.extend(node._parents)
     assert interior > 50
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_train_step_returns_graph_free_terms(monkeypatch, variant):
+    roots = _recording_backward(monkeypatch)
+    run = tiny_run_config(dropout=0.1)
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
+    opt = optim.init_adamw_state(state.named_params())
+    breakdown = pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
+    assert len(roots) == (2 if VARIANTS[variant].uses_adapter else 1)
+    for field in dataclasses.fields(breakdown):
+        term = getattr(breakdown, field.name)
+        assert term.shape == () and not term._parents, field.name
+
+
+def test_train_step_frees_the_prompt_pass_before_the_adapted_pass(monkeypatch):
+    forward, logits, alive = vit.forward, [], []
+
+    def recording_forward(*args, **kwargs):
+        alive.append([ref() is not None for ref in logits])
+        feat, out = forward(*args, **kwargs)
+        logits.append(weakref.ref(out.data))  # a Tensor takes no weakref; its array dies with it
+        return feat, out
+
+    monkeypatch.setattr(vit, "forward", recording_forward)
+    run = tiny_run_config(dropout=0.1)
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
+    # the adapter-input pass, the prompt pass, the adapted pass
+    assert alive == [[], [False], [False, False]]
+    assert all(ref() is None for ref in logits)
 
 
 def test_fused_block_trains_like_the_unfused_oracle_64bit(monkeypatch):
