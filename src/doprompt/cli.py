@@ -6,13 +6,13 @@ Exit codes, each failure with one line on stderr:
 - 1 (`ablate`, `sweep-length`) some cells of the table failed: each is
   listed on stderr and left out of its cell's mean, and a cell with no run
   left reads NaN in the CSV and null in the JSON;
-- 2 (every command) a config problem: a bad key, value or flag, a
-  `target_domain` outside the data, a dataset that the configured model
-  cannot take, that is too small to train on or that leaves a distance
-  undefined (`analyze distance` needs two domains), a model or dataset too
-  large for memory, or a checkpoint without the prompts or the adapter that
-  the variant `eval` predicts with, `analyze weights` or
-  `analyze prompt-table` needs;
+- 2 (every command) a config problem: a config file that is not UTF-8
+  text, a bad key, value or flag, a `target_domain` outside the data, a
+  dataset that the configured model cannot take, that is too small to
+  train on or that leaves a distance undefined (`analyze distance` needs
+  two domains), a model or dataset too large for memory, or a checkpoint
+  without the prompts or the adapter that the variant `eval` predicts
+  with, `analyze weights` or `analyze prompt-table` needs;
 - 3 (`train`) a loss term became non-finite, or an update left a
   parameter non-finite;
 - 4 (every command) an I/O or format problem: a missing checkpoint, one
@@ -20,7 +20,8 @@ Exit codes, each failure with one line on stderr:
   them) or whose arrays or head count do not fit the configured model; a
   missing `--data` path, or one that is not a directory of `domain_*` arrays
   (an old `.dpd` file among them); a truncated or unreadable `.npy`, a domain
-  with no image, a pixel not finite as float32 or a label not an int >= 0.
+  with no image, a complex pixel or one not finite as float32, or a label
+  not an int >= 0.
 
 `eval` and `analyze` build the model from the config, except whether it has
 a prompt bank and an adapter, which comes from the checkpoint's array names,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -65,6 +67,11 @@ def _out_root(arg) -> Path:
     if arg:
         return Path(arg)
     return Path(os.environ.get("DOPROMPT_OUT", "runs"))
+
+
+def _write_json(path: Path, payload) -> None:
+    """Sorted, indented JSON, written as UTF-8 whatever the locale."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _parse_overrides(pairs) -> dict:
@@ -147,7 +154,7 @@ def cmd_eval(args) -> int:
         print(f"domain {d}: accuracy {accs[f'domain_{d}']:.4f}")
     out = _out_root(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "eval.json").write_text(json.dumps(accs, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "eval.json", accs)
     return EXIT_OK
 
 
@@ -217,8 +224,8 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
         row.append("nan" if avg is None else f"{100 * avg:.2f}")
         lines.append(",".join(row))
         table[label] = {"per_target": means, "average": avg}
-    (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
-    (out / f"{name}.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_json(out / f"{name}.json", table)
     print("\n".join(lines))
     if failures:
         print("failed runs:\n  " + "\n  ".join(failures), file=sys.stderr)
@@ -302,7 +309,7 @@ def cmd_analyze(args) -> int:
             "cross_in_ratio": report.cross_in_ratio,
             "cross_in_class_ratio": report.cross_in_class_ratio,
         }
-        (out / "distance.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "distance.json", payload)
         return EXIT_OK
 
     state = _load_state(args.checkpoint, run, f"analyze {mode}", "doprompt")
@@ -324,7 +331,7 @@ def cmd_analyze(args) -> int:
             "percentages": stats.percentages.tolist(),
             "averages": stats.averages.tolist(),
         }
-        (out / "adapter_weights.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "adapter_weights.json", payload)
         return EXIT_OK
 
     # prompt-table, the last of the parser's choices
@@ -334,8 +341,8 @@ def cmd_analyze(args) -> int:
     for key, value in table.items():
         print(f"{key:>12}: {value:.2f}")
         lines.append(f"{key},{value:.4f}")
-    (out / "prompt_table.csv").write_text("\n".join(lines) + "\n")
-    (out / "prompt_table.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    (out / "prompt_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_json(out / "prompt_table.json", table)
     return EXIT_OK
 
 
@@ -393,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # a locale that cannot print a table's "±" escapes it
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -206,7 +206,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    kv = parse_config_text(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[: exc.start].count(b"\n") + 1
+        raise ConfigError(f"{path}:{lineno}: byte {exc.object[exc.start]:#04x} is not UTF-8 text") from exc
+    kv = parse_config_text(text, source=str(path))
     return build_run_config(kv, overrides)
 
 
@@ -215,4 +220,4 @@ def save_config(path, run: RunConfig) -> None:
     for key, (section, attr, _) in _KEYMAP.items():
         obj = {"train": run.train, "vit": run.vit, "data": run.data, "run": run}[section]
         lines.append(f"{key} = {getattr(obj, attr)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

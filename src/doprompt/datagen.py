@@ -221,8 +221,8 @@ def save_dataset(path, dataset: SyntheticDataset) -> None:
 
 def load_dataset(path) -> SyntheticDataset:
     """Read the directory `path`: every domain must hold at least one image,
-    every pixel must be finite in float32 and every label an int >= 0; the
-    number of classes is one past the largest label."""
+    every pixel must be real and finite in float32 and every label an int
+    >= 0; the number of classes is one past the largest label."""
     path = Path(path)
     if not path.is_dir():
         raise DataFormatError(
@@ -240,6 +240,8 @@ def load_dataset(path) -> SyntheticDataset:
             raise DataFormatError(f"{ddir}: images.npy or labels.npy is not a readable .npy: {exc}") from exc
         if img.ndim != 4 or len(img) == 0 or not np.issubdtype(img.dtype, np.number):
             raise DataFormatError(f"{ddir}: images.npy holds {img.dtype} {img.shape}, expected (N>=1, C, H, W)")
+        if np.iscomplexobj(img):
+            raise DataFormatError(f"{ddir}: images.npy holds {img.dtype} pixels, expected real numbers")
         with np.errstate(over="ignore"):  # a pixel past the float32 range becomes inf, rejected below
             img = img.astype(np.float32)
         if not np.isfinite(img).all():

@@ -16,7 +16,7 @@ graph at a time (see `variant_loss`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,26 +34,25 @@ LOG_CLAMP = 1e-7
 
 @dataclass
 class LossBreakdown:
-    """Scalar loss tensors; terms a variant does not compute are zero."""
+    """Scalar loss tensors; terms a variant does not compute are zero.
+
+    The fields, in order, are the one record of the terms' names: the CSV
+    columns, `floats()` and `train_step`'s finite check all read them.
+    """
 
     l_prompt: Tensor
     l_w: Tensor
     l_adapt: Tensor
     total: Tensor
 
-    def floats(self) -> tuple[float, float, float, float]:
-        return (
-            self.l_prompt.item(),
-            self.l_w.item(),
-            self.l_adapt.item(),
-            self.total.item(),
-        )
+    def floats(self) -> tuple[float, ...]:
+        return tuple(getattr(self, f.name).item() for f in fields(self))
 
     def csv_row(self, step: int) -> str:
-        lp, lw, la, tot = self.floats()
-        return f"{step},{lp:.6f},{lw:.6f},{la:.6f},{tot:.6f}"
+        return ",".join([str(step), *(f"{value:.6f}" for value in self.floats())])
 
-    CSV_HEADER = "step,l_prompt,l_w,l_adapt,total"
+
+LossBreakdown.CSV_HEADER = ",".join(["step", *(f.name for f in fields(LossBreakdown))])
 
 
 def loss_erm(params, cfg, batch: DomainBatch, rng=None) -> Tensor:
@@ -108,14 +107,14 @@ def variant_loss(
 
     Without `backward` the returned terms carry the whole graph. With it,
     each part of the objective is backpropagated as soon as its passes have
-    run, so at most one pass's graph is alive at a time:
-    `backward(root, known)` is called on l_prompt right after its pass, then
-    on the rest of the total, l_adapt + lam * l_w (the terms the variant
-    sums), right after the adapted pass. `known` maps each loss name already
-    computed to its value, in CSV order. The adapter's two terms go back as
-    one root, so every leaf gets at most one gradient per part, and the
+    run, so at most one pass's graph is alive at a time: `backward(root)` is
+    called on l_prompt (or the ERM loss) right after its pass, then on the
+    rest of the total, l_adapt + lam * l_w (the terms the variant sums),
+    right after the adapted pass. The adapter's two terms go back as one
+    root, so every leaf gets at most one gradient per part, and the
     gradients equal bitwise those of one backward through `total`. The
-    returned terms are then graph-free 0-d tensors.
+    returned terms are then graph-free 0-d tensors. Nothing here checks that
+    they are finite: `pipeline.train_step` does, once, before the update.
     """
     if not lam >= 0:  # also rejects NaN
         raise ValueError(f"lambda must be >= 0, got {lam}")
@@ -130,12 +129,8 @@ def variant_loss(
     else:
         l_p = loss_erm(params, cfg, batch, rng)
     if backward is not None:
-        known = {"l_prompt": l_p, "l_w": l_w}
-        if not variant.uses_adapter:  # one part: the total is l_prompt
-            known.update(l_adapt=l_a, total=l_p)
-        backward(l_p, known)
-        del known  # with l_p, the last reference to the prompt pass's graph
-        l_p = T.detach(l_p)
+        backward(l_p)
+        l_p = T.detach(l_p)  # drops the last reference to the prompt pass's graph
     rest = []
     if "adapt" in variant.terms:
         adapted = compose_adapted_prompts(bank, weights)
@@ -148,8 +143,8 @@ def variant_loss(
     if backward is None:
         return LossBreakdown(l_prompt=l_p, l_w=l_w, l_adapt=l_a, total=total)
     if rest:
-        backward(sum(rest[1:], rest[0]), {"l_prompt": l_p, "l_w": l_w, "l_adapt": l_a, "total": total})
-    return LossBreakdown(*(T.detach(t) for t in (l_p, l_w, l_a, total)))
+        backward(sum(rest[1:], rest[0]))
+    return LossBreakdown(*map(T.detach, (l_p, l_w, l_a, total)))
 
 
 def total_loss(

@@ -11,7 +11,7 @@ uses the exact inference function later used on the target domain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -160,15 +160,6 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
     return state
 
 
-def _checked_backward(root: Tensor, known: dict) -> None:
-    """`T.backward(root)` once every loss term in `known` is finite."""
-    for name, term in known.items():
-        value = term.item()
-        if not np.isfinite(value):
-            raise NumericalError(f"loss component {name} is non-finite ({value})")
-    T.backward(root)
-
-
 def train_step(
     state: ModelState,
     opt: optim.AdamWState,
@@ -186,14 +177,21 @@ def train_step(
     pass's graph at a time. Then applies AdamW to the parameters `opt` holds
     moments for, which clears their grads. `variant` picks only the loss:
     `state` must come from `init_state` for the same variant and `opt` from
-    its `named_params()`, as in `run_experiment`. Raises NumericalError, before
-    any backward through it, if a loss component goes non-finite. Returns the
-    graph-free loss terms.
+    its `named_params()`, as in `run_experiment`. If a loss term is
+    non-finite, raises NumericalError naming the first one in CSV order,
+    before the update: every parameter and `opt` keep their values, and no
+    gradient is left behind.
+    Returns the graph-free loss terms.
     """
     breakdown = objectives.variant_loss(
         get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch, config.lam, rng,
-        backward=_checked_backward,
+        backward=T.backward,
     )
+    for field, value in zip(fields(breakdown), breakdown.floats()):
+        if not np.isfinite(value):
+            for p in state.named_params().values():
+                p.grad = None  # a later step must not accumulate onto this step's gradients
+            raise NumericalError(f"loss component {field.name} is non-finite ({value})")
     optim.step_params(state.named_params(), opt, opt.m, lr=config.learning_rate, weight_decay=config.weight_decay)
     return breakdown
 
@@ -361,7 +359,7 @@ def run_experiment(
         if selection.chosen_step == step:  # strictly better than every earlier eval
             best_snapshot = {n: p.data.copy() for n, p in state.named_params().items()}
 
-    # `_checked_backward`, not numpy's overflow warnings, reports a diverging run
+    # `train_step`'s check of the loss terms, not numpy's warnings, reports a diverging run
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, tc.steps + 1):
             batch = sample_step_batch(dataset, source_domains, train_idx, tc.batch_per_domain, batch_rng)
@@ -394,10 +392,10 @@ def run_experiment(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "loss_curve.csv"
-        csv_path.write_text(LossBreakdown.CSV_HEADER + "\n" + "\n".join(loss_rows) + "\n")
+        csv_path.write_text(LossBreakdown.CSV_HEADER + "\n" + "\n".join(loss_rows) + "\n", encoding="utf-8")
         report["loss_curve_csv_path"] = csv_path.name  # relative to report.json
         state.save(out_dir / "checkpoint.npz")
-        (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     report["_state"] = state
     return report

@@ -1,18 +1,22 @@
 """Minimal reverse-mode automatic differentiation over dense numpy tensors.
 
-Provides exactly the operations the model needs:
+Provides the operations the model needs:
 
-- arithmetic: `add`, `sub`, `mul`, `div`, `exp`, `log`, `clamp_min`,
-  `tensor_sum`, `matmul` (batched over leading axes);
+- arithmetic: `add`, `sub`, `mul`, `log`, `clamp_min`, `tensor_sum`,
+  `matmul` (batched over leading axes);
 - fused layers: `linear` (x @ w + b as one GEMM over the flattened leading
   axes), `attention` (parameter-free multi-head self-attention of projected
   q, k, v, with dropout on P and a backward from the saved softmax; with
   `queries` = n, only the first n tokens' outputs) and `mlp`
   (a transformer MLP, Drop(Drop(GELU(x W1 + b1)) W2 + b2), as one node);
 - shape plumbing: `reshape`, `transpose`, `broadcast_to`, `concat`, indexing;
-- nonlinearities and losses: `softmax`, `layer_norm`, `gelu`,
-  `cross_entropy`;
+- nonlinearities and losses: `softmax`, `layer_norm`, `cross_entropy`;
 - `dropout` and the stop-gradients `detach` and `no_grad`.
+
+`gelu`, `div` and `exp` are single-op nodes that no model code calls (`mlp`
+and `prompting.adapter_forward` fuse their GELU). They are kept only because
+`bench/`'s tracer counts them by name and the tests' unfused oracles build
+on them.
 
 Gradients accumulate at fan-in nodes so shared parameters appearing in
 several losses are handled correctly; only leaves keep theirs after `backward`.

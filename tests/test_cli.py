@@ -230,6 +230,7 @@ def data_dirs(tmp_path):
         "npy_truncated": [good, (npy_bytes(images(5))[:-100], classes)],
         "nan_pixel": [good, (nan_pixel, classes)],
         "past_float32": [good, (past_float32, classes)],
+        "complex_pixels": [good, ((images(5) + 1j * images(5)).astype(np.complex64), classes)],
     }
     dirs = {}
     for name, domains in layouts.items():
@@ -245,6 +246,14 @@ def data_dirs(tmp_path):
     dirs["dpd_file"] = tmp_path / "data" / "dataset.dpd"
     dirs["dpd_file"].write_bytes(b"DPD1" + bytes(48))
     return dirs
+
+
+@pytest.fixture
+def config_files(tmp_path):
+    """`--config` files, each wrong in one way."""
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"steps = 1\n\xff = 2\n")
+    return {"not_utf8": not_utf8}
 
 
 CONFIG, NUMERICAL, FORMAT = cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_FORMAT
@@ -351,15 +360,19 @@ BAD_INPUTS = {
         CONFIG, "target_domain 9 out of range [0, 3)",
     ),
     "out_is_a_file": (["gen-data", "--out", "{erm}"], FORMAT, "File exists"),
+    "config_not_utf8": (["train", "--config", "{not_utf8}"], CONFIG, "not_utf8.cfg:2: byte 0xff is not UTF-8 text"),
+    "complex_pixels": (
+        ["train", "--data", "{complex_pixels}"], FORMAT, "domain_01: images.npy holds complex64 pixels, expected real",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_with_its_code_and_one_stderr_line(
-    tmp_path, config, checkpoints, data_dirs, capsys, recwarn, case
+    tmp_path, config, checkpoints, data_dirs, config_files, capsys, recwarn, case
 ):
     argv, code, message = BAD_INPUTS[case]
-    argv = [a.format(dir=tmp_path, **checkpoints, **data_dirs) for a in argv]
+    argv = [a.format(dir=tmp_path, **checkpoints, **data_dirs, **config_files) for a in argv]
     assert cli.main([argv[0], "--config", config, "--out", str(tmp_path / "out"), *argv[1:]]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n") and message in err, err
@@ -386,6 +399,20 @@ def test_sweep_length_rejects_its_lengths_before_building_any_data(tmp_path, con
     argv = ["sweep-length", "--config", config, "--out", str(tmp_path / "out"), "--lengths", lengths]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_sweep_length_writes_the_same_bytes_in_an_ascii_locale(tmp_path, config):
+    src = str(Path(cli.__file__).parents[1])
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    written = []
+    for name, extra in (("utf8_mode", {"PYTHONUTF8": "1"}), ("ascii", ascii_locale)):
+        env = {**os.environ, "PYTHONPATH": src, **extra}
+        out = tmp_path / name
+        argv = ["sweep-length", "--config", config, "--out", str(out), "--lengths", "2"]
+        subprocess.run([sys.executable, "-m", "doprompt.cli", *argv], env=env, check=True, timeout=120, capture_output=True)
+        written.append([(out / f"length_sweep.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert written[1] == written[0]
+    assert "±".encode() in written[0][0]
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -355,16 +355,14 @@ def test_backward_by_parts_gives_the_gradients_of_one_backward(tiny_vit_cfg, var
             p.requires_grad = not name.startswith(spec.frozen)
         rng = np.random.default_rng(7)
         if by_parts:
-            known_at_each_root = []
+            roots = []
 
-            def backward(root, known):
-                known_at_each_root.append(list(known))
+            def backward(root):
+                roots.append(root)
                 T.backward(root)
 
             br = objectives.variant_loss(spec, params, cfg, bank, adapter, batch, 0.7, rng, backward=backward)
-            every_term = ["l_prompt", "l_w", "l_adapt", "total"]
-            parts = [every_term[:2], every_term] if spec.uses_adapter else [every_term]
-            assert known_at_each_root == parts
+            assert len(roots) == (2 if spec.uses_adapter else 1)
         else:
             br = objectives.variant_loss(spec, params, cfg, bank, adapter, batch, 0.7, rng)
             T.backward(br.total)

@@ -261,6 +261,35 @@ def test_fused_block_trains_like_the_unfused_oracle_64bit(monkeypatch):
     assert fused[0] != fused[-1]
 
 
+# term -> (how the model is broken, lambda)
+NON_FINITE_TERMS = {
+    "l_prompt": (lambda state: state.bank.data.fill(np.inf), 1.0),
+    "l_w": (lambda state: state.adapter.b2.data.fill(np.nan), 1.0),
+    "total": (lambda state: None, 1e308),
+}
+
+
+@pytest.mark.parametrize("term", list(NON_FINITE_TERMS))
+def test_a_non_finite_loss_term_raises_before_the_update(term):
+    poison, lam = NON_FINITE_TERMS[term]
+    run = tiny_run_config(dropout=0.1, lam=lam)
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    healthy = dataclasses.replace(run.train, lam=1.0)
+    pipeline.train_step(state, opt, _batch(run.vit, 3, 4), healthy, np.random.default_rng(1))  # moments != 0
+    poison(state)
+    params = {n: p.data.tobytes() for n, p in state.named_params().items()}
+    moments = copy.deepcopy(opt)
+    with np.errstate(all="ignore"), pytest.raises(pipeline.NumericalError, match=f"loss component {term} is non-finite"):
+        pipeline.train_step(state, opt, _batch(run.vit, 3, 4, seed=1), run.train, np.random.default_rng(2))
+    assert {n: p.data.tobytes() for n, p in state.named_params().items()} == params
+    assert all(p.grad is None for p in state.named_params().values()), "a gradient was left for the next step"
+    assert opt.t == moments.t == 1
+    for name in moments.m:
+        assert opt.m[name].tobytes() == moments.m[name].tobytes(), name
+        assert opt.v[name].tobytes() == moments.v[name].tobytes(), name
+
+
 def test_train_step_rejects_unknown_variant():
     run = tiny_run_config()
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
