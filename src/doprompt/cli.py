@@ -170,11 +170,13 @@ def _ablate_worker(job):
         return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, row_header: str) -> int:
+def _run_table(args, run: RunConfig, rows: dict, targets, name: str, row_header: str) -> int:
     """Train every (row, target, seed) cell and write `<name>.csv` and `<name>.json`.
 
+    `--num-seeds` and `--workers` are checked before the data is built.
     `rows` maps a row label to the run config of that row; each cell runs it
-    with its own `target_domain` and `train.seed`. Cell outputs go to
+    with its own `target_domain` (every domain of the data when `targets` is
+    None) and `train.seed`. Cell outputs go to
     `<label>_t<target>_s<seed>/`. A table cell is the mean (and spread) over
     seeds of test accuracy over the runs that did not fail. A cell whose
     runs all failed, and its row's average, read `nan` in the CSV and `null`
@@ -185,7 +187,9 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
         raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    _WORKER_DATASET = dataset
+    _WORKER_DATASET = dataset = _load_or_generate_data(args, run)
+    if targets is None:
+        targets = range(dataset.num_domains)
     out = _out_root(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -235,15 +239,14 @@ def _run_table(args, run: RunConfig, dataset, rows: dict, targets, name: str, ro
 
 def cmd_ablate(args) -> int:
     run = _load_run_config(args)
-    dataset = _load_or_generate_data(args, run)
     rows = {variant: dataclasses.replace(run, variant=variant) for variant in VARIANTS}
-    return _run_table(args, run, dataset, rows, range(dataset.num_domains), "ablation", "variant")
+    return _run_table(args, run, rows, None, "ablation", "variant")
 
 
 def cmd_sweep_length(args) -> int:
     run = _load_run_config(args)
     try:
-        lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else list(DEFAULT_LENGTHS)
+        lengths = [int(x) for x in args.lengths.split(",")] if args.lengths is not None else list(DEFAULT_LENGTHS)
     except ValueError as exc:
         raise ConfigError(f"--lengths expects comma-separated integers, got {args.lengths!r}") from exc
     if len(set(lengths)) < len(lengths):
@@ -252,8 +255,7 @@ def cmd_sweep_length(args) -> int:
         f"L{length}": dataclasses.replace(run, train=dataclasses.replace(run.train, prompt_length=length))
         for length in lengths
     }  # every length is checked here, before any data is built
-    dataset = _load_or_generate_data(args, run)
-    return _run_table(args, run, dataset, rows, [run.target_domain], "length_sweep", "prompt_length")
+    return _run_table(args, run, rows, [run.target_domain], "length_sweep", "prompt_length")
 
 
 def _load_state(checkpoint_path, run: RunConfig, user: str, variant: str) -> pipeline.ModelState:

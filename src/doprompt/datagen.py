@@ -2,7 +2,7 @@
 
 Class identity is carried by shape geometry (disk, square, cross, triangle,
 stripes) and domain identity by rendering style (hue, background, noise,
-outline, texture). The renderer keeps the two apart, but a model need not:
+stroke width, texture). The renderer keeps the two apart, but a model need not:
 each domain draws every image with one fixed hue and background grey, and
 an ERM model trained on the default table keys on those exact values (moving
 only the hue or the background of a source domain's images drops it to near
@@ -16,6 +16,7 @@ arrives in.
 
 from __future__ import annotations
 
+import colorsys
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,7 @@ CLASS_NAMES = ("disk", "square", "cross", "triangle", "stripes")
 NUM_CLASSES = len(CLASS_NAMES)
 IMAGE_SIZE = 32
 CHANNELS = 3
+_YY, _XX = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]  # the pixel grid, shared by every image
 
 class DataFormatError(IOError):
     """A dataset directory that is missing, corrupt or truncated, or holds arrays outside the layout."""
@@ -51,7 +53,7 @@ class DomainStyleSpec:
     hue_rotation: float  # degrees
     background: float  # 0..1 gray level
     noise: float  # 0..1 additive amplitude
-    outline_only: bool = False
+    stroke: int = 0  # 0 fills the shape; k > 0 keeps only its outer k-pixel ring
     texture_freq: float = 0.0  # cycles per image, 0 = none
 
     def __post_init__(self):
@@ -59,6 +61,8 @@ class DomainStyleSpec:
             raise ValueError(f"background {self.background} outside [0, 1]")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise {self.noise} outside [0, 1]")
+        if self.stroke < 0:
+            raise ValueError(f"stroke {self.stroke} negative")
         if self.texture_freq < 0.0:
             raise ValueError(f"texture_freq {self.texture_freq} negative")
 
@@ -69,9 +73,9 @@ DEFAULT_STYLE_TABLE = (
     DomainStyleSpec(hue_rotation=0.0, background=0.10, noise=0.04, texture_freq=0.0),
     DomainStyleSpec(hue_rotation=140.0, background=0.55, noise=0.04, texture_freq=6.0),
     DomainStyleSpec(hue_rotation=70.0, background=0.32, noise=0.08, texture_freq=3.0),
-    DomainStyleSpec(hue_rotation=250.0, background=0.85, noise=0.12, outline_only=True),
+    DomainStyleSpec(hue_rotation=250.0, background=0.85, noise=0.12, stroke=2),
     DomainStyleSpec(hue_rotation=35.0, background=0.22, noise=0.02, texture_freq=9.0),
-    DomainStyleSpec(hue_rotation=180.0, background=0.70, noise=0.20, outline_only=True, texture_freq=4.0),
+    DomainStyleSpec(hue_rotation=180.0, background=0.70, noise=0.20, stroke=2, texture_freq=4.0),
 )
 
 
@@ -100,19 +104,9 @@ class SyntheticDataset:
         return len(self.labels[d])
 
 
-def _hsv_to_rgb(h: float, s: float, v: float) -> np.ndarray:
-    h = (h % 1.0) * 6.0
-    i = int(h)
-    f = h - i
-    p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-    rgb = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i % 6]
-    return np.array(rgb)
-
-
 def _shape_mask(c: int, cx: float, cy: float, r: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]
-    dx = xx - cx
-    dy = yy - cy
+    dx = _XX - cx
+    dy = _YY - cy
     if c == 0:  # disk
         return dx * dx + dy * dy <= r * r
     if c == 1:  # square
@@ -124,11 +118,10 @@ def _shape_mask(c: int, cx: float, cy: float, r: float) -> np.ndarray:
         )
     if c == 3:  # triangle, apex up
         return (dy <= 0.75 * r) & (np.abs(dx) <= 0.62 * (dy + r))
-    if c == 4:  # stripes: horizontal bars in a square extent
-        inside = (np.abs(dx) <= r) & (np.abs(dy) <= r)
-        band = (np.floor((dy + r) / (2.0 * r / 5.0)).astype(int) % 2) == 0
-        return inside & band
-    raise IndexError(f"class {c} out of range [0, {NUM_CLASSES})")
+    # c == 4, stripes: horizontal bars in a square extent
+    inside = (np.abs(dx) <= r) & (np.abs(dy) <= r)
+    band = (np.floor((dy + r) / (2.0 * r / 5.0)).astype(int) % 2) == 0
+    return inside & band
 
 
 def _erode(mask: np.ndarray) -> np.ndarray:
@@ -136,10 +129,6 @@ def _erode(mask: np.ndarray) -> np.ndarray:
     for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
         interior &= np.roll(mask, shift, axis=axis)
     return interior
-
-
-def _outline(mask: np.ndarray) -> np.ndarray:
-    return mask & ~_erode(mask)
 
 
 def render_image(c: int, style: DomainStyleSpec, rng: np.random.Generator) -> np.ndarray:
@@ -150,18 +139,20 @@ def render_image(c: int, style: DomainStyleSpec, rng: np.random.Generator) -> np
     cy = IMAGE_SIZE / 2 + rng.uniform(-3.0, 3.0)
     r = 9.0 * rng.uniform(0.8, 1.15)
     mask = _shape_mask(c, cx, cy, r)
-    if style.outline_only:
-        mask = _outline(mask) | _outline(_erode(mask))
+    if style.stroke:
+        interior = mask
+        for _ in range(style.stroke):
+            interior = _erode(interior)
+        mask = mask & ~interior
 
     img = np.full((CHANNELS, IMAGE_SIZE, IMAGE_SIZE), style.background, dtype=np.float64)
     if style.texture_freq > 0.0:
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        yy, xx = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]
-        tex = 0.1 * np.sin(2.0 * np.pi * style.texture_freq * (xx + yy) / IMAGE_SIZE + phase)
+        tex = 0.1 * np.sin(2.0 * np.pi * style.texture_freq * (_XX + _YY) / IMAGE_SIZE + phase)
         img += tex[None, :, :]
 
     base_hue = 0.07 + style.hue_rotation / 360.0
-    fg = _hsv_to_rgb(base_hue, 0.85, 0.95)
+    fg = np.array(colorsys.hsv_to_rgb(base_hue % 1.0, 0.85, 0.95))
     img[:, mask] = fg[:, None]
 
     if style.noise > 0.0:

@@ -301,6 +301,7 @@ BAD_INPUTS = {
     "num_seeds": (["ablate", "--num-seeds", "0"], CONFIG, "--num-seeds must be >= 1"),
     "workers": (["ablate", "--workers", "0"], CONFIG, "--workers must be >= 1, got 0"),
     "lengths": (["sweep-length", "--lengths", "a"], CONFIG, "--lengths expects comma-separated integers"),
+    "lengths_empty": (["sweep-length", "--lengths", ""], CONFIG, "--lengths expects comma-separated integers, got ''"),
     "lengths_repeated": (["sweep-length", "--lengths", "4,2,4"], CONFIG, "--lengths names prompt length 4 more than once"),
     "lengths_zero": (["sweep-length", "--lengths", "0,2"], CONFIG, "prompt_length must be >= 1, got 0"),
     "ckpt_embed_dim": ([*EVAL_DOPROMPT, "--set", "embed_dim=8"], FORMAT, "vit.patch.w has shape (192, 16)"),
@@ -390,7 +391,7 @@ def test_a_model_too_large_for_memory_exits_2_with_one_line(tmp_path, config, ca
     assert err.count("\n") == 1 and "does not fit in memory: Unable to allocate 1.86 TiB" in err, err
 
 
-@pytest.mark.parametrize("lengths", ["a", "2,2", "0,2"])
+@pytest.mark.parametrize("lengths", ["a", "2,2", "0,2", ""])
 def test_sweep_length_rejects_its_lengths_before_building_any_data(tmp_path, config, capsys, monkeypatch, lengths):
     def load_or_generate_data(args, run):
         raise AssertionError("the data was built before --lengths was checked")
@@ -399,6 +400,21 @@ def test_sweep_length_rejects_its_lengths_before_building_any_data(tmp_path, con
     argv = ["sweep-length", "--config", config, "--out", str(tmp_path / "out"), "--lengths", lengths]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["ablate", "sweep-length"])
+@pytest.mark.parametrize("flag", ["--workers", "--num-seeds"])
+def test_a_table_command_rejects_its_flags_before_building_any_data(
+    tmp_path, config, capsys, monkeypatch, command, flag
+):
+    def load_or_generate_data(args, run):
+        raise AssertionError(f"the data was built before {flag} was checked")
+
+    monkeypatch.setattr(cli, "_load_or_generate_data", load_or_generate_data)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out"), flag, "0"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag} must be >= 1, got 0\n", err
 
 
 def test_sweep_length_writes_the_same_bytes_in_an_ascii_locale(tmp_path, config):
