@@ -11,7 +11,10 @@ A training step backpropagates the objective in two parts, each as soon as
 its passes have run: l_prompt (or the ERM loss) right after its pass, then
 l_adapt + lambda * l_w right after the adapted pass. The prompt pass's graph
 is released before the adapted pass starts, so a step holds one pass's
-graph at a time (see `variant_loss`).
+graph at a time (see `variant_loss`). At default shapes (48 images, K 3,
+L 4) that graph keeps 16.2 MiB of arrays for the prompt or the adapted pass
+and 13.1 MiB for the prompt-free ERM pass (tracemalloc); see `tensor` for
+what each node keeps.
 """
 
 from __future__ import annotations

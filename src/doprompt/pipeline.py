@@ -78,7 +78,7 @@ class ModelState:
 
     @classmethod
     def load(cls, path, cfg: ViTConfig) -> "ModelState":
-        """Build the model the file's arrays describe and copy them into it.
+        """Build the model the file's arrays describe and copy them into it; nothing is drawn.
 
         The parts come from the file's names: a file without `prompts.bank`
         holds a prompt-free model, and one with a bank but no `adapter.*`
@@ -103,7 +103,7 @@ class ModelState:
         else:  # a variant whose parts are the file's
             k, length = bank.shape[:2]
             variant = "doprompt" if any(name.startswith("adapter.") for name in arrays) else "no_adapter"
-        state = init_state(cfg, k, length, seed=0, variant=variant)
+        state = init_state(cfg, k, length, seed=None, variant=variant)
         named = state.named_params()
         missing, extra = sorted(named.keys() - arrays.keys()), sorted(arrays.keys() - named.keys())
         if missing or extra:
@@ -137,17 +137,28 @@ class SelectionRecord:
         return max(self.val_accuracies)
 
 
-def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int,
+class _ZeroDraws:
+    """The generator of `init_state(seed=None)`: every normal "draw" is zeros, and nothing is drawn."""
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+
+def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int | None,
                variant: str = "doprompt") -> ModelState:
     """A fresh model with the parts `variant` trains: the backbone and classifier,
     a (num_domains, prompt_length, D) prompt bank if it uses prompts, and an
     adapter if it uses one. The adapter is drawn last, so the other parts are
     the same for every variant of one seed. The parameters under the variant's
     `frozen` prefixes are built with `requires_grad=False`, so no backward
-    computes their gradients and `optim.init_adamw_state` keeps no moments for them."""
+    computes their gradients and `optim.init_adamw_state` keeps no moments for them.
+    `seed` None draws nothing and builds every drawn parameter as zeros, for
+    `ModelState.load`, which overwrites them all."""
     spec = get_variant(variant)
-    root = np.random.SeedSequence(seed)
-    init_rng = np.random.default_rng(root.spawn(1)[0])
+    if seed is None:
+        init_rng = _ZeroDraws()
+    else:
+        init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     params = vit.init_vit_params(cfg, init_rng)
     bank = adapter = None
     if spec.uses_prompts:

@@ -18,7 +18,19 @@ and `prompting.adapter_forward` fuse their GELU). They are kept only because
 `bench/`'s tracer counts them by name and the tests' unfused oracles build
 on them.
 
-Gradients accumulate at fan-in nodes so shared parameters appearing in
+The graph node is a record, not the `Tensor`: an op whose operands need
+gradients gives its output a `_Record` that holds the operands' records (or
+the leaf tensors themselves), the backward closure and the gradient, and
+`backward` walks the records. A closure keeps shapes, dtypes, flags and only
+the arrays its backward reads, never an operand `Tensor`, so an interior
+output's array is freed as soon as the caller drops the output, unless a
+closure reads it (`softmax` and `exp` read their own outputs). The fused nodes
+keep: `linear` W, and x if W needs a gradient; `layer_norm` the normalised x,
+1 / std and gamma; `attention` q, k, v, P and its dropout mask; `mlp` x and
+the hidden layer h (each only if the weight after it needs a gradient),
+GELU'(x W1 + b1) and its two masks.
+
+Gradients accumulate at fan-in records so shared parameters appearing in
 several losses are handled correctly; only leaves keep theirs after `backward`.
 
 Arrays are row-major, 32-bit by default; `default_dtype("float64")` switches
@@ -108,20 +120,21 @@ def default_dtype(dtype):
 
 
 class Tensor:
-    """A dense n-d value, optionally a node in the reverse-mode graph.
+    """A dense n-d value; an op's output with `requires_grad` has a graph record.
 
     `data` is always a numpy array; `grad` is populated (same shape) by
-    `backward` for every reachable leaf with `requires_grad`.
+    `backward` for every reachable leaf with `requires_grad`. `_record` is
+    the output's `_Record` in the reverse-mode graph, None for a leaf and
+    for an output recorded without grads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_record")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward_fn = None
+        self._record = None
 
     @property
     def shape(self):
@@ -170,13 +183,32 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Record:
+    """One op's node in the reverse-mode graph, apart from its output `Tensor`.
+
+    `parents` holds, per operand, the operand's record, the operand itself
+    if it is a leaf with `requires_grad`, or None if it needs no gradient.
+    `backward_fn` maps the output's gradient to one gradient (or None) per
+    operand. `grad` accumulates the output's gradient during `backward`.
+    """
+
+    __slots__ = ("parents", "backward_fn", "grad")
+
+    def __init__(self, parents, backward_fn):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.grad = None
+
+
 def _node(data, parents, backward_fn) -> Tensor:
     """Build an output tensor, recording the edge only when grads are live."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._record = _Record(
+            tuple((p if p._record is None else p._record) if p.requires_grad else None for p in parents),
+            backward_fn,
+        )
     return out
 
 
@@ -198,37 +230,41 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _node(out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _node(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _node(out, (a, b), bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
+    ad, bd = a.data, b.data
+    out = ad / bd
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / bd, ad.shape)
+        gb = _unbroadcast(-g * ad / (bd * bd), bd.shape)
         return ga, gb
 
     return _node(out, (a, b), bwd)
@@ -244,19 +280,21 @@ def exp(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    out = np.log(x.data)
+    xd = x.data
+    out = np.log(xd)
 
     def bwd(g):
-        return (g / x.data,)
+        return (g / xd,)
 
     return _node(out, (x,), bwd)
 
 
 def clamp_min(x: Tensor, low: float) -> Tensor:
-    out = np.maximum(x.data, low)
+    xd = x.data
+    out = np.maximum(xd, low)
 
     def bwd(g):
-        return (g * (x.data >= low),)
+        return (g * (xd >= low),)
 
     return _node(out, (x,), bwd)
 
@@ -265,12 +303,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes stack."""
     if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
     return _node(out, (a, b), bwd)
 
@@ -281,17 +320,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
     d_in, d_out = w.shape
+    x_shape, wd = x.shape, w.data
+    x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b.requires_grad
     x2 = x.data.reshape(-1, d_in)
-    out = x2 @ w.data
+    out = x2 @ wd
     out += b.data
+    if not w_grad:
+        x2 = None  # only W's gradient reads the input
 
     def bwd(g):
         g2 = g.reshape(-1, d_out)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x2.T @ g2 if w.requires_grad else None
-        return gx, gw, g2.sum(axis=0) if b.requires_grad else None
+        gx = (g2 @ wd.T).reshape(x_shape) if x_grad else None
+        gw = x2.T @ g2 if w_grad else None
+        return gx, gw, g2.sum(axis=0) if b_grad else None
 
-    return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bwd)
+    return _node(out.reshape(x_shape[:-1] + (d_out,)), (x, w, b), bwd)
 
 
 def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator | None,
@@ -309,10 +352,12 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
     dropout mask and P V, so the output is the first n rows of the full one.
     Raises ShapeError unless 1 <= n <= T.
 
-    The backward pass returns dqkv from the saved P and mask, as FlashAttention
-    does without tiling: with Pd = P * mask, dV = Pd^T dO, dP = (dO V^T) * mask,
-    dS = P * (dP - rowsum(dP * P)) / sqrt(dh), dQ = dS K, dK = dS^T Q. The q of
-    a token past the first n gets a zero gradient.
+    The backward pass returns dqkv from the saved q, k, v, P and mask, as
+    FlashAttention does without tiling: with Pd = P * mask, recomputed as the
+    forward computed it, dV = Pd^T dO, dP = (dO V^T) * mask, dS = P * (dP -
+    rowsum(dP * P)) / sqrt(dh), dQ = dS K, dK = dS^T Q. The q of a token past
+    the first n gets a zero gradient. The node keeps no reference to `qkv`,
+    only its shape and dtype.
     """
     if qkv.ndim != 3 or qkv.shape[-1] % (3 * num_heads):
         raise ShapeError(f"attention: expected (B, T, 3D) with D divisible by {num_heads}, got {qkv.shape}")
@@ -335,12 +380,16 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
     p = np.exp(s, out=s)
     p /= p.sum(axis=-1, keepdims=True)
     keep = _keep_mask(p.shape, rate, rng) if rng is not None and rate != 0.0 else None
-    if keep is None:
-        pd = p
-    else:
+
+    def dropped():
+        if keep is None:
+            return p
         pd = p * (1.0 / (1.0 - rate))
         pd *= keep
-    out = (pd @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+        return pd
+
+    out = (dropped() @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+    qkv_shape, qkv_dtype = qkv.shape, qkv.dtype
 
     def bwd(g):
         go = g.reshape(b, n, num_heads, dh).transpose(0, 2, 1, 3)
@@ -352,12 +401,12 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
         ds *= p
         ds *= scale
         # dq, dk and dv are written in the layout q, k and v were read from qkv
-        dqkv = np.empty_like(qkv.data)
+        dqkv = np.empty(qkv_shape, dtype=qkv_dtype)
         dq, dk, dv = dqkv.reshape(b, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
         np.matmul(ds, k, out=dq[:, :, :n])
         dq[:, :, n:] = 0.0
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        np.matmul(pd.swapaxes(-1, -2), go, out=dv)
+        np.matmul(dropped().swapaxes(-1, -2), go, out=dv)
         return (dqkv,)
 
     return _node(out, (qkv,), bwd)
@@ -374,6 +423,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     nodes in their order, so at rate 0 values and gradients are bitwise those
     of `linear`, `gelu`, `linear`. It computes no gradient for an operand that
     does not require grad.
+
+    The node keeps the masks, x if W1 needs a gradient, the hidden layer h if
+    W2 does, and GELU'(a) of the pre-activation a. GELU'(a) is computed in
+    the forward, and only when grads are recorded and x, W1 or b1 needs one,
+    so a pass without grads pays nothing for it.
     """
     if (w1.ndim != 2 or w2.ndim != 2 or x.ndim < 1 or x.shape[-1] != w1.shape[0] or b1.shape != w1.shape[1:]
             or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
@@ -383,43 +437,52 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     d_in, d_out = w1.shape[0], w2.shape[1]
     drop = rng is not None and rate != 0.0
     scale = 1.0 / (1.0 - rate) if drop else 1.0
+    x_shape, wd1, wd2 = x.shape, w1.data, w2.data
+    x_grad, w1_grad, b1_grad, w2_grad, b2_grad = (p.requires_grad for p in (x, w1, b1, w2, b2))
     x2 = x.data.reshape(-1, d_in)
-    a = x2 @ w1.data
+    a = x2 @ wd1
     a += b1.data
     cdf = _normal_cdf(a)
     h = a * cdf
+    hidden_grad = _GRAD_ENABLED and (x_grad or w1_grad or b1_grad)
+    dgelu = _gelu_derivative(a, cdf) if hidden_grad else None
+    del a, cdf  # the backward reads neither
     keep1 = keep2 = None
     if drop:
         keep1 = _keep_mask(h.shape, rate, rng)
         h *= scale
         h *= keep1
-    out = h @ w2.data
+    out = h @ wd2
     out += b2.data
     if drop:
         keep2 = _keep_mask(out.shape, rate, rng)
         out *= scale
         out *= keep2
+    if not w1_grad:
+        x2 = None  # only W1's gradient reads the input, and only W2's reads h
+    if not w2_grad:
+        h = None
 
     def bwd(g):
         g2 = g.reshape(-1, d_out)
         if keep2 is not None:
             g2 = g2 * scale
             g2 *= keep2
-        gw2 = h.T @ g2 if w2.requires_grad else None
-        gb2 = g2.sum(axis=0) if b2.requires_grad else None
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+        gw2 = h.T @ g2 if w2_grad else None
+        gb2 = g2.sum(axis=0) if b2_grad else None
+        if dgelu is None:
             return None, None, None, gw2, gb2
-        gh = g2 @ w2.data.T
+        ga = g2 @ wd2.T
         if keep1 is not None:
-            gh *= scale
-            gh *= keep1
-        ga = _gelu_grad(a, cdf, gh)
-        gx = (ga @ w1.data.T).reshape(x.shape) if x.requires_grad else None
-        gw1 = x2.T @ ga if w1.requires_grad else None
-        gb1 = ga.sum(axis=0) if b1.requires_grad else None
+            ga *= scale
+            ga *= keep1
+        ga *= dgelu  # the last product of `gelu`'s backward, so the bits are its
+        gx = (ga @ wd1.T).reshape(x_shape) if x_grad else None
+        gw1 = x2.T @ ga if w1_grad else None
+        gb1 = ga.sum(axis=0) if b1_grad else None
         return gx, gw1, gb1, gw2, gb2
 
-    return _node(out.reshape(x.shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), bwd)
+    return _node(out.reshape(x_shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +511,11 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, in_shape = tuple(shape), x.shape
     out = np.broadcast_to(x.data, shape).copy()
 
     def bwd(g):
-        return (_unbroadcast(g, x.shape),)
+        return (_unbroadcast(g, in_shape),)
 
     return _node(out, (x,), bwd)
 
@@ -471,12 +534,13 @@ def concat(tensors, axis: int) -> Tensor:
 
 def getitem(x: Tensor, idx) -> Tensor:
     out = x.data[idx]
+    in_shape, dtype = x.shape, x.dtype
     advanced = any(
         isinstance(i, (np.ndarray, list)) for i in (idx if isinstance(idx, tuple) else (idx,))
     )
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(in_shape, dtype=dtype)
         if advanced:
             np.add.at(gx, idx, g)
         else:
@@ -488,12 +552,13 @@ def getitem(x: Tensor, idx) -> Tensor:
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
+    in_shape = x.shape
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
+            return (np.broadcast_to(g, in_shape).copy(),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.shape).copy(),)
+        return (np.broadcast_to(g_exp, in_shape).copy(),)
 
     return _node(out, (x,), bwd)
 
@@ -524,18 +589,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=-1, keepdims=True)  # biased
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = gamma.data * xhat + beta.data
+    gd, dtype = gamma.data, x.dtype
+    gamma_grad, beta_grad, beta_shape = gamma.requires_grad, beta.requires_grad, beta.shape
+    out = gd * xhat + beta.data
 
     def bwd(g):
-        gxhat = g * gamma.data
+        gxhat = g * gd
         gx = inv * (
             gxhat
             - gxhat.mean(axis=-1, keepdims=True)
             - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        ggamma = _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None
-        gbeta = _unbroadcast(g, beta.shape) if beta.requires_grad else None
-        return gx.astype(x.dtype, copy=False), ggamma, gbeta
+        ggamma = _unbroadcast(g * xhat, gd.shape) if gamma_grad else None
+        gbeta = _unbroadcast(g, beta_shape) if beta_grad else None
+        return gx.astype(dtype, copy=False), ggamma, gbeta
 
     return _node(out, (x, gamma, beta), bwd)
 
@@ -589,24 +656,26 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-CDF GELU: x * Phi(x); exact in float64, within 2e-6 absolute
     in float32 (see the module docstring)."""
-    cdf = _normal_cdf(x.data)
-    out = x.data * cdf
+    xd = x.data
+    cdf = _normal_cdf(xd)
+    out = xd * cdf
 
     def bwd(g):
-        return (_gelu_grad(x.data, cdf, g),)
+        gx = _gelu_derivative(xd, cdf)
+        gx *= g
+        return (gx,)
 
     return _node(out, (x,), bwd)
 
 
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer."""
+def _gelu_derivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU'(x) = cdf + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer."""
     gx = x * x
     gx *= -0.5
     np.exp(gx, out=gx)
     gx *= x
     gx *= 1.0 / math.sqrt(2.0 * math.pi)
     gx += cdf
-    gx *= g
     return gx
 
 
@@ -628,11 +697,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
     out = -logp[np.arange(b), t].mean()
+    dtype = logits.dtype
 
     def bwd(g):
         p = np.exp(logp)
         p[np.arange(b), t] -= 1.0
-        return ((g * p / b).astype(logits.dtype),)
+        return ((g * p / b).astype(dtype),)
 
     return _node(out, (logits,), bwd)
 
@@ -672,40 +742,42 @@ def detach(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate `grad` on every tensor reachable from a scalar loss.
+    """Populate `grad` on every leaf reachable from a scalar loss.
 
-    Gradients accumulate at fan-in nodes. An interior node (one an op made)
-    releases its `grad` once passed to its parents; leaves keep theirs, so they
-    accumulate across repeated calls until `optim.step_params` clears them. A
-    first contribution is stored as is and later ones are added out of place,
-    so one array may be the grad of several tensors and is never written to.
+    Walks the records from the loss's own. Gradients accumulate at fan-in
+    records. A record releases its `grad` once passed to its parents; leaves
+    keep theirs, so they accumulate across repeated calls until
+    `optim.step_params` clears them. A first contribution is stored as is and
+    later ones are added out of place, so one array may be the grad of
+    several tensors and is never written to.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+    root = loss if loss._record is None else loss._record
+    root.grad = np.ones_like(loss.data) if root.grad is None else root.grad + np.ones_like(loss.data)
+    if root is loss:
+        return
 
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        record, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(record)
             continue
-        if id(node) in seen:
+        if id(record) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        seen.add(id(record))
+        stack.append((record, True))
+        for p in record.parents:
+            if type(p) is _Record and id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is None:
-            continue
-        grads = node._backward_fn(node.grad)
-        node.grad = None
-        for parent, g in zip(node._parents, grads):
-            if not parent.requires_grad or g is None:
+    for record in reversed(topo):
+        grads = record.backward_fn(record.grad)
+        record.grad = None
+        for parent, g in zip(record.parents, grads):
+            if parent is None or g is None:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g

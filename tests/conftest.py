@@ -83,6 +83,18 @@ def tiny_vit_cfg():
     )
 
 
+def count_gelu_derivatives(monkeypatch) -> list:
+    """Record the input shape of every `tensor._gelu_derivative` call from now on."""
+    calls, derivative = [], T._gelu_derivative
+
+    def counting(x, cdf):
+        calls.append(x.shape)
+        return derivative(x, cdf)
+
+    monkeypatch.setattr(T, "_gelu_derivative", counting)
+    return calls
+
+
 def tiny_run_config(**train_kwargs) -> RunConfig:
     defaults = dict(
         steps=10,

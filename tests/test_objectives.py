@@ -4,6 +4,7 @@ the per-variant objective."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from doprompt.datagen import DomainBatch
 from doprompt.objectives import LossBreakdown
 from doprompt.tensor import Tensor
 
-from conftest import central_diff, check_gradient, norm_rel_error, per_row
+from conftest import central_diff, check_gradient, count_gelu_derivatives, norm_rel_error, per_row
 
 
 def make_setup(cfg, k=2, length=2, seed=0):
@@ -74,6 +75,43 @@ def test_loss_prompt_equals_per_domain_split_oracle(tiny_vit_cfg):
         sub = DomainBatch(batch.images[sel], batch.labels[sel], batch.domains[sel])
         per_domain.append(objectives.loss_prompt(params, cfg, bank, sub).item())
     assert abs(pooled - np.mean(per_domain)) < 1e-6
+
+
+def test_a_prompt_pass_at_default_shapes_keeps_at_most_18_mib_for_its_backward():
+    # 48 images, K 3, L 4, dropout 0.1: the arrays the graph's closures read
+    cfg = vit.ViTConfig(dropout_rate=0.1)
+    params, bank, _ = make_setup(cfg, k=3, length=4)
+    batch = make_batch(cfg, [0, 1, 2], per_domain=16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = objectives.loss_prompt(params, cfg, bank, batch, np.random.default_rng(1))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 18 * 2**20, f"the graph holds {held / 2**20:.1f} MiB"
+    T.backward(loss)
+    assert bank.grad is not None and np.isfinite(bank.grad).all()
+
+
+def test_only_a_pass_with_grads_computes_gelu_derivatives(monkeypatch, tiny_vit_cfg):
+    calls, mlp, nodes = count_gelu_derivatives(monkeypatch), T.mlp, []
+
+    def recording_mlp(*args):
+        before = len(calls)
+        out = mlp(*args)
+        nodes.append((out.requires_grad, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(T, "mlp", recording_mlp)
+    cfg = dataclasses.replace(tiny_vit_cfg, depth=2, dropout_rate=0.1)
+    params, bank, adapter = make_setup(cfg)
+    batch = make_batch(cfg, [0, 1])
+    objectives.variant_loss(
+        VARIANTS["doprompt"], params, cfg, bank, adapter, batch, 1.0, np.random.default_rng(3), backward=T.backward
+    )
+    # the no-grad adapter-input pass; then the adapter, the prompt pass and the adapted pass
+    assert nodes == [(False, 0)] * cfg.depth + [(True, 1)] * (1 + 2 * cfg.depth)
 
 
 def test_loss_prompt_unknown_domain_raises(tiny_vit_cfg):

@@ -17,6 +17,7 @@ from doprompt.config import VARIANTS, ConfigError
 from doprompt.datagen import DomainBatch, generate_dataset
 
 from conftest import (
+    count_gelu_derivatives,
     looped_infer,
     looped_per_prompt_logits,
     looped_prompt_free_logits,
@@ -197,15 +198,14 @@ def test_train_step_leaves_no_gradient_on_an_interior_node(monkeypatch):
     opt = optim.init_adamw_state(state.named_params())
     pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1))
     assert len(roots) == 2  # l_prompt, then l_adapt + lambda * l_w
-    stack, seen, interior = list(roots), set(), 0
+    stack, seen, interior = [root._record for root in roots], set(), 0
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node._parents:
-                interior += 1
-                assert node.grad is None, node
-            stack.extend(node._parents)
+        record = stack.pop()
+        if id(record) not in seen:
+            seen.add(id(record))
+            interior += 1
+            assert record.grad is None, record
+            stack.extend(p for p in record.parents if isinstance(p, T._Record))
     assert interior > 50
 
 
@@ -219,7 +219,7 @@ def test_train_step_returns_graph_free_terms(monkeypatch, variant):
     assert len(roots) == (2 if VARIANTS[variant].uses_adapter else 1)
     for field in dataclasses.fields(breakdown):
         term = getattr(breakdown, field.name)
-        assert term.shape == () and not term._parents, field.name
+        assert term.shape == () and term._record is None, field.name
 
 
 def test_train_step_frees_the_prompt_pass_before_the_adapted_pass(monkeypatch):
@@ -328,6 +328,26 @@ def test_model_state_save_load_round_trip(tmp_path, with_prompts):
         np.testing.assert_array_equal(
             pipeline.predict_logits(loaded, images, variant), pipeline.predict_logits(state, images, variant)
         )
+
+
+@pytest.mark.parametrize("variant", ["erm", "no_adapter", "doprompt"])
+def test_load_draws_nothing_and_restores_the_saved_model_bitwise(tmp_path, monkeypatch, variant):
+    run = tiny_run_config()
+    state = pipeline.init_state(run.vit, 3, 2, seed=4, variant=variant)  # not the draws of any other seed
+    state.save(tmp_path / "model.npz")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("ModelState.load made a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+    loaded = pipeline.ModelState.load(tmp_path / "model.npz", run.vit)
+    original = state.named_params()
+    assert list(loaded.named_params()) == list(original)
+    for name, p in loaded.named_params().items():
+        assert p.data.dtype == np.float32 and p.data.flags.c_contiguous, name
+        assert p.data.tobytes() == original[name].data.tobytes(), name
+        assert p.requires_grad and p.grad is None, name
 
 
 BLOCK_ARRAYS = ("ln1.g", "ln1.b", "wqkv", "bqkv", "wo", "bo", "ln2.g", "ln2.b", "w1", "b1", "w2", "b2")
@@ -447,6 +467,17 @@ def test_per_prompt_logits_match_one_pass_per_prompt_across_a_chunk_edge():
     got = pipeline.per_prompt_logits(state, images)
     assert got.shape == (130, 3, run.vit.num_classes)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+
+
+def test_inference_computes_no_gelu_derivative(monkeypatch):
+    calls = count_gelu_derivatives(monkeypatch)
+    run = tiny_run_config()
+    state = _prompted_state(run)
+    images = _batch(run.vit, 1, 6).images
+    for variant in VARIANTS:
+        pipeline.predict_logits(state, images, variant)
+    pipeline.infer(state, images)
+    assert calls == []
 
 
 def test_readers_over_more_than_one_chunk_equal_their_per_chunk_calls():

@@ -2,6 +2,7 @@
 against central finite differences, stop-gradient and determinism contracts."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ import pytest
 from doprompt import tensor as T
 from doprompt.tensor import ShapeError, Tensor
 
-from conftest import central_diff, check_gradient, erf64, rel_error, unfused_attention, unfused_mlp
+from conftest import (
+    central_diff,
+    check_gradient,
+    count_gelu_derivatives,
+    erf64,
+    rel_error,
+    unfused_attention,
+    unfused_mlp,
+)
 
 
 def series_erf(x: float, terms: int = 40) -> float:
@@ -367,7 +376,22 @@ def test_no_grad_records_nothing():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
         y = x * 2.0
-    assert not y.requires_grad and y._parents == ()
+    assert not y.requires_grad and y._record is None
+
+
+def test_an_interior_output_is_freed_with_its_tensor_unless_a_closure_reads_it():
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
+    w, b = Tensor(rng.normal(size=(8, 24)), requires_grad=True), Tensor(rng.normal(size=24), requires_grad=True)
+    qkv = T.linear(x, w, b)
+    p = T.softmax(T.attention(qkv, 2, 0.3, np.random.default_rng(7)), axis=-1)
+    loss = T.tensor_sum(p)
+    # attention keeps its own copies of q, k and v; softmax's backward reads its output
+    unread, read = weakref.ref(qkv.data), weakref.ref(p.data)
+    del qkv, p
+    assert unread() is None and read() is not None
+    T.backward(loss)
+    assert all(t.grad is not None and np.isfinite(t.grad).all() for t in (x, w, b))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +493,8 @@ def test_frozen_linear_and_layer_norm_pass_only_the_input_gradient_64bit():
         # neither node computes a gradient for a frozen operand
         h = T.linear(x, w, b)
         out = T.layer_norm(h, gain, shift)
-        gh, ggain, gshift = out._backward_fn(np.ones(out.shape))
-        gx, gw, gb = h._backward_fn(gh)
+        gh, ggain, gshift = out._record.backward_fn(np.ones(out.shape))
+        gx, gw, gb = h._record.backward_fn(gh)
         assert gx.shape == x.shape and gh.shape == h.shape
         assert ggain is None and gshift is None and gw is None and gb is None
 
@@ -548,7 +572,7 @@ def test_attention_of_the_first_queries_gradient_64bit(rate, queries):
         # the q of a token past the first `queries` reaches no output
         qkv = T.linear(inputs["h"], inputs["wqkv"], inputs["bqkv"])
         out = T.attention(qkv, 2, rate, np.random.default_rng(7), queries)
-        (dqkv,) = out._backward_fn(weights.data)
+        (dqkv,) = out._record.backward_fn(weights.data)
         assert not dqkv[:, queries:, :8].any() and dqkv[:, queries:, 8:].any()
 
 
@@ -648,15 +672,42 @@ def test_mlp_computes_no_gradient_for_a_frozen_operand(frozen):
         else:
             np.testing.assert_array_equal(p.grad, live[name].grad, err_msg=name)
     out = T.mlp(*part.values(), 0.3, np.random.default_rng(7))
-    grads = dict(zip(part, out._backward_fn(np.ones(out.shape, dtype=np.float32))))
+    grads = dict(zip(part, out._record.backward_fn(np.ones(out.shape, dtype=np.float32))))
     assert [name for name, g in grads.items() if g is None] == list(frozen)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_linear_and_mlp_keep_their_input_only_for_the_weight_gradient(frozen):
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    w, b = Tensor(rng.normal(size=(8, 8)), requires_grad=not frozen), Tensor(np.zeros(8))
+    h1, h2 = x * 2.0, x * 3.0
+    loss = T.tensor_sum(T.linear(h1, w, b)) + T.tensor_sum(T.mlp(h2, w, b, w, b, 0.0, None))
+    refs = [weakref.ref(h1.data), weakref.ref(h2.data)]
+    del h1, h2
+    assert [ref() is None for ref in refs] == [frozen, frozen]
+    T.backward(loss)
+    assert x.grad is not None and (w.grad is None) == frozen
+
+
+def test_an_mlp_with_a_frozen_hidden_layer_computes_no_gelu_derivative(monkeypatch):
+    calls = count_gelu_derivatives(monkeypatch)
+    inputs = _mlp_inputs(np.random.default_rng(19))
+    for name in ("x", "w1", "b1"):
+        inputs[name].requires_grad = False
+    out = T.mlp(*inputs.values(), 0.3, np.random.default_rng(7))
+    T.backward(T.tensor_sum(out))
+    assert out.requires_grad and inputs["w2"].grad is not None and inputs["b2"].grad is not None
+    assert calls == []
+    live = T.mlp(*_mlp_inputs(np.random.default_rng(19)).values(), 0.3, np.random.default_rng(7))
+    assert live.requires_grad and calls == [(10, 16)]
 
 
 def test_mlp_under_no_grad_records_no_graph():
     inputs = _mlp_inputs(np.random.default_rng(19))
     with T.no_grad():
         out = T.mlp(*inputs.values(), 0.3, np.random.default_rng(7))
-    assert not out.requires_grad and out._parents == () and out._backward_fn is None
+    assert not out.requires_grad and out._record is None
 
 
 def test_mlp_shape_error_names_all_shapes():
