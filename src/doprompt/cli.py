@@ -10,9 +10,10 @@ Exit codes, each failure with one line on stderr:
   text, a bad key, value or flag, a `target_domain` outside the data, a
   dataset that the configured model cannot take, that is too small to
   train on or that leaves a distance undefined (`analyze distance` needs
-  two domains), a model or dataset too large for memory, or a checkpoint
+  two domains), a model or dataset too large for memory, a checkpoint
   without the prompts or the adapter that the variant `eval` predicts
-  with, `analyze weights` or `analyze prompt-table` needs;
+  with, `analyze weights` or `analyze prompt-table` needs, a config file
+  that sets one key twice, or `sweep-length` on a prompt-free variant;
 - 3 (`train`) a loss term became non-finite, or an update left a
   parameter non-finite;
 - 4 (every command) an I/O or format problem: a missing checkpoint, one
@@ -41,7 +42,6 @@ import argparse
 import dataclasses
 import io
 import json
-import os
 import sys
 from multiprocessing import get_context
 from pathlib import Path
@@ -61,12 +61,6 @@ EXIT_NUMERICAL = 3
 EXIT_FORMAT = 4
 
 DEFAULT_LENGTHS = (2, 4, 8, 16, 32)
-
-
-def _out_root(arg) -> Path:
-    if arg:
-        return Path(arg)
-    return Path(os.environ.get("DOPROMPT_OUT", "runs"))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -120,7 +114,7 @@ def cmd_gen_data(args) -> int:
     run = _load_run_config(args)
     dc = run.data
     dataset = datagen.generate_dataset(dc.num_domains, dc.per_domain_count, dc.data_seed)
-    out = _out_root(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dataset"
     datagen.save_dataset(path, dataset)
@@ -132,8 +126,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     run = _load_run_config(args)
     dataset = _load_or_generate_data(args, run)
-    out = _out_root(args.out)
-    report = pipeline.run_experiment(dataset, run.target_domain, run.variant, run, out_dir=out)
+    report = pipeline.run_experiment(dataset, run.target_domain, run.variant, run, out_dir=args.out)
     print(
         f"variant={report['variant']} target={report['target_domain']} "
         f"seed={report['seed']} chosen_step={report['chosen_step']} "
@@ -152,7 +145,7 @@ def cmd_eval(args) -> int:
             state, dataset.images[d], dataset.labels[d], run.variant
         )
         print(f"domain {d}: accuracy {accs[f'domain_{d}']:.4f}")
-    out = _out_root(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "eval.json", accs)
     return EXIT_OK
@@ -190,7 +183,7 @@ def _run_table(args, run: RunConfig, rows: dict, targets, name: str, row_header:
     _WORKER_DATASET = dataset = _load_or_generate_data(args, run)
     if targets is None:
         targets = range(dataset.num_domains)
-    out = _out_root(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     seeds = [run.train.seed + i for i in range(args.num_seeds)]
@@ -251,6 +244,8 @@ def cmd_sweep_length(args) -> int:
         raise ConfigError(f"--lengths expects comma-separated integers, got {args.lengths!r}") from exc
     if len(set(lengths)) < len(lengths):
         raise ConfigError(f"--lengths names prompt length {max(lengths, key=lengths.count)} more than once")
+    if not VARIANTS[run.variant].uses_prompts:
+        raise ConfigError(f"variant {run.variant!r} has no prompts, so every prompt length trains the same model")
     rows = {
         f"L{length}": dataclasses.replace(run, train=dataclasses.replace(run.train, prompt_length=length))
         for length in lengths
@@ -285,7 +280,7 @@ def _print_matrix(title, names, matrix) -> None:
 def cmd_analyze(args) -> int:
     run = _load_run_config(args)
     dataset = _load_or_generate_data(args, run)
-    out = _out_root(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     mode = args.mode
 
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="flat key=value config file")
         p.add_argument("--data", help="dataset directory: domain_00/images.npy and labels.npy, and so on")
-        p.add_argument("--out", help="output directory (default $DOPROMPT_OUT or ./runs)")
+        p.add_argument("--out", type=Path, default="runs", help="output directory (default ./runs)")
         p.add_argument("--seed", type=int, help="override the training seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
 

@@ -160,8 +160,8 @@ _TYPES = {"int": int, "float": float, "str": str}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
-    out = {}
+    """Flat key=value lines, each key at most once; '#' starts a comment; blank lines ignored."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -171,7 +171,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYMAP:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise ConfigError(f"{source}:{lineno}: config key {key!r} is set again (first on line {first_line[key]})")
         out[key] = value
+        first_line[key] = lineno
     return out
 
 

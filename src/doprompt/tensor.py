@@ -40,13 +40,13 @@ rational erf approximation, evaluated in cache-sized chunks, that keeps GELU
 within 2e-6 absolute of the float64 value on [-10, 10] (about 1.4e-6 at
 worst).
 
-Dropout runs exactly when it is given a generator and a nonzero rate. Every
-mask, in `dropout`, `attention` and `mlp` alike, comes from `_keep_mask`: one
-16-bit draw per element (the generator's raw 64-bit output, split in four),
-kept where it is >= round(rate * 65536), capped at 65535. The realised rate is
-that threshold / 65536 (0.1 -> 0.1000061), while kept values are scaled by the
-nominal 1 / (1 - rate). A mask is a bool array, applied as `x * scale`, then
-`*= keep`, in both directions.
+Dropout is one rule in `dropout`, `attention` and `mlp` alike. `_keep_mask`
+decides: None, drawing nothing, without a generator or at rate 0, else a bool
+mask of one 16-bit draw per element (the generator's raw 64-bit output, split
+in four), kept where it is >= round(rate * 65536), capped at 65535. `_drop`
+applies it in both directions: `x * (1 / (1 - rate))`, then `*= keep`. The
+realised rate is the threshold / 65536 (0.1 -> 0.1000061), while kept values
+are scaled by the nominal 1 / (1 - rate).
 """
 
 from __future__ import annotations
@@ -343,9 +343,9 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
 
     q, k and v, side by side as a `linear` of width 3D writes them, each split
     into `num_heads` heads of width dh = D / num_heads. P = softmax(q k^T /
-    sqrt(dh)) row-wise with the row max subtracted, P is dropped out like
-    `dropout` does (one `_keep_mask` drawn from `rng`, only when `rng` is given
-    and `rate` > 0), O = P V, and the heads are merged back to (B, n, D).
+    sqrt(dh)) row-wise with the row max subtracted, P is dropped out as
+    `dropout` does (one `_keep_mask`, applied by `_drop`), O = P V, and the
+    heads are merged back to (B, n, D).
 
     `queries` = n keeps only the first n tokens' queries (all T when None):
     every token is a key and a value, but only those n rows enter q k^T, the
@@ -379,24 +379,14 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
     s -= row_max[..., None]
     p = np.exp(s, out=s)
     p /= p.sum(axis=-1, keepdims=True)
-    keep = _keep_mask(p.shape, rate, rng) if rng is not None and rate != 0.0 else None
-
-    def dropped():
-        if keep is None:
-            return p
-        pd = p * (1.0 / (1.0 - rate))
-        pd *= keep
-        return pd
-
-    out = (dropped() @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+    keep = _keep_mask(p.shape, rate, rng)
+    out = (_drop(p, keep, rate) @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
     qkv_shape, qkv_dtype = qkv.shape, qkv.dtype
 
     def bwd(g):
         go = g.reshape(b, n, num_heads, dh).transpose(0, 2, 1, 3)
         dp = go @ v.swapaxes(-1, -2)
-        if keep is not None:
-            dp *= 1.0 / (1.0 - rate)
-            dp *= keep
+        _drop(dp, keep, rate, out=dp)
         ds = dp - (dp * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
@@ -406,7 +396,7 @@ def attention(qkv: Tensor, num_heads: int, rate: float, rng: np.random.Generator
         np.matmul(ds, k, out=dq[:, :, :n])
         dq[:, :, n:] = 0.0
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        np.matmul(dropped().swapaxes(-1, -2), go, out=dv)
+        np.matmul(_drop(p, keep, rate).swapaxes(-1, -2), go, out=dv)
         return (dqkv,)
 
     return _node(out, (qkv,), bwd)
@@ -417,12 +407,12 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     """Drop(Drop(GELU(x W1 + b1)) W2 + b2) over the last axis of x, as one node.
 
     Both GEMMs run over the flattened leading axes as in `linear`, GELU as in
-    `gelu`, and dropout, only when `rng` is given and `rate` > 0, as in
-    `dropout`, in place: one `_keep_mask` for the hidden layer, then one for
-    the output. The backward pass replays the backward operations of those
-    nodes in their order, so at rate 0 values and gradients are bitwise those
-    of `linear`, `gelu`, `linear`. It computes no gradient for an operand that
-    does not require grad.
+    `gelu`, and dropout as in `dropout`, in place: one `_keep_mask` for the
+    hidden layer, then one for the output, each applied by `_drop`. The
+    backward pass replays the backward operations of those nodes in their
+    order, so at rate 0 values and gradients are bitwise those of `linear`,
+    `gelu`, `linear`. It computes no gradient for an operand that does not
+    require grad.
 
     The node keeps the masks, x if W1 needs a gradient, the hidden layer h if
     W2 does, and GELU'(a) of the pre-activation a. GELU'(a) is computed in
@@ -435,8 +425,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
             f"mlp: incompatible shapes {x.shape} x {w1.shape} + {b1.shape} x {w2.shape} + {b2.shape}"
         )
     d_in, d_out = w1.shape[0], w2.shape[1]
-    drop = rng is not None and rate != 0.0
-    scale = 1.0 / (1.0 - rate) if drop else 1.0
     x_shape, wd1, wd2 = x.shape, w1.data, w2.data
     x_grad, w1_grad, b1_grad, w2_grad, b2_grad = (p.requires_grad for p in (x, w1, b1, w2, b2))
     x2 = x.data.reshape(-1, d_in)
@@ -447,35 +435,25 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     hidden_grad = _GRAD_ENABLED and (x_grad or w1_grad or b1_grad)
     dgelu = _gelu_derivative(a, cdf) if hidden_grad else None
     del a, cdf  # the backward reads neither
-    keep1 = keep2 = None
-    if drop:
-        keep1 = _keep_mask(h.shape, rate, rng)
-        h *= scale
-        h *= keep1
+    keep1 = _keep_mask(h.shape, rate, rng)
+    _drop(h, keep1, rate, out=h)
     out = h @ wd2
     out += b2.data
-    if drop:
-        keep2 = _keep_mask(out.shape, rate, rng)
-        out *= scale
-        out *= keep2
+    keep2 = _keep_mask(out.shape, rate, rng)
+    _drop(out, keep2, rate, out=out)
     if not w1_grad:
         x2 = None  # only W1's gradient reads the input, and only W2's reads h
     if not w2_grad:
         h = None
 
     def bwd(g):
-        g2 = g.reshape(-1, d_out)
-        if keep2 is not None:
-            g2 = g2 * scale
-            g2 *= keep2
+        g2 = _drop(g.reshape(-1, d_out), keep2, rate)
         gw2 = h.T @ g2 if w2_grad else None
         gb2 = g2.sum(axis=0) if b2_grad else None
         if dgelu is None:
             return None, None, None, gw2, gb2
         ga = g2 @ wd2.T
-        if keep1 is not None:
-            ga *= scale
-            ga *= keep1
+        _drop(ga, keep1, rate, out=ga)
         ga *= dgelu  # the last product of `gelu`'s backward, so the bits are its
         gx = (ga @ wd1.T).reshape(x_shape) if x_grad else None
         gw1 = x2.T @ ga if w1_grad else None
@@ -708,28 +686,34 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout with one `_keep_mask` drawn from `rng`; `x` itself
-    when `rng` is None or `rate` == 0."""
-    if rng is None or rate == 0.0:
-        return x
+    """Inverted dropout: one `_keep_mask`, applied by `_drop` both ways; `x` itself without a mask."""
     keep = _keep_mask(x.shape, rate, rng)
-    scale = 1.0 / (1.0 - rate)
-    out = x.data * scale
-    out *= keep
+    if keep is None:
+        return x
 
     def bwd(g):
-        gx = g * scale
-        gx *= keep
-        return (gx,)
+        return (_drop(g, keep, rate),)
 
-    return _node(out, (x,), bwd)
+    return _node(_drop(x.data, keep, rate), (x,), bwd)
 
 
-def _keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Bool keep mask: one 16-bit draw per element, kept where it is >= min(round(rate * 65536), 65535)."""
+def _keep_mask(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Whether dropout runs, and its mask: None, drawing nothing, when `rng` is None or `rate` == 0;
+    else a bool mask of one 16-bit draw per element, kept where it is >= min(round(rate * 65536), 65535)."""
+    if rng is None or rate == 0.0:
+        return None
     n = math.prod(shape)
     bits = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
     return (bits >= min(round(rate * 65536), 65535)).reshape(shape)
+
+
+def _drop(x: np.ndarray, keep: np.ndarray | None, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+    """`x * (1 / (1 - rate))`, then `*= keep`, into `out` when given; `x` itself when `keep` is None."""
+    if keep is None:
+        return x
+    out = np.multiply(x, 1.0 / (1.0 - rate), out=out)
+    out *= keep
+    return out
 
 
 def detach(x: Tensor) -> Tensor:

@@ -253,7 +253,9 @@ def config_files(tmp_path):
     """`--config` files, each wrong in one way."""
     not_utf8 = tmp_path / "not_utf8.cfg"
     not_utf8.write_bytes(b"steps = 1\n\xff = 2\n")
-    return {"not_utf8": not_utf8}
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("steps = 10\n# steps = 15\n\nsteps = 20\n")
+    return {"not_utf8": not_utf8, "repeated": repeated}
 
 
 CONFIG, NUMERICAL, FORMAT = cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_FORMAT
@@ -304,6 +306,7 @@ BAD_INPUTS = {
     "lengths_empty": (["sweep-length", "--lengths", ""], CONFIG, "--lengths expects comma-separated integers, got ''"),
     "lengths_repeated": (["sweep-length", "--lengths", "4,2,4"], CONFIG, "--lengths names prompt length 4 more than once"),
     "lengths_zero": (["sweep-length", "--lengths", "0,2"], CONFIG, "prompt_length must be >= 1, got 0"),
+    "lengths_on_erm": (["sweep-length", "--set", "variant=erm"], CONFIG, "variant 'erm' has no prompts"),
     "ckpt_embed_dim": ([*EVAL_DOPROMPT, "--set", "embed_dim=8"], FORMAT, "vit.patch.w has shape (192, 16)"),
     "ckpt_depth": ([*EVAL_DOPROMPT, "--set", "depth=2"], FORMAT, "12 missing ['vit.block1.b1']"),
     "ckpt_mlp_ratio": ([*EVAL_DOPROMPT, "--set", "mlp_ratio=4"], FORMAT, "vit.block0.w1 has shape (16, 32)"),
@@ -362,6 +365,9 @@ BAD_INPUTS = {
     ),
     "out_is_a_file": (["gen-data", "--out", "{erm}"], FORMAT, "File exists"),
     "config_not_utf8": (["train", "--config", "{not_utf8}"], CONFIG, "not_utf8.cfg:2: byte 0xff is not UTF-8 text"),
+    "config_key_repeated": (
+        ["train", "--config", "{repeated}"], CONFIG, "repeated.cfg:4: config key 'steps' is set again (first on line 1)",
+    ),
     "complex_pixels": (
         ["train", "--data", "{complex_pixels}"], FORMAT, "domain_01: images.npy holds complex64 pixels, expected real",
     ),
@@ -402,6 +408,17 @@ def test_sweep_length_rejects_its_lengths_before_building_any_data(tmp_path, con
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_sweep_length_rejects_a_prompt_free_variant_before_building_any_data(tmp_path, config, capsys, monkeypatch):
+    def load_or_generate_data(args, run):
+        raise AssertionError("the data was built before the variant was checked")
+
+    monkeypatch.setattr(cli, "_load_or_generate_data", load_or_generate_data)
+    argv = ["sweep-length", "--config", config, "--out", str(tmp_path / "out"), "--set", "variant=erm"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "variant 'erm' has no prompts" in err, err
+
+
 @pytest.mark.parametrize("command", ["ablate", "sweep-length"])
 @pytest.mark.parametrize("flag", ["--workers", "--num-seeds"])
 def test_a_table_command_rejects_its_flags_before_building_any_data(
@@ -415,6 +432,18 @@ def test_a_table_command_rejects_its_flags_before_building_any_data(
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"config error: {flag} must be >= 1, got 0\n", err
+
+
+def test_train_without_out_writes_to_runs_in_the_working_directory(tmp_path, config, capsys, monkeypatch):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("DOPROMPT_OUT", str(elsewhere))
+    assert cli.main(["train", "--config", config]) == cli.EXIT_OK
+    assert all((cwd / "runs" / name).is_file() for name in ("report.json", "loss_curve.csv", "checkpoint.npz"))
+    assert list(elsewhere.iterdir()) == []
 
 
 def test_sweep_length_writes_the_same_bytes_in_an_ascii_locale(tmp_path, config):

@@ -25,6 +25,7 @@ def test_save_then_load_gives_an_equal_run_config(tmp_path):
     ("steps\n", None, "expected key=value"),
     ("steps = ten\n", None, "cannot parse 'ten'"),
     ("", {"mlp_ratio": "wide"}, "cannot parse 'wide'"),
+    ("steps = 10\nsteps = 20\n", None, r"bad\.cfg:2: config key 'steps' is set again \(first on line 1\)"),
 ])
 def test_bad_config_raises_config_error(tmp_path, text, overrides, message):
     path = tmp_path / "bad.cfg"

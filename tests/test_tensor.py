@@ -357,18 +357,27 @@ def test_dropout_just_below_rate_one_keeps_the_top_16_bit_value_and_stays_finite
     np.testing.assert_array_equal(out.data != 0.0, kept)
 
 
-def test_dropout_attention_and_mlp_draw_the_keep_mask_stream_in_turn():
+@pytest.mark.parametrize("rate", [0.3, 0.0])
+def test_dropout_attention_and_mlp_draw_the_keep_mask_stream_in_turn(rate):
     data = np.random.default_rng(4)
     x = Tensor(data.normal(size=(3, 5, 8)))
     qkv = Tensor(data.normal(size=(3, 5, 24)))
     w1, b1, w2, b2 = (Tensor(data.normal(size=s)) for s in ((8, 16), (16,), (16, 8), (8,)))
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-    dropped = T.dropout(x, 0.3, rng)
-    T.attention(qkv, 2, 0.3, rng)
-    T.mlp(x, w1, b1, w2, b2, 0.3, rng)
+    dropped = T.dropout(x, rate, rng)
+    attended = T.attention(qkv, 2, rate, rng)
+    mixed = T.mlp(x, w1, b1, w2, b2, rate, rng)
     # input, attention probabilities (odd size: 150 draws of 16 bits), MLP hidden layer, MLP output
-    masks = [T._keep_mask(shape, 0.3, twin) for shape in ((3, 5, 8), (3, 2, 5, 5), (15, 16), (15, 8))]
-    np.testing.assert_array_equal(dropped.data, x.data * (1.0 / 0.7) * masks[0])
+    masks = [T._keep_mask(shape, rate, twin) for shape in ((3, 5, 8), (3, 2, 5, 5), (15, 16), (15, 8))]
+    assert T._keep_mask((3, 5, 8), rate, None) is None
+    if rate == 0.0:
+        # nothing is drawn, and every output is the one a pass without a generator gives
+        assert masks == [None] * 4 and dropped is x
+        assert twin.bit_generator.state == np.random.default_rng(21).bit_generator.state
+        np.testing.assert_array_equal(attended.data, T.attention(qkv, 2, rate, None).data)
+        np.testing.assert_array_equal(mixed.data, T.mlp(x, w1, b1, w2, b2, rate, None).data)
+    else:
+        np.testing.assert_array_equal(dropped.data, x.data * (1.0 / (1.0 - rate)) * masks[0])
     assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
 
 
