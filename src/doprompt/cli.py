@@ -13,7 +13,8 @@ Exit codes, each failure with one line on stderr:
   two domains), a model or dataset too large for memory, a checkpoint
   without the prompts or the adapter that the variant `eval` predicts
   with, `analyze weights` or `analyze prompt-table` needs, a config file
-  that sets one key twice, or `sweep-length` on a prompt-free variant;
+  that sets one key twice, `sweep-length` on a prompt-free variant, or an
+  empty `--out`, rejected before anything is written;
 - 3 (`train`) a loss term became non-finite, or an update left a
   parameter non-finite;
 - 4 (every command) an I/O or format problem: a missing checkpoint, one
@@ -269,12 +270,14 @@ def _load_state(checkpoint_path, run: RunConfig, user: str, variant: str) -> pip
     return state
 
 
-def _print_matrix(title, names, matrix) -> None:
-    width = max(10, max(len(n) for n in names) + 2)
+def _print_matrix(title, names, matrix, columns=None, fmt=".3f") -> None:
+    """`matrix` under `title`, one row per name; the columns are `names` too unless given."""
+    columns = names if columns is None else columns
+    width = max(10, max(len(n) for n in [*names, *columns]) + 2)
     print(title)
-    print(" " * width + "".join(f"{n:>{width}}" for n in names))
+    print(" " * width + "".join(f"{n:>{width}}" for n in columns))
     for name, row in zip(names, matrix):
-        print(f"{name:>{width}}" + "".join(f"{v:>{width}.3f}" for v in row))
+        print(f"{name:>{width}}" + "".join(f"{v:>{width}{fmt}}" for v in row))
 
 
 def cmd_analyze(args) -> int:
@@ -314,13 +317,8 @@ def cmd_analyze(args) -> int:
         stats = analysis.adapter_weight_stats(state, dataset)
         names = [f"domain_{d}" for d in range(len(stats.percentages))]
         src = [f"src_{s}" for s in range(stats.percentages.shape[1])]
-        print("argmax share (%)")
-        print(" " * 12 + "".join(f"{n:>10}" for n in src))
-        for name, row in zip(names, stats.percentages):
-            print(f"{name:>12}" + "".join(f"{v:>10.1f}" for v in row))
-        print("average weight")
-        for name, row in zip(names, stats.averages):
-            print(f"{name:>12}" + "".join(f"{v:>10.3f}" for v in row))
+        _print_matrix("argmax share (%)", names, stats.percentages, src, ".1f")
+        _print_matrix("average weight", names, stats.averages, src)
         np.savetxt(out / "adapter_percentages.csv", stats.percentages, delimiter=",", fmt="%.4f")
         np.savetxt(out / "adapter_averages.csv", stats.averages, delimiter=",", fmt="%.6f")
         payload = {
@@ -357,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="flat key=value config file")
         p.add_argument("--data", help="dataset directory: domain_00/images.npy and labels.npy, and so on")
-        p.add_argument("--out", type=Path, default="runs", help="output directory (default ./runs)")
+        p.add_argument("--out", default="runs", help="output directory (default ./runs)")
         p.add_argument("--seed", type=int, help="override the training seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
 
@@ -402,6 +400,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.out:  # Path("") is the working directory; an unset shell variable is the likelier cause
+            raise ConfigError("--out is empty; name an output directory")
+        args.out = Path(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,21 +30,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Variant:
-    """One ablation row: the objective's terms, what stays frozen, how to predict.
+    """One ablation row: the objective's terms and what stays frozen.
 
     `terms` are summed into the total, from "erm" (prompt-free cross-entropy,
     logged in the l_prompt column), "prompt" (L_prompt), "w" (lambda * L_w)
     and "adapt" (L_adapt). Only a variant with "w" or "adapt" has an adapter;
     it runs it and logs L_w even when L_w carries no weight. `init_state`
     builds the parameters whose names start with a `frozen` prefix with
-    `requires_grad=False`, so they are never updated. `inference`
-    names the test-time logits: "adapted", "prompt_free", or
-    "prompt_averaged" (the mean of the K single-prompt logits).
+    `requires_grad=False`, so they are never updated. A variant predicts with
+    the parts it trains: the adapted prompt if it has an adapter, else the
+    mean of the K single-prompt logits if it has a bank, else no prompt.
     """
 
     terms: tuple[str, ...]
     frozen: tuple[str, ...] = ()
-    inference: str = "adapted"
 
     @property
     def uses_prompts(self) -> bool:
@@ -59,8 +58,8 @@ class Variant:
 
 VARIANTS = {
     "doprompt": Variant(("prompt", "w", "adapt")),
-    "erm": Variant(("erm",), inference="prompt_free"),  # no bank or adapter to freeze
-    "no_adapter": Variant(("prompt",), inference="prompt_averaged"),
+    "erm": Variant(("erm",)),  # no bank or adapter to freeze
+    "no_adapter": Variant(("prompt",)),
     "no_lw": Variant(("prompt", "adapt")),
     "no_ladapt": Variant(("prompt", "w")),
     "frozen_backbone": Variant(("prompt", "w", "adapt"), frozen=("vit.",)),

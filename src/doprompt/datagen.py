@@ -173,6 +173,8 @@ def generate_dataset(num_domains: int, per_domain_count: int, seed: int) -> Synt
         raise ValueError(
             f"style table has {len(DEFAULT_STYLE_TABLE)} entries, cannot supply {num_domains} domains"
         )
+    if per_domain_count < NUM_CLASSES:
+        raise ValueError(f"per_domain_count must be >= {NUM_CLASSES}, one image per class, got {per_domain_count}")
     if per_domain_count % NUM_CLASSES:
         raise ValueError(f"per_domain_count {per_domain_count} is not a multiple of the {NUM_CLASSES} classes")
     n = per_domain_count

@@ -1,8 +1,10 @@
 """Training loop, inference, evaluation, and model selection.
 
-Every variant trains and predicts from its row of `config.VARIANTS`: the
-loss terms go to `objectives.variant_loss`, the frozen name prefixes to
-`init_state`, and the inference mode to `predict_logits`.
+Every variant trains from its row of `config.VARIANTS`: the loss terms go
+to `objectives.variant_loss` and the frozen name prefixes to `init_state`.
+It predicts with the parts that row trains: `predict_logits` uses the
+adapted prompt if it has an adapter, else the mean of the single-prompt
+logits if it has a bank, else no prompt.
 One training run is single-threaded and fully deterministic: every random
 draw (init, batch sampling, dropout) derives from the run seed. Validation
 uses the exact inference function later used on the target domain.
@@ -29,7 +31,6 @@ from .vit import ViTConfig, ViTParams
 __all__ = [
     "ModelState",
     "NumericalError",
-    "SelectionRecord",
     "evaluate_accuracy",
     "extract_features",
     "infer",
@@ -118,23 +119,6 @@ class ModelState:
                 )
             p.data[...] = arrays[name]
         return state
-
-
-@dataclass
-class SelectionRecord:
-    """Validation accuracy per evaluated checkpoint; best step wins, ties earliest."""
-
-    steps: list
-    val_accuracies: list
-
-    @property
-    def chosen_step(self) -> int:
-        best = int(np.argmax(self.val_accuracies))  # argmax takes the earliest max
-        return self.steps[best]
-
-    @property
-    def best_accuracy(self) -> float:
-        return max(self.val_accuracies)
 
 
 class _ZeroDraws:
@@ -253,16 +237,16 @@ def per_prompt_logits(state: ModelState, images: np.ndarray) -> np.ndarray:
     return logits.reshape(len(images), k, -1)
 
 
-_INFERENCE = {
-    "adapted": lambda state, images: infer(state, images)[0],
-    "prompt_free": lambda state, images: _forward_eval(state, images)[1],
-    "prompt_averaged": lambda state, images: per_prompt_logits(state, images).mean(axis=1),
-}
-
-
 def predict_logits(state: ModelState, images: np.ndarray, variant: str) -> np.ndarray:
-    """The variant's test-time logits; validation uses this same function."""
-    return _INFERENCE[get_variant(variant).inference](state, images)
+    """The variant's test-time logits, from the parts it trains: adapted with an
+    adapter, prompt-averaged with only a bank, prompt-free with neither.
+    Validation uses this same function."""
+    spec = get_variant(variant)
+    if spec.uses_adapter:
+        return infer(state, images)[0]
+    if spec.uses_prompts:
+        return per_prompt_logits(state, images).mean(axis=1)
+    return _forward_eval(state, images)[1]
 
 
 def evaluate_accuracy(state: ModelState, images, labels, variant: str) -> float:
@@ -349,26 +333,14 @@ def run_experiment(
         seed=tc.seed,
         variant=variant,
     )
-    opt = optim.init_adamw_state(state.named_params())
+    named = state.named_params()
+    opt = optim.init_adamw_state(named)
 
     val_images = np.concatenate([dataset.images[d][val_idx[d]] for d in source_domains])
     val_labels = np.concatenate([dataset.labels[d][val_idx[d]] for d in source_domains])
 
     loss_rows = []
-    selection = SelectionRecord(steps=[], val_accuracies=[])
-    best_snapshot = None
-
-    def evaluate_and_record(step: int):
-        nonlocal best_snapshot
-        # a finite loss can still take a step to non-finite parameters, which no checkpoint may hold
-        for name, p in state.named_params().items():
-            if not np.isfinite(p.data).all():
-                raise NumericalError(f"parameter {name} is non-finite after step {step}")
-        acc = evaluate_accuracy(state, val_images, val_labels, variant)
-        selection.steps.append(step)
-        selection.val_accuracies.append(acc)
-        if selection.chosen_step == step:  # strictly better than every earlier eval
-            best_snapshot = {n: p.data.copy() for n, p in state.named_params().items()}
+    best = None  # (val_acc, chosen_step, snapshot) of the best evaluation so far, the earliest on a tie
 
     # `train_step`'s check of the loss terms, not numpy's warnings, reports a diverging run
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -377,11 +349,17 @@ def run_experiment(
             breakdown = train_step(state, opt, batch, tc, dropout_rng, variant)
             loss_rows.append(breakdown.csv_row(step))
             if step % tc.eval_interval == 0 or step == tc.steps:
-                evaluate_and_record(step)
+                # a finite loss can still take a step to non-finite parameters, which no checkpoint may hold
+                for name, p in named.items():
+                    if not np.isfinite(p.data).all():
+                        raise NumericalError(f"parameter {name} is non-finite after step {step}")
+                acc = evaluate_accuracy(state, val_images, val_labels, variant)
+                if best is None or acc > best[0]:
+                    best = (acc, step, {n: p.data.copy() for n, p in named.items()})
 
     # restore the selected checkpoint before the target evaluation
-    named = state.named_params()
-    for name, arr in best_snapshot.items():
+    val_acc, chosen_step, snapshot = best
+    for name, arr in snapshot.items():
         named[name].data = arr
     test_acc = evaluate_accuracy(
         state, dataset.images[target_domain], dataset.labels[target_domain], variant
@@ -392,8 +370,8 @@ def run_experiment(
         "target_domain": int(target_domain),
         "source_domains": source_domains,
         "seed": int(tc.seed),
-        "chosen_step": int(selection.chosen_step),
-        "val_acc": float(selection.best_accuracy),
+        "chosen_step": chosen_step,
+        "val_acc": float(val_acc),
         "test_acc": float(test_acc),
         "val_fraction": tc.val_fraction,
         "loss_curve_csv_path": None,

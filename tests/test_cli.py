@@ -364,6 +364,7 @@ BAD_INPUTS = {
         CONFIG, "target_domain 9 out of range [0, 3)",
     ),
     "out_is_a_file": (["gen-data", "--out", "{erm}"], FORMAT, "File exists"),
+    "out_empty": (["train", "--out", ""], CONFIG, "--out is empty; name an output directory"),
     "config_not_utf8": (["train", "--config", "{not_utf8}"], CONFIG, "not_utf8.cfg:2: byte 0xff is not UTF-8 text"),
     "config_key_repeated": (
         ["train", "--config", "{repeated}"], CONFIG, "repeated.cfg:4: config key 'steps' is set again (first on line 1)",
@@ -444,6 +445,20 @@ def test_train_without_out_writes_to_runs_in_the_working_directory(tmp_path, con
     assert cli.main(["train", "--config", config]) == cli.EXIT_OK
     assert all((cwd / "runs" / name).is_file() for name in ("report.json", "loss_curve.csv", "checkpoint.npz"))
     assert list(elsewhere.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-data"], ["train"], ["eval", "--checkpoint", "x.npz"], ["ablate"], ["sweep-length"], ["analyze", "distance"]],
+    ids=lambda argv: argv[0],
+)
+def test_an_empty_out_exits_2_before_writing_anything(tmp_path, config, capsys, monkeypatch, argv):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert cli.main([*argv, "--config", config, "--out", ""]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --out is empty; name an output directory\n"
+    assert list(cwd.iterdir()) == []
 
 
 def test_sweep_length_writes_the_same_bytes_in_an_ascii_locale(tmp_path, config):

@@ -44,6 +44,13 @@ def test_a_domain_size_that_is_not_a_multiple_of_the_classes_raises(recwarn):
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_fewer_images_than_classes_raises(count):
+    # 0 used to give empty domains, and -5, a multiple of 5, a numpy error on the negative dimension
+    with pytest.raises(ValueError, match=f"per_domain_count must be >= 5, one image per class, got {count}"):
+        generate_dataset(4, count, 0)
+
+
 def _old_erode(mask):
     interior = mask.copy()
     for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):

@@ -83,6 +83,46 @@ def test_a_last_step_to_non_finite_parameters_writes_no_checkpoint(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _run_with_scripted_validation(monkeypatch, accuracies, steps, eval_interval):
+    """A doprompt run whose validation evaluations read `accuracies` in turn and
+    whose target evaluation reads 0.25; returns the report and the parameters
+    each evaluation saw, the target evaluation's last."""
+    script = iter([*accuracies, 0.25])
+    seen = []
+
+    def evaluate_accuracy(state, images, labels, variant):
+        seen.append({n: p.data.copy() for n, p in state.named_params().items()})
+        return next(script)
+
+    monkeypatch.setattr(pipeline, "evaluate_accuracy", evaluate_accuracy)
+    run = tiny_run_config(steps=steps, eval_interval=eval_interval, dropout=0.1, seed=2)
+    report = pipeline.run_experiment(generate_dataset(3, 10, 0), 0, "doprompt", run)
+    assert len(seen) == len(accuracies) + 1
+    return report, seen
+
+
+def _same_params(a, b):
+    return a.keys() == b.keys() and all(a[n].dtype == b[n].dtype and a[n].tobytes() == b[n].tobytes() for n in a)
+
+
+def test_selection_restores_the_earliest_best_validation_step(monkeypatch):
+    # evaluations at steps 2, 4, 6 and 7: the first 0.6 is step 4, the second evaluation
+    report, seen = _run_with_scripted_validation(monkeypatch, [0.4, 0.6, 0.6, 0.5], steps=7, eval_interval=2)
+    assert (report["chosen_step"], report["val_acc"], report["test_acc"]) == (4, 0.6, 0.25)
+    chosen = seen[1]
+    assert not _same_params(seen[2], chosen)  # training went on past the chosen step
+    assert _same_params(seen[-1], chosen)  # the target evaluation sees the chosen parameters
+    assert _same_params({n: p.data for n, p in report["_state"].named_params().items()}, chosen)
+
+
+def test_a_flat_validation_curve_selects_the_first_evaluation(monkeypatch):
+    report, seen = _run_with_scripted_validation(monkeypatch, [0.5, 0.5], steps=3, eval_interval=2)
+    assert (report["chosen_step"], report["val_acc"]) == (2, 0.5)
+    assert not _same_params(seen[1], seen[0])
+    assert _same_params(seen[-1], seen[0])
+    assert _same_params({n: p.data for n, p in report["_state"].named_params().items()}, seen[0])
+
+
 def test_split_and_init_draw_from_different_streams(monkeypatch):
     # init_state takes child 0 of the run seed; the split must not read the same bits
     generators = {}
