@@ -171,10 +171,13 @@ def _run_table(args, run: RunConfig, rows: dict, targets, name: str, row_header:
     `rows` maps a row label to the run config of that row; each cell runs it
     with its own `target_domain` (every domain of the data when `targets` is
     None) and `train.seed`. Cell outputs go to
-    `<label>_t<target>_s<seed>/`. A table cell is the mean (and spread) over
-    seeds of test accuracy over the runs that did not fail. A cell whose
-    runs all failed, and its row's average, read `nan` in the CSV and `null`
-    in the JSON. Any failed run makes the exit code EXIT_CELLS_FAILED.
+    `<label>_t<target>_s<seed>/`. With more than one worker, the fork pool
+    gets one cell per task, so a worker that finishes early takes the next
+    cell rather than waiting on a chunk of them. A table cell is the mean
+    (and spread) over seeds of test accuracy over the runs that did not
+    fail. A cell whose runs all failed, and its row's average, read `nan`
+    in the CSV and `null` in the JSON. Any failed run makes the exit code
+    EXIT_CELLS_FAILED.
     """
     global _WORKER_DATASET
     if args.num_seeds < 1:
@@ -199,7 +202,7 @@ def _run_table(args, run: RunConfig, rows: dict, targets, name: str, row_header:
         results = [_ablate_worker(job) for job in jobs]
     else:
         with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_ablate_worker, jobs)
+            results = pool.map(_ablate_worker, jobs, chunksize=1)
 
     accs = {}
     failures = []

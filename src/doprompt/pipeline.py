@@ -198,6 +198,7 @@ def train_step(
 def _forward_eval(state: ModelState, images: np.ndarray, prompts: np.ndarray | None = None):
     """(features NxD, logits NxC) of a no-grad forward in chunks of EVAL_BATCH rows.
 
+    `images` are pixels or patch tokens, as `vit.forward` takes them.
     `prompts` is None (prompt-free) or per-row (N, P, D) tokens, sliced along
     with the images, so K prompts per image run as one gathered pass.
     """
@@ -230,10 +231,13 @@ def per_prompt_logits(state: ModelState, images: np.ndarray) -> np.ndarray:
     """(N, K, C) logits of every image under each single source-domain prompt.
 
     One pass over N*K rows: row i*K + k is image i with prompt k of the bank.
+    Each image is patch-embedded once and its tokens repeated K times.
     """
     k = state.bank.shape[0]
+    with T.no_grad():
+        patches = vit.patch_embed(state.params, state.cfg, Tensor(images)).data
     tiled = np.tile(state.bank.data, (len(images), 1, 1))
-    logits = _forward_eval(state, np.repeat(images, k, axis=0), tiled)[1]
+    logits = _forward_eval(state, np.repeat(patches, k, axis=0), tiled)[1]
     return logits.reshape(len(images), k, -1)
 
 
@@ -357,10 +361,11 @@ def run_experiment(
                 if best is None or acc > best[0]:
                     best = (acc, step, {n: p.data.copy() for n, p in named.items()})
 
-    # restore the selected checkpoint before the target evaluation
+    # restore the selected checkpoint before the target evaluation, in place:
+    # the trainable parameters are views of the optimizer's buffer
     val_acc, chosen_step, snapshot = best
     for name, arr in snapshot.items():
-        named[name].data = arr
+        named[name].data[...] = arr
     test_acc = evaluate_accuracy(
         state, dataset.images[target_domain], dataset.labels[target_domain], variant
     )

@@ -221,6 +221,9 @@ def forward(
 ) -> tuple[Tensor, Tensor]:
     """Full forward pass; returns (cls_feature BxD, logits BxC).
 
+    `images` are (B, C, H, W) pixels, or the (B, num_patches, D) tokens
+    `patch_embed` makes of them, so that a caller running one image under
+    several prompts embeds it once.
     `prompt_tokens` are (B, P, D), one row of P tokens per image; they are
     concatenated after the patch tokens and receive no positional embedding.
     Any other shape raises ShapeError.
@@ -231,9 +234,14 @@ def forward(
     `cfg.dropout_rate` runs exactly when `rng` is given; without it the pass
     is deterministic.
     """
-    x = patch_embed(params, cfg, images)
-    b = x.shape[0]
     d = cfg.embed_dim
+    if images.ndim == 3:
+        if images.shape[1:] != (cfg.num_patches, d):
+            raise ShapeError(f"patch tokens have shape {images.shape}, expected (B, {cfg.num_patches}, {d})")
+        x = images
+    else:
+        x = patch_embed(params, cfg, images)
+    b = x.shape[0]
     cls = T.broadcast_to(T.reshape(params.cls, (1, 1, d)), (b, 1, d))
     x = T.concat([cls, x], axis=1) + params.pos
     if prompt_tokens is not None:

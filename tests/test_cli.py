@@ -3,6 +3,7 @@ reports, and the exit code and one-line message of every kind of failure."""
 
 import io
 import json
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -64,6 +65,20 @@ def test_ablate_writes_the_same_bytes_on_one_and_two_workers(tmp_path, config, c
         assert written[1][name] == content, name
 
 
+def test_ablate_hands_the_pool_one_cell_per_task(tmp_path, config, capsys, monkeypatch):
+    chunksizes = []
+    pool_map = multiprocessing.pool.Pool.map
+
+    def spy(self, func, iterable, chunksize=None):
+        chunksizes.append(chunksize)
+        return pool_map(self, func, iterable, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", spy)
+    argv = ["ablate", "--config", config, "--out", str(tmp_path / "out"), "--workers", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert chunksizes == [1]
+
+
 def test_sweep_length_lists_failed_cells_and_exits_1(tmp_path, config, capsys, recwarn):
     # with two domains the only source cannot train an adapter
     out = tmp_path / "out"
@@ -93,7 +108,7 @@ def test_sweep_pool_is_no_larger_than_its_cells(tmp_path, config, capsys, monkey
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize=None):
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(cli, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))

@@ -1,10 +1,12 @@
-"""AdamW: decay-only step, closed-form single step, determinism."""
+"""AdamW: decay-only step, closed-form single step, determinism, and the
+flat buffer that holds the trainable parameters and both moments."""
 
 import numpy as np
 import pytest
 
-from doprompt import optim
+from doprompt import optim, pipeline
 from doprompt.tensor import ShapeError, Tensor
+from doprompt.vit import ViTConfig
 
 
 def make_params(rng, shapes):
@@ -119,6 +121,70 @@ def test_in_place_update_is_bitwise_equal_to_the_out_of_place_formula():
         ]
 
     assert run(optim.step_params) == run(reference_adamw_step)
+
+
+def test_in_place_update_equals_the_per_parameter_loop_at_default_shapes():
+    def run(step_params):
+        state = pipeline.init_state(ViTConfig(), 3, 4, seed=0)
+        params = state.named_params()
+        frozen, missing = "vit.patch.w", "prompts.bank"
+        params[frozen].requires_grad = False
+        opt = optim.init_adamw_state(params)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            for name, p in params.items():
+                p.grad = rng.normal(size=p.shape).astype(np.float32)
+            params[missing].grad = None
+            step_params(params, opt, opt.m, 1e-3, 1e-2)
+        moments = [(opt.m.get(name, p.data), opt.v.get(name, p.data)) for name, p in params.items()]
+        return [a.tobytes() for p, (m, v) in zip(params.values(), moments) for a in (p.data, m, v)]
+
+    assert run(optim.step_params) == run(reference_adamw_step)
+
+
+def test_init_puts_the_trainable_parameters_in_one_buffer_and_the_moments_in_another():
+    rng = np.random.default_rng(0)
+    params = make_params(rng, [(4, 3), (3,), (2, 2)])
+    params["p1"].requires_grad = False
+    frozen = params["p1"].data
+    values = {name: p.data.copy() for name, p in params.items()}
+    state = optim.init_adamw_state(params)
+    assert state.data.shape == (12 + 4,) and state.moments.shape == (2, 12 + 4)
+    for name in ("p0", "p2"):
+        assert params[name].data.base is state.data and np.shares_memory(params[name].data, state.data), name
+        assert params[name].data.tobytes() == values[name].tobytes()
+        for moment, row in ((state.m[name], state.moments[0]), (state.v[name], state.moments[1])):
+            assert moment.base is state.moments and np.shares_memory(moment, row) and not moment.any(), name
+    assert params["p1"].data is frozen and params["p1"].data.tobytes() == values["p1"].tobytes()
+    assert not np.shares_memory(frozen, state.data) and not np.shares_memory(frozen, state.moments)
+    assert list(state.m) == list(state.v) == ["p0", "p2"]
+
+
+def test_init_rejects_parameters_of_mixed_dtypes():
+    params = make_params(np.random.default_rng(0), [(2,), (3,)])
+    params["p1"].data = params["p1"].data.astype(np.float64)
+    with pytest.raises(ValueError, match="'p1' is float64"):
+        optim.init_adamw_state(params)
+
+
+def test_a_rebound_parameter_is_rejected_before_any_update():
+    params = make_params(np.random.default_rng(0), [(2,), (3,)])
+    state = optim.init_adamw_state(params)
+    params["p0"].data[...] = 2.0  # an in-place write keeps the parameter in the buffer
+    step(params, {}, state, lr=0.1)
+    params["p1"].data = params["p1"].data.copy()  # the update would go to the buffer, not to this copy
+    before = state.data.tobytes(), state.moments.tobytes()
+    with pytest.raises(ValueError, match="'p1' is no longer a view"):
+        step(params, {}, state, lr=0.1)
+    assert state.t == 1 and (state.data.tobytes(), state.moments.tobytes()) == before
+
+
+@pytest.mark.parametrize("trainable", [["p0"], ["p1", "p0"], ["p0", "p1", "p2"]])
+def test_trainable_names_must_be_the_state_names(trainable):
+    params = make_params(np.random.default_rng(0), [(2,), (3,)])
+    state = optim.init_adamw_state(params)
+    with pytest.raises(ValueError, match="trainable names"):
+        optim.step_params(params, state, trainable, 0.1)
 
 
 def test_mismatched_shapes_rejected():

@@ -186,6 +186,19 @@ def test_train_step_updates_exactly_the_unfrozen_parameters(variant):
             assert np.any(p.data != before[name]), f"trainable {name} did not move"
 
 
+def test_run_experiment_restores_the_selected_parameters_in_the_optimizer_buffer(tmp_path, dataset, monkeypatch):
+    made = []
+    init_adamw_state = optim.init_adamw_state
+    monkeypatch.setattr(optim, "init_adamw_state", lambda params: made.append(init_adamw_state(params)) or made[-1])
+    report = pipeline.run_experiment(dataset, 1, "doprompt", tiny_run_config(steps=4, eval_interval=2), out_dir=tmp_path)
+    named, (opt,) = report["_state"].named_params(), made
+    saved = ckpt.load_arrays(tmp_path / "checkpoint.npz")
+    assert list(opt.m) == list(named)
+    for name in opt.m:
+        assert named[name].data.base is opt.data, name
+        assert named[name].data.tobytes() == saved[name].tobytes(), name
+
+
 def _grads_step_params_receives(monkeypatch, variant):
     """(state, opt, grads): one `train_step` of a fresh `variant` model and
     every parameter's grad as `optim.step_params` received it."""
@@ -507,6 +520,18 @@ def test_per_prompt_logits_match_one_pass_per_prompt_across_a_chunk_edge():
     got = pipeline.per_prompt_logits(state, images)
     assert got.shape == (130, 3, run.vit.num_classes)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+
+
+def test_per_prompt_logits_embed_each_image_once_bitwise_like_the_repeated_images(monkeypatch):
+    run = tiny_run_config()
+    state = _prompted_state(run)
+    images = _batch(run.vit, 1, 130).images
+    tiled = np.tile(state.bank.data, (len(images), 1, 1))
+    expected = pipeline._forward_eval(state, np.repeat(images, 3, axis=0), tiled)[1].reshape(130, 3, -1)
+    embedded, patch_embed = [], vit.patch_embed
+    monkeypatch.setattr(vit, "patch_embed", lambda *a: embedded.append(a[2].shape[0]) or patch_embed(*a))
+    assert pipeline.per_prompt_logits(state, images).tobytes() == expected.tobytes()
+    assert embedded == [130]
 
 
 def test_inference_computes_no_gelu_derivative(monkeypatch):

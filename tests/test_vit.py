@@ -239,6 +239,20 @@ def test_prompt_tokens_other_than_one_row_per_image_rejected(tiny_vit_cfg, shape
         vit.forward(params, tiny_vit_cfg, images, Tensor(np.zeros(shape)))
 
 
+def test_forward_on_patch_tokens_equals_forward_on_the_images(tiny_vit_cfg):
+    params = make_model(tiny_vit_cfg)
+    images = Tensor(np.random.default_rng(0).random((3, 3, 8, 8)))
+    prompts = Tensor(np.random.default_rng(1).normal(size=(3, 2, 8)))
+    with T.no_grad():
+        tokens = vit.patch_embed(params, tiny_vit_cfg, images)
+        from_tokens = vit.forward(params, tiny_vit_cfg, tokens, prompts)
+        from_images = vit.forward(params, tiny_vit_cfg, images, prompts)
+    for a, b in zip(from_tokens, from_images):
+        assert a.data.tobytes() == b.data.tobytes()
+    with pytest.raises(ShapeError, match=r"patch tokens have shape \(3, 4, 7\), expected \(B, 4, 8\)"):
+        vit.forward(params, tiny_vit_cfg, Tensor(np.zeros((3, 4, 7))))
+
+
 def test_eval_forward_bit_identical(tiny_vit_cfg):
     params = make_model(tiny_vit_cfg)
     images = Tensor(np.random.default_rng(3).random((2, 3, 8, 8)).astype(np.float32))
