@@ -414,10 +414,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     `gelu`, `linear`. It computes no gradient for an operand that does not
     require grad.
 
+    GELU runs in place on the pre-activation a, in slices of rows of about
+    `_CDF_CHUNK` elements, so the hidden layer takes one array, not three;
+    each element gets `gelu`'s arithmetic, so the bits are its.
+
     The node keeps the masks, x if W1 needs a gradient, the hidden layer h if
     W2 does, and GELU'(a) of the pre-activation a. GELU'(a) is computed in
-    the forward, and only when grads are recorded and x, W1 or b1 needs one,
-    so a pass without grads pays nothing for it.
+    the forward, slice by slice, and only when grads are recorded and x, W1
+    or b1 needs one, so a pass without grads pays nothing for it.
     """
     if (w1.ndim != 2 or w2.ndim != 2 or x.ndim < 1 or x.shape[-1] != w1.shape[0] or b1.shape != w1.shape[1:]
             or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
@@ -428,13 +432,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     x_shape, wd1, wd2 = x.shape, w1.data, w2.data
     x_grad, w1_grad, b1_grad, w2_grad, b2_grad = (p.requires_grad for p in (x, w1, b1, w2, b2))
     x2 = x.data.reshape(-1, d_in)
-    a = x2 @ wd1
-    a += b1.data
-    cdf = _normal_cdf(a)
-    h = a * cdf
+    h = x2 @ wd1
+    h += b1.data
     hidden_grad = _GRAD_ENABLED and (x_grad or w1_grad or b1_grad)
-    dgelu = _gelu_derivative(a, cdf) if hidden_grad else None
-    del a, cdf  # the backward reads neither
+    dgelu = np.empty_like(h) if hidden_grad else None
+    rows = max(1, _CDF_CHUNK // max(1, h.shape[1]))
+    for start in range(0, len(h), rows):  # GELU in place, a slice of rows at a time
+        a = h[start : start + rows]
+        cdf = _normal_cdf(a)
+        if hidden_grad:
+            dgelu[start : start + rows] = _gelu_derivative(a, cdf)
+        a *= cdf
     keep1 = _keep_mask(h.shape, rate, rng)
     _drop(h, keep1, rate, out=h)
     out = h @ wd2

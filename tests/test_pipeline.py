@@ -3,6 +3,7 @@ round trips for every variant of the ablation table."""
 
 import copy
 import dataclasses
+import threading
 import weakref
 import zipfile
 
@@ -15,6 +16,7 @@ from doprompt import tensor as T
 from doprompt.checkpoint import CheckpointError
 from doprompt.config import VARIANTS, ConfigError
 from doprompt.datagen import DomainBatch, generate_dataset
+from doprompt.tensor import ShapeError, Tensor
 
 from conftest import (
     count_gelu_derivatives,
@@ -563,3 +565,80 @@ def test_readers_over_more_than_one_chunk_equal_their_per_chunk_calls():
     np.testing.assert_array_equal(
         pipeline.extract_features(state, images), np.concatenate([pipeline.extract_features(state, c) for c in chunks])
     )
+
+
+# ---------------------------------------------------------------------------
+# inference on one thread per core
+
+
+def _on_cores(monkeypatch, cores):
+    """Let the process see `cores` cores in its CPU affinity."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def test_inference_bits_and_blocks_do_not_depend_on_the_core_count(monkeypatch):
+    run = tiny_run_config()
+    state = _prompted_state(run)
+    images = _batch(run.vit, 1, 300).images
+    calls, forward = [], vit.forward
+
+    def recording(params, cfg, imgs, *rest):
+        calls.append((imgs.shape[0], threading.get_ident()))
+        return forward(params, cfg, imgs, *rest)
+
+    monkeypatch.setattr(vit, "forward", recording)
+    seen = {}
+    for cores in (1, 2, 4):
+        _on_cores(monkeypatch, cores)
+        calls.clear()
+        out = [*pipeline.infer(state, images), pipeline.extract_features(state, images)]
+        out += [pipeline.per_prompt_logits(state, images)] + [pipeline.predict_logits(state, images, v) for v in VARIANTS]
+        seen[cores] = [a.tobytes() for a in out], sorted(rows for rows, _ in calls)
+        # a chunk holds two blocks, so a helper lane runs one of them once the affinity allows two
+        assert any(thread != threading.get_ident() for _, thread in calls) == (cores > 1)
+    assert seen[2] == seen[1] and seen[4] == seen[1]
+    assert max(seen[1][1]) == pipeline._BLOCK
+
+
+def test_a_lane_error_reraises_in_the_caller_with_its_type(monkeypatch):
+    run = tiny_run_config()
+    state = _prompted_state(run)
+    images = _batch(run.vit, 1, 130).images
+    images[:, 0, 0, 0] = np.arange(130)  # each image carries its row
+    raised_in, forward = [], vit.forward
+
+    def failing(params, cfg, imgs, *rest):
+        if imgs.data[0, 0, 0, 0] >= 64:
+            raised_in.append(threading.current_thread())
+            raise ShapeError("a row >= 64")
+        return forward(params, cfg, imgs, *rest)
+
+    monkeypatch.setattr(vit, "forward", failing)
+    _on_cores(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(ShapeError, match="a row >= 64"):
+        pipeline.infer(state, images)
+    assert raised_in and threading.current_thread() not in raised_in  # the helper lane raised it
+    assert threading.active_count() == before and T._GRAD_ENABLED
+
+
+def test_infer_leaves_no_thread_behind_and_records_no_graph(monkeypatch):
+    run = tiny_run_config()
+    state = _prompted_state(run)
+    images = _batch(run.vit, 1, 300).images
+    made = []
+
+    class CountingRecord(T._Record):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(T, "_Record", CountingRecord)
+    _on_cores(monkeypatch, 4)
+    before = threading.active_count()
+    pipeline.infer(state, images)
+    assert threading.active_count() == before and made == []
+    T.tensor_sum(Tensor(np.ones(2), requires_grad=True))  # the counter sees a recorded op
+    assert len(made) == 1

@@ -2,6 +2,7 @@
 against central finite differences, stop-gradient and determinism contracts."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -652,19 +653,22 @@ def test_mlp_gradient_64bit(rate):
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_mlp_matches_unfused_oracle_32bit(rate):
-    rng = np.random.default_rng(15)
-    weights = Tensor(rng.normal(size=(2, 5, 8)))
-    fused, oracle = _mlp_inputs(np.random.default_rng(16)), _mlp_inputs(np.random.default_rng(16))
-    out_fused = T.mlp(*fused.values(), rate, np.random.default_rng(7))
-    out_oracle = unfused_mlp(*oracle.values(), rate, np.random.default_rng(7))
-    assert out_fused.dtype == np.float32
-    np.testing.assert_array_equal(out_fused.data, out_oracle.data)
-    T.backward(T.tensor_sum(out_fused * weights))
-    T.backward(T.tensor_sum(out_oracle * weights))
-    for name in fused:
-        assert fused[name].grad.dtype == np.float32, name
-        np.testing.assert_array_equal(fused[name].grad, oracle[name].grad, err_msg=name)
-    assert rate == 0.0 or (out_fused.data == 0.0).any()
+    # 300 rows x 256 wide is over one _CDF_CHUNK: GELU runs in a 256-row slice and a 44-row one
+    assert 300 * 256 > T._CDF_CHUNK and 300 % (T._CDF_CHUNK // 256) != 0
+    for b, t, hidden in ((2, 5, 16), (300, 1, 256)):
+        rng = np.random.default_rng(15)
+        weights = Tensor(rng.normal(size=(b, t, 8)))
+        fused, oracle = (_mlp_inputs(np.random.default_rng(16), b=b, t=t, hidden=hidden) for _ in range(2))
+        out_fused = T.mlp(*fused.values(), rate, np.random.default_rng(7))
+        out_oracle = unfused_mlp(*oracle.values(), rate, np.random.default_rng(7))
+        assert out_fused.dtype == np.float32
+        np.testing.assert_array_equal(out_fused.data, out_oracle.data)
+        T.backward(T.tensor_sum(out_fused * weights))
+        T.backward(T.tensor_sum(out_oracle * weights))
+        for name in fused:
+            assert fused[name].grad.dtype == np.float32, name
+            np.testing.assert_array_equal(fused[name].grad, oracle[name].grad, err_msg=name)
+        assert rate == 0.0 or (out_fused.data == 0.0).any()
 
 
 @pytest.mark.parametrize("frozen", [("w1", "b1", "w2", "b2"), ("x",)])
@@ -710,6 +714,23 @@ def test_an_mlp_with_a_frozen_hidden_layer_computes_no_gelu_derivative(monkeypat
     assert calls == []
     live = T.mlp(*_mlp_inputs(np.random.default_rng(19)).values(), 0.3, np.random.default_rng(7))
     assert live.requires_grad and calls == [(10, 16)]
+
+
+def test_mlp_without_grads_holds_one_hidden_layer_array():
+    # the inference shape of one EVAL_BATCH chunk at default shapes: 128 images x 21 tokens, width 64 -> 256
+    rng = np.random.default_rng(25)
+    x, w1, b1, w2, b2 = (Tensor(rng.normal(size=s)) for s in ((2688, 64), (64, 256), (256,), (256, 64), (64,)))
+    hidden_bytes = 2688 * 256 * 4
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.mlp(x, w1, b1, w2, b2, 0.0, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2688, 64)
+    assert peak < 2 * hidden_bytes
 
 
 def test_mlp_under_no_grad_records_no_graph():
