@@ -7,9 +7,9 @@ adapted prompt if it has an adapter, else the mean of the single-prompt
 logits if it has a bank, else no prompt.
 One training run is single-threaded and fully deterministic: every random
 draw (init, batch sampling, dropout) derives from the run seed. Inference
-runs fixed blocks of rows on one thread per core, up to the blocks of one
-EVAL_BATCH chunk, so its bits do not depend on the core count. Validation
-uses the exact inference function later used on the target domain.
+runs each EVAL_BATCH chunk as two fixed blocks of rows, on two threads when
+BLAS runs one (`_forward_eval`), so its bits do not depend on the threads.
+Validation uses the exact inference function later used on the target domain.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 EVAL_BATCH = 128
-_BLOCK = 64  # rows of one inference forward; fixed, so the bits do not follow the core count
+_BLOCK = EVAL_BATCH // 2  # rows of one inference forward; fixed, so the bits do not follow the core count
 
 
 class NumericalError(RuntimeError):
@@ -200,42 +200,15 @@ def train_step(
 # inference
 
 
-def _cores() -> int:
-    """The cores this process may run on: its CPU affinity where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_lanes(fn, items: range) -> None:
-    """Call `fn(item)` for every item, on min(len(items), cores) lanes.
-
-    The calling thread is lane 0 and takes items 0, lanes, 2 * lanes, ...;
-    each other lane is a plain thread, started here and joined before this
-    returns, even when a lane raises. An exception then re-raises here with
-    its type: the caller's own, else the first a helper lane raised.
-    """
-    lanes = min(len(items), _cores())
-    errors = []
-
-    def lane(part):
-        try:
-            for item in part:
-                fn(item)
-        except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=lane, args=(items[j::lanes],)) for j in range(1, lanes)]
-    for t in helpers:
-        t.start()
-    try:
-        for item in items[::lanes]:
-            fn(item)
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+def _helper_thread() -> bool:
+    """Whether inference runs a helper thread: when the process may run on more
+    than one core (its CPU affinity, where the OS has one) and numpy's BLAS runs
+    one thread, as OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, sets it. BLAS at
+    its default, one thread per core, keeps the cores busy on its own, and a
+    helper then slows inference down."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return cores > 1 and blas_threads == "1"
 
 
 def _forward_eval(state: ModelState, images: np.ndarray, prompts: np.ndarray | None = None):
@@ -244,23 +217,47 @@ def _forward_eval(state: ModelState, images: np.ndarray, prompts: np.ndarray | N
     `images` are pixels or patch tokens, as `vit.forward` takes them.
     `prompts` is None (prompt-free) or per-row (N, P, D) tokens, sliced along
     with the images, so K prompts per image run as one gathered pass.
-    The rows go in chunks of EVAL_BATCH, which bound the rows in flight, and
-    each chunk's blocks run on one thread per core (`_in_lanes`). A block's
-    rows do not depend on the core count, so neither do the bits. `no_grad`
-    is entered once, here, around all lanes: its flag is a module global.
+    The rows go in chunks of EVAL_BATCH, which bound the rows in flight. A
+    chunk is two blocks; where `_helper_thread()` holds, a helper thread runs
+    the second while the calling thread runs the first, so inference uses at
+    most two threads. The blocks do not depend on the threads, and neither
+    do the bits. A helper's exception re-raises here
+    with its type. `no_grad` is entered once, here, around both threads: its
+    flag is a module global.
     """
-    blocks = [slice(start, start + _BLOCK) for start in range(0, len(images), _BLOCK)]
-    results = [None] * len(blocks)
+    starts = range(0, len(images), _BLOCK)
+    results = [None] * len(starts)
+    errors = []
 
     def run(i):
-        tokens = None if prompts is None else Tensor(prompts[blocks[i]])
-        feat, out = vit.forward(state.params, state.cfg, Tensor(images[blocks[i]]), tokens)
+        rows = slice(starts[i], starts[i] + _BLOCK)
+        tokens = None if prompts is None else Tensor(prompts[rows])
+        feat, out = vit.forward(state.params, state.cfg, Tensor(images[rows]), tokens)
         results[i] = feat.data, out.data
 
-    per_chunk = EVAL_BATCH // _BLOCK
+    def helper(i):
+        try:
+            run(i)
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    helper_thread = _helper_thread()
     with T.no_grad():
-        for first in range(0, len(blocks), per_chunk):
-            _in_lanes(run, range(first, min(first + per_chunk, len(blocks))))
+        for i in range(0, len(starts), 2):
+            if i + 1 == len(starts):
+                run(i)
+            elif not helper_thread:
+                run(i)
+                run(i + 1)
+            else:
+                thread = threading.Thread(target=helper, args=(i + 1,))
+                thread.start()
+                try:
+                    run(i)
+                finally:
+                    thread.join()
+                if errors:
+                    raise errors[0]
     feats, logits = zip(*results)
     return np.concatenate(feats), np.concatenate(logits)
 

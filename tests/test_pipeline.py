@@ -568,12 +568,17 @@ def test_readers_over_more_than_one_chunk_equal_their_per_chunk_calls():
 
 
 # ---------------------------------------------------------------------------
-# inference on one thread per core
+# inference on two threads
 
 
-def _on_cores(monkeypatch, cores):
-    """Let the process see `cores` cores in its CPU affinity."""
+def _on_cores(monkeypatch, cores, blas_threads="1"):
+    """Let the process see `cores` cores in its CPU affinity and BLAS set to `blas_threads`."""
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
 
 
 def test_inference_bits_and_blocks_do_not_depend_on_the_core_count(monkeypatch):
@@ -594,13 +599,35 @@ def test_inference_bits_and_blocks_do_not_depend_on_the_core_count(monkeypatch):
         out = [*pipeline.infer(state, images), pipeline.extract_features(state, images)]
         out += [pipeline.per_prompt_logits(state, images)] + [pipeline.predict_logits(state, images, v) for v in VARIANTS]
         seen[cores] = [a.tobytes() for a in out], sorted(rows for rows, _ in calls)
-        # a chunk holds two blocks, so a helper lane runs one of them once the affinity allows two
+        # a chunk holds two blocks, so a helper thread runs one of them once the affinity allows two
         assert any(thread != threading.get_ident() for _, thread in calls) == (cores > 1)
-    assert seen[2] == seen[1] and seen[4] == seen[1]
+    _on_cores(monkeypatch, 4, blas_threads=None)
+    calls.clear()
+    out = [*pipeline.infer(state, images), pipeline.extract_features(state, images)]
+    out += [pipeline.per_prompt_logits(state, images)] + [pipeline.predict_logits(state, images, v) for v in VARIANTS]
+    assert all(thread == threading.get_ident() for _, thread in calls)  # BLAS at its default: no helper
+    assert seen[2] == seen[1] and seen[4] == seen[1] and ([a.tobytes() for a in out], sorted(r for r, _ in calls)) == seen[1]
     assert max(seen[1][1]) == pipeline._BLOCK
 
 
-def test_a_lane_error_reraises_in_the_caller_with_its_type(monkeypatch):
+@pytest.mark.parametrize(
+    "env, cores, helper",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+        ({}, 4, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, False),
+    ],
+)
+def test_a_helper_thread_runs_only_beside_one_blas_thread_on_two_cores(monkeypatch, env, cores, helper):
+    _on_cores(monkeypatch, cores, blas_threads=None)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert pipeline._helper_thread() is helper
+
+
+def test_a_helper_thread_error_reraises_in_the_caller_with_its_type(monkeypatch):
     run = tiny_run_config()
     state = _prompted_state(run)
     images = _batch(run.vit, 1, 130).images
@@ -618,7 +645,7 @@ def test_a_lane_error_reraises_in_the_caller_with_its_type(monkeypatch):
     before = threading.active_count()
     with pytest.raises(ShapeError, match="a row >= 64"):
         pipeline.infer(state, images)
-    assert raised_in and threading.current_thread() not in raised_in  # the helper lane raised it
+    assert raised_in and threading.current_thread() not in raised_in  # the helper thread raised it
     assert threading.active_count() == before and T._GRAD_ENABLED
 
 
