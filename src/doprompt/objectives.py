@@ -10,11 +10,12 @@ with the adapted prompts.
 A training step backpropagates the objective in two parts, each as soon as
 its passes have run: l_prompt (or the ERM loss) right after its pass, then
 l_adapt + lambda * l_w right after the adapted pass. The prompt pass's graph
-is released before the adapted pass starts, so a step holds one pass's
+is released before the adapted pass starts, so a lane holds one pass's
 graph at a time (see `variant_loss`). At default shapes (48 images, K 3,
-L 4) that graph keeps 16.2 MiB of arrays for the prompt or the adapted pass
-and 13.1 MiB for the prompt-free ERM pass (tracemalloc); see `tensor` for
-what each node keeps.
+L 4) `pipeline.train_step` runs two 24-image lanes at once, and each lane's
+graph keeps 8.1 MiB of arrays for the prompt or the adapted pass and
+6.6 MiB for the prompt-free ERM pass (tracemalloc), half of the 16.2 and
+13.1 MiB of one 48-image pass; see `tensor` for what each node keeps.
 """
 
 from __future__ import annotations

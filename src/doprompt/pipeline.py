@@ -5,19 +5,24 @@ to `objectives.variant_loss` and the frozen name prefixes to `init_state`.
 It predicts with the parts that row trains: `predict_logits` uses the
 adapted prompt if it has an adapter, else the mean of the single-prompt
 logits if it has a bank, else no prompt.
-One training run is single-threaded and fully deterministic: every random
-draw (init, batch sampling, dropout) derives from the run seed. Inference
-runs each EVAL_BATCH chunk as two fixed blocks of rows, on two threads when
-BLAS runs one (`_forward_eval`), so its bits do not depend on the threads.
+One training run is fully deterministic: every random draw (init, batch
+sampling, dropout) derives from the run seed. A step whose batch is large
+enough for its width runs as two fixed half-batch lanes (`train_step`), and
+inference runs each EVAL_BATCH chunk as two fixed blocks of rows
+(`_forward_eval`). Either pair runs on two threads when BLAS runs one
+(`_run_pair`), and the lanes and blocks follow the config, not the threads,
+so neither do the bits.
 Validation uses the exact inference function later used on the target domain.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +52,7 @@ __all__ = [
 
 EVAL_BATCH = 128
 _BLOCK = EVAL_BATCH // 2  # rows of one inference forward; fixed, so the bits do not follow the core count
+_LANE_MIN = 1024  # rows x embed_dim of a step's smaller half-batch from which the step runs as two lanes
 
 
 class NumericalError(RuntimeError):
@@ -160,6 +166,16 @@ def init_state(cfg: ViTConfig, num_domains: int, prompt_length: int, seed: int |
     return state
 
 
+def _lanes(batch_size: int, embed_dim: int) -> list[slice]:
+    """The rows of each lane of a step: the whole batch, or two halves split at
+    ceil(B/2) once the smaller half's rows times `embed_dim` reach `_LANE_MIN`.
+    The rule reads only the config, never the threads, so neither do the bits."""
+    if batch_size // 2 * embed_dim < _LANE_MIN:
+        return [slice(0, batch_size)]
+    half = -(-batch_size // 2)
+    return [slice(0, half), slice(half, batch_size)]
+
+
 def train_step(
     state: ModelState,
     opt: optim.AdamWState,
@@ -173,7 +189,7 @@ def train_step(
     The batch carries one sub-batch per source domain. Computes the variant's
     objective with dropout masks drawn from `rng` and backpropagates each
     part as soon as its passes have run: l_prompt after the prompt pass, then
-    l_adapt + lambda * l_w after the adapted pass, so the step holds one
+    l_adapt + lambda * l_w after the adapted pass, so a lane holds one
     pass's graph at a time. Then applies AdamW to the parameters `opt` holds
     moments for, which clears their grads. `variant` picks only the loss:
     `state` must come from `init_state` for the same variant and `opt` from
@@ -181,34 +197,102 @@ def train_step(
     non-finite, raises NumericalError naming the first one in CSV order,
     before the update: every parameter and `opt` keep their values, and no
     gradient is left behind.
+
+    A large batch (see `_lanes`) runs as two half-batch lanes, the first on
+    the calling thread and the second, where `_helper_thread()` holds, on a
+    helper. This is gradient accumulation: each lane backpropagates its
+    terms scaled by its share of the rows into a dict of its own, and the
+    step sets each grad to lane 1's plus lane 2's. Lane 1 draws dropout from
+    `rng`, lane 2 from a generator seeded by one raw word drawn from `rng`
+    first. Each returned term is the row-weighted mean of the lanes' terms.
+    An exception in either lane re-raises here with its type, before any
+    grad or parameter is written.
     Returns the graph-free loss terms.
     """
-    breakdown = objectives.variant_loss(
-        get_variant(variant), state.params, state.cfg, state.bank, state.adapter, batch, config.lam, rng,
-        backward=T.backward,
-    )
+    spec, n = get_variant(variant), len(batch.labels)
+    lanes = _lanes(n, state.cfg.embed_dim)
+
+    def loss(part, lane_rng, backward):
+        return objectives.variant_loss(
+            spec, state.params, state.cfg, state.bank, state.adapter, part, config.lam, lane_rng, backward=backward
+        )
+
+    if len(lanes) == 1:
+        breakdown, grads = loss(batch, rng, T.backward), {}
+    else:
+        second_rng = np.random.default_rng(rng.bit_generator.random_raw())
+        sizes = [rows.stop - rows.start for rows in lanes]
+        lane_grads = ({}, {})
+
+        def run(i, lane_rng):
+            rows, share, into = lanes[i], sizes[i] / n, lane_grads[i]
+            part = DomainBatch(batch.images[rows], batch.labels[rows], batch.domains[rows])
+            return loss(part, lane_rng, lambda root: T.backward(root * share, into))
+
+        terms = _run_pair(lambda: run(0, rng), lambda: run(1, second_rng))
+        breakdown = LossBreakdown(*(
+            Tensor((sizes[0] * a + sizes[1] * b) / n) for a, b in zip(terms[0].floats(), terms[1].floats())
+        ))
+        g1, g2 = lane_grads  # both lanes reach every leaf that needs a gradient
+        grads = {p: g + g2[p] for p, g in g1.items()}
     for field, value in zip(fields(breakdown), breakdown.floats()):
         if not np.isfinite(value):
             for p in state.named_params().values():
                 p.grad = None  # a later step must not accumulate onto this step's gradients
             raise NumericalError(f"loss component {field.name} is non-finite ({value})")
+    for p, g in grads.items():
+        p.grad = g
     optim.step_params(state.named_params(), opt, opt.m, lr=config.learning_rate, weight_decay=config.weight_decay)
     return breakdown
 
 
 # ---------------------------------------------------------------------------
-# inference
+# threads
 
 
 def _helper_thread() -> bool:
-    """Whether inference runs a helper thread: when the process may run on more
-    than one core (its CPU affinity, where the OS has one) and numpy's BLAS runs
-    one thread, as OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, sets it. BLAS at
-    its default, one thread per core, keeps the cores busy on its own, and a
-    helper then slows inference down."""
+    """Whether inference and a two-lane step run a helper thread: when the
+    process may run on more than one core (its CPU affinity, where the OS has
+    one), numpy's BLAS runs one thread, as OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, sets it, and the process is not a daemon
+    `multiprocessing` worker, such as `cli`'s pool workers, which already
+    fill the cores. BLAS at its default, one thread per core, keeps the cores
+    busy on its own, and a helper then slows inference down."""
+    if multiprocessing.current_process().daemon:
+        return False
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     return cores > 1 and blas_threads == "1"
+
+
+def _run_pair(first, second) -> tuple:
+    """(first(), second()). Where `_helper_thread()` holds, a helper thread
+    runs `second` while this thread runs `first`, and is joined in a
+    `finally`; else both run here, in that order. The helper's exception
+    re-raises here with its type; one from `first` wins over it."""
+    if not _helper_thread():
+        return first(), second()
+    result, errors = [None], []
+
+    def helper():
+        try:
+            result[0] = second()
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        out = first()
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out, result[0]
+
+
+# ---------------------------------------------------------------------------
+# inference
 
 
 def _forward_eval(state: ModelState, images: np.ndarray, prompts: np.ndarray | None = None):
@@ -218,46 +302,25 @@ def _forward_eval(state: ModelState, images: np.ndarray, prompts: np.ndarray | N
     `prompts` is None (prompt-free) or per-row (N, P, D) tokens, sliced along
     with the images, so K prompts per image run as one gathered pass.
     The rows go in chunks of EVAL_BATCH, which bound the rows in flight. A
-    chunk is two blocks; where `_helper_thread()` holds, a helper thread runs
-    the second while the calling thread runs the first, so inference uses at
-    most two threads. The blocks do not depend on the threads, and neither
-    do the bits. A helper's exception re-raises here
-    with its type. `no_grad` is entered once, here, around both threads: its
-    flag is a module global.
+    chunk is two blocks, which `_run_pair` runs, so inference uses at most
+    two threads. The blocks do not depend on the threads, and neither do the
+    bits.
     """
     starts = range(0, len(images), _BLOCK)
-    results = [None] * len(starts)
-    errors = []
 
-    def run(i):
-        rows = slice(starts[i], starts[i] + _BLOCK)
+    def run(start):
+        rows = slice(start, start + _BLOCK)
         tokens = None if prompts is None else Tensor(prompts[rows])
-        feat, out = vit.forward(state.params, state.cfg, Tensor(images[rows]), tokens)
-        results[i] = feat.data, out.data
+        with T.no_grad():
+            feat, out = vit.forward(state.params, state.cfg, Tensor(images[rows]), tokens)
+        return feat.data, out.data
 
-    def helper(i):
-        try:
-            run(i)
-        except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
-
-    helper_thread = _helper_thread()
-    with T.no_grad():
-        for i in range(0, len(starts), 2):
-            if i + 1 == len(starts):
-                run(i)
-            elif not helper_thread:
-                run(i)
-                run(i + 1)
-            else:
-                thread = threading.Thread(target=helper, args=(i + 1,))
-                thread.start()
-                try:
-                    run(i)
-                finally:
-                    thread.join()
-                if errors:
-                    raise errors[0]
+    results = []
+    for i in range(0, len(starts), 2):
+        if i + 1 == len(starts):
+            results.append(run(starts[i]))
+        else:
+            results += _run_pair(partial(run, starts[i]), partial(run, starts[i + 1]))
     feats, logits = zip(*results)
     return np.concatenate(feats), np.concatenate(logits)
 

@@ -32,6 +32,10 @@ GELU'(x W1 + b1) and its two masks.
 
 Gradients accumulate at fan-in records so shared parameters appearing in
 several losses are handled correctly; only leaves keep theirs after `backward`.
+Two threads may build and backpropagate graphs over the same leaves at once:
+`no_grad` acts on the calling thread only, and `backward(loss, grads)`
+accumulates the leaves' gradients into a dict of the caller's instead of
+their `grad`.
 
 Arrays are row-major, 32-bit by default; `default_dtype("float64")` switches
 the engine to 64-bit (used by the gradient-check suite). GELU follows the
@@ -52,6 +56,7 @@ are scaled by the nominal 1 / (1 - rate).
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -91,23 +96,30 @@ class ShapeError(ValueError):
 
 
 _DTYPE = np.float32
-_GRAD_ENABLED = True
+
+
+class _GradMode(threading.local):
+    """Whether ops record a graph, per thread: on in every thread until `no_grad`."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+    """Disable graph recording inside the block (inference mode), in the calling thread only."""
+    prev, _GRAD.enabled = _GRAD.enabled, False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD.enabled = prev
 
 
 @contextmanager
 def default_dtype(dtype):
-    """Temporarily switch the engine's default real type."""
+    """Temporarily switch the engine's default real type, in every thread."""
     global _DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -203,7 +215,7 @@ class _Record:
 def _node(data, parents, backward_fn) -> Tensor:
     """Build an output tensor, recording the edge only when grads are live."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._record = _Record(
             tuple((p if p._record is None else p._record) if p.requires_grad else None for p in parents),
@@ -434,7 +446,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     x2 = x.data.reshape(-1, d_in)
     h = x2 @ wd1
     h += b1.data
-    hidden_grad = _GRAD_ENABLED and (x_grad or w1_grad or b1_grad)
+    hidden_grad = _GRAD.enabled and (x_grad or w1_grad or b1_grad)
     dgelu = np.empty_like(h) if hidden_grad else None
     rows = max(1, _CDF_CHUNK // max(1, h.shape[1]))
     for start in range(0, len(h), rows):  # GELU in place, a slice of rows at a time
@@ -733,20 +745,30 @@ def detach(x: Tensor) -> Tensor:
 # reverse pass
 
 
-def backward(loss: Tensor) -> None:
-    """Populate `grad` on every leaf reachable from a scalar loss.
+def backward(loss: Tensor, grads: dict | None = None) -> None:
+    """Populate `grad` on every leaf reachable from a scalar loss, or `grads[leaf]` when `grads` is given.
 
     Walks the records from the loss's own. Gradients accumulate at fan-in
     records. A record releases its `grad` once passed to its parents; leaves
     keep theirs, so they accumulate across repeated calls until
     `optim.step_params` clears them. A first contribution is stored as is and
     later ones are added out of place, so one array may be the grad of
-    several tensors and is never written to.
+    several tensors and is never written to. With `grads` (leaf -> array),
+    the leaves' gradients accumulate there by the same rule and no leaf's
+    `grad` is touched, so two threads can backpropagate through graphs that
+    share leaves, each into a dict of its own.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+
+    def accumulate(node, g):
+        if grads is None or type(node) is _Record:
+            node.grad = g if node.grad is None else node.grad + g
+        else:
+            grads[node] = g if node not in grads else grads[node] + g
+
     root = loss if loss._record is None else loss._record
-    root.grad = np.ones_like(loss.data) if root.grad is None else root.grad + np.ones_like(loss.data)
+    accumulate(root, np.ones_like(loss.data))
     if root is loss:
         return
 
@@ -767,9 +789,9 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     for record in reversed(topo):
-        grads = record.backward_fn(record.grad)
+        parent_grads = record.backward_fn(record.grad)
         record.grad = None
-        for parent, g in zip(record.parents, grads):
+        for parent, g in zip(record.parents, parent_grads):
             if parent is None or g is None:
                 continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+            accumulate(parent, g)

@@ -3,6 +3,7 @@ round trips for every variant of the ablation table."""
 
 import copy
 import dataclasses
+import multiprocessing
 import threading
 import weakref
 import zipfile
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from doprompt import checkpoint as ckpt
-from doprompt import optim, pipeline, vit
+from doprompt import objectives, optim, pipeline, vit
 from doprompt import tensor as T
 from doprompt.checkpoint import CheckpointError
 from doprompt.config import VARIANTS, ConfigError
@@ -627,6 +628,13 @@ def test_a_helper_thread_runs_only_beside_one_blas_thread_on_two_cores(monkeypat
     assert pipeline._helper_thread() is helper
 
 
+def test_a_pool_worker_starts_no_helper_thread(monkeypatch):
+    _on_cores(monkeypatch, 2)
+    assert pipeline._helper_thread()
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # the kind of pool `cli` runs its cells on
+        assert pool.apply(pipeline._helper_thread) is False
+
+
 def test_a_helper_thread_error_reraises_in_the_caller_with_its_type(monkeypatch):
     run = tiny_run_config()
     state = _prompted_state(run)
@@ -646,7 +654,7 @@ def test_a_helper_thread_error_reraises_in_the_caller_with_its_type(monkeypatch)
     with pytest.raises(ShapeError, match="a row >= 64"):
         pipeline.infer(state, images)
     assert raised_in and threading.current_thread() not in raised_in  # the helper thread raised it
-    assert threading.active_count() == before and T._GRAD_ENABLED
+    assert threading.active_count() == before and T._GRAD.enabled
 
 
 def test_infer_leaves_no_thread_behind_and_records_no_graph(monkeypatch):
@@ -669,3 +677,155 @@ def test_infer_leaves_no_thread_behind_and_records_no_graph(monkeypatch):
     assert threading.active_count() == before and made == []
     T.tensor_sum(Tensor(np.ones(2), requires_grad=True))  # the counter sees a recorded op
     assert len(made) == 1
+
+
+# ---------------------------------------------------------------------------
+# a large step in two lanes
+
+
+def _lane_run(dropout=0.1):
+    """A one-block model with embed_dim 64 and 33 images a step: lanes of 17 and 16 rows."""
+    run = tiny_run_config(dropout=dropout, batch_per_domain=11)
+    return dataclasses.replace(run, vit=dataclasses.replace(run.vit, embed_dim=64))
+
+
+def _lane_steps(run, steps=2, variant="doprompt"):
+    """(state, opt, loss floats per step) of `steps` steps of a fresh model from fixed batches."""
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
+    opt = optim.init_adamw_state(state.named_params())
+    rng = np.random.default_rng(1)
+    losses = [
+        pipeline.train_step(state, opt, _batch(run.vit, 3, 11, seed=s), run.train, rng, variant).floats()
+        for s in range(steps)
+    ]
+    return state, opt, losses
+
+
+def _recording_forward(monkeypatch):
+    """(rows, thread id) of every `vit.forward` call, recorded as it runs."""
+    calls, forward = [], vit.forward
+
+    def recording(params, cfg, imgs, *rest):
+        calls.append((imgs.shape[0], threading.get_ident()))
+        return forward(params, cfg, imgs, *rest)
+
+    monkeypatch.setattr(vit, "forward", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "batch, dim, lanes",
+    [
+        (48, 64, [24, 24]),  # the default shapes
+        (33, 64, [17, 16]),
+        (32, 64, [16, 16]),
+        (31, 64, [31]),  # 15 x 64 < 1024
+        (24, 64, [24]),
+        (24, 16, [24]),  # the benchmark's tiny ablate table
+        (32, 16, [32]),  # the README's tiny.cfg: two source domains of 16
+        (128, 16, [64, 64]),
+    ],
+)
+def test_a_step_splits_by_its_batch_size_and_width_alone(batch, dim, lanes):
+    assert [rows.stop - rows.start for rows in pipeline._lanes(batch, dim)] == lanes
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_a_two_lane_step_is_byte_identical_with_and_without_the_helper(monkeypatch, variant):
+    calls = _recording_forward(monkeypatch)
+    run, seen = _lane_run(), {}
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        calls.clear()
+        before = threading.active_count()
+        state, opt, losses = _lane_steps(run, variant=variant)
+        assert threading.active_count() == before  # the helper is joined within the step
+        seen[cores] = losses, [p.data.tobytes() for p in state.named_params().values()], opt.moments.tobytes()
+        helper_rows = sorted(rows for rows, thread in calls if thread != threading.get_ident())
+        spec = VARIANTS[variant]
+        passes = 1 + spec.uses_adapter + ("adapt" in spec.terms)  # per lane, per step
+        assert sorted(rows for rows, _ in calls) == [16] * 2 * passes + [17] * 2 * passes
+        assert helper_rows == ([16] * 2 * passes if cores == 2 else [])
+    assert seen[2] == seen[1]
+
+
+def test_a_two_lane_step_updates_like_one_full_batch_lane(monkeypatch):
+    run = _lane_run(dropout=0.0)
+    received = []
+    step_params = optim.step_params
+
+    def recording_step_params(params, *args, **kwargs):
+        received.append({n: p.grad for n, p in params.items()})
+        return step_params(params, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "step_params", recording_step_params)
+    _on_cores(monkeypatch, 2)
+    split, _, split_losses = _lane_steps(run, steps=1)
+    monkeypatch.setattr(pipeline, "_LANE_MIN", 10**9)
+    whole, _, whole_losses = _lane_steps(run, steps=1)
+    np.testing.assert_allclose(split_losses, whole_losses, rtol=1e-6)
+    for (name, p), q in zip(split.named_params().items(), whole.named_params().values()):
+        np.testing.assert_allclose(received[0][name], received[1][name], rtol=1e-4, atol=1e-7, err_msg=name)
+        # AdamW's first step is about lr * sign(g): where g is float32 noise around 0
+        # (the q and k biases), the sign is noise too, so compare the rest
+        signal = np.abs(received[1][name]) > 1e-6
+        np.testing.assert_allclose(p.data[signal], q.data[signal], rtol=0, atol=1e-6, err_msg=name)
+        assert signal.mean() > 0.5, name
+
+
+def test_a_two_lane_step_reports_the_row_weighted_mean_of_its_lanes(monkeypatch):
+    lanes, variant_loss = [], objectives.variant_loss
+
+    def recording(*args, **kwargs):
+        terms = variant_loss(*args, **kwargs)
+        lanes.append(terms.floats())
+        return terms
+
+    monkeypatch.setattr(objectives, "variant_loss", recording)
+    _, _, (losses,) = _lane_steps(_lane_run(), steps=1)
+    first, second = lanes
+    assert first != second
+    assert losses == tuple(float(np.float32((17 * a + 16 * b) / 33)) for a, b in zip(first, second))
+
+
+def test_an_error_in_the_second_lane_reraises_and_changes_nothing(monkeypatch):
+    run = _lane_run()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    params = {n: p.data.tobytes() for n, p in state.named_params().items()}
+    raised_in, forward = [], vit.forward
+
+    def failing(params, cfg, imgs, *rest):
+        if imgs.shape[0] == 16:
+            raised_in.append(threading.current_thread())
+            raise ShapeError("lane 2")
+        return forward(params, cfg, imgs, *rest)
+
+    monkeypatch.setattr(vit, "forward", failing)
+    _on_cores(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(ShapeError, match="lane 2"):
+        pipeline.train_step(state, opt, _batch(run.vit, 3, 11), run.train, np.random.default_rng(1))
+    assert raised_in and threading.current_thread() not in raised_in  # the helper thread raised it
+    assert threading.active_count() == before and T._GRAD.enabled
+    assert {n: p.data.tobytes() for n, p in state.named_params().items()} == params
+    assert all(p.grad is None for p in state.named_params().values())
+    assert opt.t == 0 and not opt.moments.any()
+
+
+def test_one_lane_steps_draw_no_lane_seed(monkeypatch):
+    # the benchmark's tiny ablate shapes (embed_dim 16, 24 images) run as one lane on the caller's generator
+    calls = _recording_forward(monkeypatch)
+    _on_cores(monkeypatch, 2)
+    run = tiny_run_config(dropout=0.1, batch_per_domain=8)
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+    pipeline.train_step(state, opt, _batch(run.vit, 3, 8), run.train, rng)
+    assert calls == [(24, threading.get_ident())] * 3
+    twin_state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    objectives.variant_loss(
+        VARIANTS["doprompt"], twin_state.params, run.vit, twin_state.bank, twin_state.adapter,
+        _batch(run.vit, 3, 8), run.train.lam, twin,
+    )
+    assert rng.bit_generator.state == twin.bit_generator.state

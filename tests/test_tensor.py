@@ -2,6 +2,7 @@
 against central finite differences, stop-gradient and determinism contracts."""
 
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -387,6 +388,50 @@ def test_no_grad_records_nothing():
     with T.no_grad():
         y = x * 2.0
     assert not y.requires_grad and y._record is None
+
+
+def test_no_grad_in_one_thread_leaves_recording_on_in_another():
+    x = Tensor([1.0], requires_grad=True)
+    entered, release, inside = threading.Event(), threading.Event(), []
+
+    def other():
+        with T.no_grad():
+            entered.set()
+            release.wait(5.0)
+            inside.append(x * 2.0)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    try:
+        assert entered.wait(5.0)
+        y = x * 2.0
+    finally:
+        release.set()
+        thread.join()
+    assert y.requires_grad and y._record is not None
+    assert inside[0]._record is None and T._GRAD.enabled
+
+
+def test_backward_into_a_dict_leaves_every_grad_alone_and_matches_it_bitwise():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    frozen = Tensor(rng.normal(size=(5,)))
+
+    def loss():
+        h = T.matmul(x, w) + frozen
+        return T.tensor_sum(h * h) + T.tensor_sum(x)  # x reaches the loss twice
+
+    grads = {}
+    T.backward(loss(), grads)
+    T.backward(loss(), grads)  # accumulates onto the dict's arrays
+    assert set(grads) == {x, w} and x.grad is None and w.grad is None
+    T.backward(loss())
+    T.backward(loss())
+    assert grads[x].tobytes() == x.grad.tobytes() and grads[w].tobytes() == w.grad.tobytes()
+    scalar, into = Tensor(1.5, requires_grad=True), {}
+    T.backward(scalar, into)  # a loss that is itself a leaf
+    assert into[scalar] == 1.0 and scalar.grad is None
 
 
 def test_an_interior_output_is_freed_with_its_tensor_unless_a_closure_reads_it():
