@@ -5,7 +5,11 @@ A full DoPrompt step runs three ViT passes over the batch: one prompt-free
 pass under no_grad whose class feature feeds the adapter, so no gradient
 reaches the backbone through the adapter input; one pass in which every
 image carries its own domain's prompts, gathered from the bank; and one pass
-with the adapted prompts.
+with the adapted prompts. The passes share the pixels' patch rows, made
+once (`vit.patch_rows`), and the adapter-input pass reads the values of the
+prompt pass's patch tokens; each pass that backpropagates projects the rows
+in a node of its own (`vit.patch_embed`), so the two parts' backwards never
+meet in one node.
 
 A training step backpropagates the objective in two parts, each as soon as
 its passes have run: l_prompt (or the ERM loss) right after its pass, then
@@ -59,20 +63,25 @@ class LossBreakdown:
 LossBreakdown.CSV_HEADER = ",".join(["step", *(f.name for f in fields(LossBreakdown))])
 
 
-def loss_erm(params, cfg, batch: DomainBatch, rng=None) -> Tensor:
-    """Plain pooled cross-entropy, no prompts; dropout runs when `rng` is given."""
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), None, rng)
+def loss_erm(params, cfg, batch: DomainBatch, rng=None, tokens: Tensor | None = None) -> Tensor:
+    """Plain pooled cross-entropy, no prompts; dropout runs when `rng` is given.
+    `tokens`, when given, are the batch's patch tokens (`vit.patch_embed` of
+    its images) and the pass starts from them instead of the pixels."""
+    images = Tensor(batch.images) if tokens is None else tokens
+    _, logits = vit.forward(params, cfg, images, None, rng)
     return T.cross_entropy(logits, batch.labels)
 
 
-def loss_prompt(params, cfg, bank: Tensor, batch: DomainBatch, rng=None) -> Tensor:
+def loss_prompt(params, cfg, bank: Tensor, batch: DomainBatch, rng=None, tokens: Tensor | None = None) -> Tensor:
     """One pass in which each sample carries its own domain's prompts, gathered
-    from the (K, L, D) bank; mean over the batch. Dropout runs when `rng` is given."""
+    from the (K, L, D) bank; mean over the batch. Dropout runs when `rng` is
+    given. `tokens` are as in `loss_erm`."""
     domains = np.asarray(batch.domains)
     bad = (domains < 0) | (domains >= bank.shape[0])
     if bad.any():
         raise IndexError(f"domain index {domains[bad][0]} out of range [0, {bank.shape[0]})")
-    _, logits = vit.forward(params, cfg, Tensor(batch.images), bank[domains], rng)
+    images = Tensor(batch.images) if tokens is None else tokens
+    _, logits = vit.forward(params, cfg, images, bank[domains], rng)
     return T.cross_entropy(logits, batch.labels)
 
 
@@ -109,6 +118,11 @@ def variant_loss(
     pass, then the adapted pass; see `Variant` for which of them run. Each
     pass runs dropout, drawn from `rng`, exactly when `rng` is given.
 
+    The batch's pixels become patch rows once. The prompt (or ERM) pass's
+    patch tokens are projected first, since the projection draws no dropout,
+    and the adapter-input pass starts from their values without a graph.
+    The adapted pass projects the same rows again in its own node.
+
     Without `backward` the returned terms carry the whole graph. With it,
     each part of the objective is backpropagated as soon as its passes have
     run, so at most one pass's graph is alive at a time: `backward(root)` is
@@ -122,23 +136,26 @@ def variant_loss(
     """
     if not lam >= 0:  # also rejects NaN
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    rows = Tensor(vit.patch_rows(cfg, batch.images))
+    tokens = vit.patch_embed(params, cfg, rows)  # the prompt (or ERM) pass's patch tokens
     l_w = l_a = Tensor(0.0)
     if variant.uses_adapter:
         with T.no_grad():
-            feat = vit.forward(params, cfg, Tensor(batch.images), None, rng)[0]
+            feat = vit.forward(params, cfg, Tensor(tokens.data), None, rng)[0]
         weights = adapter_forward(adapter, bank, feat)
         l_w = loss_w(weights, batch.domains)
     if variant.uses_prompts:
-        l_p = loss_prompt(params, cfg, bank, batch, rng)
+        l_p = loss_prompt(params, cfg, bank, batch, rng, tokens)
     else:
-        l_p = loss_erm(params, cfg, batch, rng)
+        l_p = loss_erm(params, cfg, batch, rng, tokens)
+    del tokens
     if backward is not None:
         backward(l_p)
         l_p = T.detach(l_p)  # drops the last reference to the prompt pass's graph
     rest = []
     if "adapt" in variant.terms:
         adapted = compose_adapted_prompts(bank, weights)
-        _, logits = vit.forward(params, cfg, Tensor(batch.images), adapted, rng)
+        _, logits = vit.forward(params, cfg, vit.patch_embed(params, cfg, rows), adapted, rng)
         l_a = T.cross_entropy(logits, batch.labels)
         rest.append(l_a)
     if "w" in variant.terms:

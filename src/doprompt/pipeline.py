@@ -267,16 +267,18 @@ def _helper_thread() -> bool:
 
 def _run_pair(first, second) -> tuple:
     """(first(), second()). Where `_helper_thread()` holds, a helper thread
-    runs `second` while this thread runs `first`, and is joined in a
-    `finally`; else both run here, in that order. The helper's exception
-    re-raises here with its type; one from `first` wins over it."""
+    runs `second` under this thread's `np.errstate` while this thread runs
+    `first`, and is joined in a `finally`; else both run here, in that order.
+    The helper's exception re-raises here with its type; one from `first`
+    wins over it."""
     if not _helper_thread():
         return first(), second()
-    result, errors = [None], []
+    result, errors, err = [None], [], np.geterr()
 
     def helper():
         try:
-            result[0] = second()
+            with np.errstate(**err):  # numpy's error state is per thread
+                result[0] = second()
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)
 
@@ -392,15 +394,18 @@ def sample_step_batch(
     """`batch_per_domain` training images of each source domain, in
     `source_domains` order; `domains` holds each image's source slot, the
     index of its domain in `source_domains`."""
-    picks = [
-        (d, rng.choice(train_idx[d], size=batch_per_domain, replace=len(train_idx[d]) < batch_per_domain))
-        for d in source_domains
-    ]
-    return DomainBatch(
-        images=np.concatenate([dataset.images[d][sel] for d, sel in picks]),
-        labels=np.concatenate([dataset.labels[d][sel] for d, sel in picks]),
-        domains=np.repeat(np.arange(len(source_domains), dtype=np.int64), batch_per_domain),
-    )
+    n, first = len(source_domains) * batch_per_domain, source_domains[0]
+    images = np.empty((n, *dataset.images[first].shape[1:]), dtype=dataset.images[first].dtype)
+    labels = np.empty(n, dtype=dataset.labels[first].dtype)
+    for i, d in enumerate(source_domains):
+        sel = rng.choice(train_idx[d], size=batch_per_domain, replace=len(train_idx[d]) < batch_per_domain)
+        rows = slice(i * batch_per_domain, (i + 1) * batch_per_domain)
+        # the labels' take checks the indices, so the images' may clip, which writes
+        # straight into `out` where "raise" goes through a buffer
+        np.take(dataset.labels[d], sel, out=labels[rows])
+        np.take(dataset.images[d], sel, axis=0, out=images[rows], mode="clip")
+    domains = np.repeat(np.arange(len(source_domains), dtype=np.int64), batch_per_domain)
+    return DomainBatch(images=images, labels=labels, domains=domains)
 
 
 def run_experiment(
@@ -471,13 +476,12 @@ def run_experiment(
                         raise NumericalError(f"parameter {name} is non-finite after step {step}")
                 acc = evaluate_accuracy(state, val_images, val_labels, variant)
                 if best is None or acc > best[0]:
-                    best = (acc, step, {n: p.data.copy() for n, p in named.items()})
+                    best = (acc, step, opt.data.copy())
 
-    # restore the selected checkpoint before the target evaluation, in place:
-    # the trainable parameters are views of the optimizer's buffer
+    # restore the selected checkpoint before the target evaluation, in place: the
+    # trainable parameters are views of the optimizer's buffer, and frozen ones never change
     val_acc, chosen_step, snapshot = best
-    for name, arr in snapshot.items():
-        named[name].data[...] = arr
+    opt.data[...] = snapshot
     test_acc = evaluate_accuracy(
         state, dataset.images[target_domain], dataset.labels[target_domain], variant
     )

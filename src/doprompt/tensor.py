@@ -521,11 +521,12 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    lead = (slice(None),) * (axis % out.ndim)
+    ends = np.cumsum([t.shape[axis] for t in tensors]).tolist()
+    parts = [lead + (slice(start, end),) for start, end in zip([0, *ends], ends)]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(g[part] for part in parts)  # views, as np.split gives
 
     return _node(out, tuple(tensors), bwd)
 
@@ -583,21 +584,26 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis (biased variance), then affine. The
     backward pass skips the gradient of a `gamma` or `beta` that does not require grad."""
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)  # biased
+    n = x.shape[-1]
+    # each row mean is ndarray.mean's float32 sum and divide, without its Python wrapper
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n  # biased
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat = xc
+    xhat *= inv
     gd, dtype = gamma.data, x.dtype
     gamma_grad, beta_grad, beta_shape = gamma.requires_grad, beta.requires_grad, beta.shape
-    out = gd * xhat + beta.data
+    out = xhat * gd
+    out += beta.data
 
     def bwd(g):
-        gxhat = g * gd
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)), in two buffers
+        gx = g * gd
+        t = gx * xhat
+        t_mean = np.add.reduce(t, axis=-1, keepdims=True) / n
+        gx -= np.add.reduce(gx, axis=-1, keepdims=True) / n
+        gx -= np.multiply(xhat, t_mean, out=t)
+        gx *= inv
         ggamma = _unbroadcast(g * xhat, gd.shape) if gamma_grad else None
         gbeta = _unbroadcast(g, beta_shape) if beta_grad else None
         return gx.astype(dtype, copy=False), ggamma, gbeta

@@ -34,6 +34,7 @@ __all__ = [
     "forward",
     "init_vit_params",
     "patch_embed",
+    "patch_rows",
 ]
 
 
@@ -167,19 +168,33 @@ def init_vit_params(cfg: ViTConfig, rng: np.random.Generator) -> ViTParams:
     return params
 
 
-def patch_embed(params: ViTParams, cfg: ViTConfig, images: Tensor) -> Tensor:
-    """(B, C, H, W) -> (B, k, D): non-overlapping patches, linear projection."""
+def patch_rows(cfg: ViTConfig, images: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) pixels -> (B, num_patches, C*p*p) rows: the non-overlapping
+    patches in raster order, each flattened channel-major."""
     b, c, h, w_ = images.shape
     if h != cfg.image_size or w_ != cfg.image_size or c != cfg.channels:
         raise ShapeError(
-            f"patch_embed: expected (B, {cfg.channels}, {cfg.image_size}, "
+            f"patch_rows: expected (B, {cfg.channels}, {cfg.image_size}, "
             f"{cfg.image_size}), got {images.shape}"
         )
     g, p = cfg.grid, cfg.patch_size
-    x = T.reshape(images, (b, c, g, p, g, p))
-    x = T.transpose(x, (0, 2, 4, 1, 3, 5))  # (B, gh, gw, C, p, p): raster order
-    x = T.reshape(x, (b, g * g, cfg.patch_dim))
-    return T.linear(x, params.patch_w, params.patch_b)
+    x = images.reshape(b, c, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)  # (B, gh, gw, C, p, p): raster order
+    return x.reshape(b, g * g, cfg.patch_dim)
+
+
+def patch_embed(params: ViTParams, cfg: ViTConfig, images: Tensor) -> Tensor:
+    """(B, C, H, W) pixels, or the (B, k, C*p*p) rows `patch_rows` makes of
+    them, -> (B, k, D) patch tokens: one linear projection of the rows.
+
+    Pixels are data: no gradient flows back to them. A training step makes
+    a lane's rows once and projects them once per pass that backpropagates
+    (see `objectives.variant_loss`).
+    """
+    if images.ndim != 3:
+        images = Tensor(patch_rows(cfg, images.data))
+    elif images.shape[1:] != (cfg.num_patches, cfg.patch_dim):
+        raise ShapeError(f"patch rows have shape {images.shape}, expected (B, {cfg.num_patches}, {cfg.patch_dim})")
+    return T.linear(images, params.patch_w, params.patch_b)
 
 
 def attention_block(
@@ -223,7 +238,7 @@ def forward(
 
     `images` are (B, C, H, W) pixels, or the (B, num_patches, D) tokens
     `patch_embed` makes of them, so that a caller running one image under
-    several prompts embeds it once.
+    several prompts, or in several passes, embeds it once.
     `prompt_tokens` are (B, P, D), one row of P tokens per image; they are
     concatenated after the patch tokens and receive no positional embedding.
     Any other shape raises ShapeError.

@@ -379,6 +379,35 @@ def test_variant_loss_terms_follow_the_table(tiny_vit_cfg, variant):
     assert abs(tot - expected) < 1e-6
 
 
+def test_shared_patch_rows_give_the_bits_of_passes_that_each_embed_the_pixels(tiny_vit_cfg):
+    cfg = dataclasses.replace(tiny_vit_cfg, dropout_rate=0.1)
+    batch = make_batch(cfg, [0, 1])
+
+    def grads(params, bank, adapter):
+        named = dict(params.named()) | {"prompts.bank": bank} | dict(adapter.named())
+        return {n: p.grad.tobytes() for n, p in named.items()}
+
+    params, bank, adapter = make_setup(cfg, k=2)
+    br = objectives.variant_loss(VARIANTS["doprompt"], params, cfg, bank, adapter, batch, 0.7, np.random.default_rng(7))
+    T.backward(br.total)
+
+    # the oracle: variant_loss's passes and dropout draws, each pass starting from the pixels
+    params2, bank2, adapter2 = make_setup(cfg, k=2)
+    rng = np.random.default_rng(7)
+    with T.no_grad():
+        feat = vit.forward(params2, cfg, Tensor(batch.images), None, rng)[0]
+    weights = prompting.adapter_forward(adapter2, bank2, feat)
+    l_w = objectives.loss_w(weights, batch.domains)
+    l_p = objectives.loss_prompt(params2, cfg, bank2, batch, rng)
+    adapted = prompting.compose_adapted_prompts(bank2, weights)
+    l_a = T.cross_entropy(vit.forward(params2, cfg, Tensor(batch.images), adapted, rng)[1], batch.labels)
+    total = l_p + l_a + l_w * 0.7
+    T.backward(total)
+
+    assert br.floats() == LossBreakdown(l_p, l_w, l_a, total).floats()
+    assert grads(params, bank, adapter) == grads(params2, bank2, adapter2)
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_backward_by_parts_gives_the_gradients_of_one_backward(tiny_vit_cfg, variant):
     # same generator, so the same dropout masks; every leaf gradient and term equal bitwise

@@ -774,18 +774,46 @@ def test_a_two_lane_step_updates_like_one_full_batch_lane(monkeypatch):
 
 
 def test_a_two_lane_step_reports_the_row_weighted_mean_of_its_lanes(monkeypatch):
-    lanes, variant_loss = [], objectives.variant_loss
+    lanes, variant_loss = {}, objectives.variant_loss
 
-    def recording(*args, **kwargs):
-        terms = variant_loss(*args, **kwargs)
-        lanes.append(terms.floats())
+    def recording(spec, params, cfg, bank, adapter, batch, *rest, **kwargs):
+        terms = variant_loss(spec, params, cfg, bank, adapter, batch, *rest, **kwargs)
+        lanes[len(batch.labels)] = terms.floats()  # keyed by rows: the lanes may finish in either order
         return terms
 
     monkeypatch.setattr(objectives, "variant_loss", recording)
     _, _, (losses,) = _lane_steps(_lane_run(), steps=1)
-    first, second = lanes
-    assert first != second
+    first, second = lanes.pop(17), lanes.pop(16)
+    assert first != second and not lanes
     assert losses == tuple(float(np.float32((17 * a + 16 * b) / 33)) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize(
+    "variant, embeds_per_lane", [("doprompt", 2), ("no_ladapt", 1), ("erm", 1)]
+)
+def test_a_lane_rearranges_its_pixels_once_and_projects_them_once_per_backpropagated_pass(
+    monkeypatch, variant, embeds_per_lane
+):
+    # the no-grad adapter input reads the prompt pass's patch tokens; the adapted pass projects the rows again
+    rearranged, embedded = [], []
+    patch_rows, patch_embed = vit.patch_rows, vit.patch_embed
+    monkeypatch.setattr(vit, "patch_rows", lambda cfg, imgs: rearranged.append(len(imgs)) or patch_rows(cfg, imgs))
+    monkeypatch.setattr(vit, "patch_embed", lambda *a: embedded.append(a[2].shape[0]) or patch_embed(*a))
+    _lane_steps(_lane_run(), steps=1, variant=variant)
+    assert sorted(rearranged) == [16, 17]
+    assert sorted(embedded) == [16] * embeds_per_lane + [17] * embeds_per_lane
+
+
+def test_a_diverging_two_lane_step_raises_numerical_error_under_the_callers_errstate(monkeypatch):
+    # numpy's error state is per thread: the helper's lane must run under the caller's, not warn
+    run = _lane_run()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    state.params.patch_w.data[...] = np.float32(3e38)  # the patch tokens overflow, and the loss is NaN
+    _on_cores(monkeypatch, 2)
+    assert pipeline._helper_thread()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(pipeline.NumericalError):
+        pipeline.train_step(state, opt, _batch(run.vit, 3, 11), run.train, np.random.default_rng(1))
 
 
 def test_an_error_in_the_second_lane_reraises_and_changes_nothing(monkeypatch):

@@ -162,6 +162,19 @@ def test_layer_norm_is_bitwise_the_var_formula(dtype, shape):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("axis", [1, -1])
+def test_concat_backward_is_bitwise_that_of_np_split(axis):
+    rng = np.random.default_rng(3)
+    shapes = [(2, 1, 3), (2, 4, 3), (2, 2, 3)] if axis == 1 else [(2, 3, 1), (2, 3, 5), (2, 3, 2)]
+    parts = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    out = T.concat(parts, axis=axis)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    T.backward(T.tensor_sum(out * Tensor(g)))
+    splits = np.cumsum([shape[axis] for shape in shapes])[:-1]
+    for p, want in zip(parts, np.split(g, splits, axis=axis)):
+        assert p.grad.shape == want.shape and p.grad.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gelu
 

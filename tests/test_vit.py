@@ -120,6 +120,18 @@ def test_patch_embed_matches_flatten_then_matmul_oracle():
                 idx += 1
 
 
+def test_patch_embed_of_the_patch_rows_is_bitwise_that_of_the_pixels():
+    cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=1, num_heads=2)
+    params = make_model(cfg, seed=3)
+    images = np.random.default_rng(5).random((2, 3, 8, 8)).astype(np.float32)
+    rows = vit.patch_rows(cfg, images)
+    assert rows.shape == (2, cfg.num_patches, cfg.patch_dim)
+    from_rows = vit.patch_embed(params, cfg, Tensor(rows)).data
+    assert from_rows.tobytes() == vit.patch_embed(params, cfg, Tensor(images)).data.tobytes()
+    with pytest.raises(ShapeError, match=r"patch rows have shape \(2, 4, 47\), expected \(B, 4, 48\)"):
+        vit.patch_embed(params, cfg, Tensor(rows[..., 1:]))
+
+
 def test_patch_embed_wrong_spatial_size():
     cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=1, num_heads=2)
     params = make_model(cfg)
