@@ -6,21 +6,23 @@ It predicts with the parts that row trains: `predict_logits` uses the
 adapted prompt if it has an adapter, else the mean of the single-prompt
 logits if it has a bank, else no prompt.
 One training run is fully deterministic: every random draw (init, batch
-sampling, dropout) derives from the run seed. A step whose batch is large
-enough for its width runs as two fixed half-batch lanes (`train_step`), and
-inference runs each EVAL_BATCH chunk as two fixed blocks of rows
-(`_forward_eval`). Either pair runs on two threads when BLAS runs one
-(`_run_pair`), and the lanes and blocks follow the config, not the threads,
-so neither do the bits.
+sampling, dropout) derives from the run seed, and training and inference
+hold numpy's BLAS at one thread (`_one_blas_thread`). A step whose batch is
+large enough for its width runs as two fixed half-batch lanes (`train_step`),
+and inference runs each EVAL_BATCH chunk as two fixed blocks of rows
+(`_forward_eval`). Either pair may run on two threads (`_run_pair`), and the
+lanes and blocks follow the config, not the threads, so neither do the bits.
 Validation uses the exact inference function later used on the target domain.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import multiprocessing
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -190,58 +192,46 @@ def train_step(
     objective with dropout masks drawn from `rng` and backpropagates each
     part as soon as its passes have run: l_prompt after the prompt pass, then
     l_adapt + lambda * l_w after the adapted pass, so a lane holds one
-    pass's graph at a time. Then applies AdamW to the parameters `opt` holds
-    moments for, which clears their grads. `variant` picks only the loss:
-    `state` must come from `init_state` for the same variant and `opt` from
-    its `named_params()`, as in `run_experiment`. If a loss term is
-    non-finite, raises NumericalError naming the first one in CSV order,
-    before the update: every parameter and `opt` keep their values, and no
-    gradient is left behind.
+    pass's graph at a time. A lane backpropagates into a dict of its own, so
+    no grad is set before the terms are checked: a non-finite one raises
+    NumericalError naming the first in CSV order, and leaves every parameter,
+    grad and `opt` as they were. Then AdamW updates the parameters `opt`
+    holds moments for. `variant` picks only the loss: `state` must come from
+    `init_state` for the same variant and `opt` from its `named_params()`,
+    as in `run_experiment`.
 
     A large batch (see `_lanes`) runs as two half-batch lanes, the first on
     the calling thread and the second, where `_helper_thread()` holds, on a
-    helper. This is gradient accumulation: each lane backpropagates its
-    terms scaled by its share of the rows into a dict of its own, and the
-    step sets each grad to lane 1's plus lane 2's. Lane 1 draws dropout from
-    `rng`, lane 2 from a generator seeded by one raw word drawn from `rng`
-    first. Each returned term is the row-weighted mean of the lanes' terms.
-    An exception in either lane re-raises here with its type, before any
-    grad or parameter is written.
-    Returns the graph-free loss terms.
+    helper: gradient accumulation, each lane's terms scaled by its share of
+    the rows. Lane 1 draws dropout from `rng`, lane 2 from a generator seeded
+    by one raw word drawn from `rng` first. An exception in either lane
+    re-raises here with its type, before any grad or parameter is written.
+    Returns the graph-free loss terms, each the row-weighted mean of the lanes'.
     """
     spec, n = get_variant(variant), len(batch.labels)
     lanes = _lanes(n, state.cfg.embed_dim)
+    lane_grads = [{} for _ in lanes]
 
-    def loss(part, lane_rng, backward):
-        return objectives.variant_loss(
-            spec, state.params, state.cfg, state.bank, state.adapter, part, config.lam, lane_rng, backward=backward
+    def run(i, lane_rng):  # the lane's terms, each times its rows
+        rows, into = lanes[i], lane_grads[i]
+        part = DomainBatch(batch.images[rows], batch.labels[rows], batch.domains[rows])
+        terms = objectives.variant_loss(
+            spec, state.params, state.cfg, state.bank, state.adapter, part, config.lam, lane_rng,
+            backward=lambda root: T.backward(root * (len(part.labels) / n), into),
         )
+        return [len(part.labels) * value for value in terms.floats()]
 
     if len(lanes) == 1:
-        breakdown, grads = loss(batch, rng, T.backward), {}
+        terms = [run(0, rng)]
     else:
         second_rng = np.random.default_rng(rng.bit_generator.random_raw())
-        sizes = [rows.stop - rows.start for rows in lanes]
-        lane_grads = ({}, {})
-
-        def run(i, lane_rng):
-            rows, share, into = lanes[i], sizes[i] / n, lane_grads[i]
-            part = DomainBatch(batch.images[rows], batch.labels[rows], batch.domains[rows])
-            return loss(part, lane_rng, lambda root: T.backward(root * share, into))
-
         terms = _run_pair(lambda: run(0, rng), lambda: run(1, second_rng))
-        breakdown = LossBreakdown(*(
-            Tensor((sizes[0] * a + sizes[1] * b) / n) for a, b in zip(terms[0].floats(), terms[1].floats())
-        ))
-        g1, g2 = lane_grads  # both lanes reach every leaf that needs a gradient
-        grads = {p: g + g2[p] for p, g in g1.items()}
+    breakdown = LossBreakdown(*(Tensor(sum(lane) / n) for lane in zip(*terms)))
     for field, value in zip(fields(breakdown), breakdown.floats()):
         if not np.isfinite(value):
-            for p in state.named_params().values():
-                p.grad = None  # a later step must not accumulate onto this step's gradients
             raise NumericalError(f"loss component {field.name} is non-finite ({value})")
-    for p, g in grads.items():
-        p.grad = g
+    for p, g in lane_grads[0].items():  # both lanes reach every leaf that needs a gradient
+        p.grad = g if len(lanes) == 1 else g + lane_grads[1][p]
     optim.step_params(state.named_params(), opt, opt.m, lr=config.learning_rate, weight_decay=config.weight_decay)
     return breakdown
 
@@ -250,19 +240,42 @@ def train_step(
 # threads
 
 
+def _blas_binding():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS (`numpy.libs/` in
+    Linux wheels) under the names threadpoolctl tries, or None, as with MKL."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in (f"{p}_{{}}_num_threads{s}" for s in ("64_", "") for p in ("scipy_openblas", "openblas")):
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_BLAS = _blas_binding()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Runs its body with BLAS at one thread, so that its rounding does not follow
+    the host, and restores the caller's count on exit, also on an error."""
+    threads = _BLAS[0]() if _BLAS else 1
+    if threads != 1:
+        _BLAS[1](1)
+    try:
+        yield
+    finally:
+        if threads != 1:
+            _BLAS[1](threads)
+
+
 def _helper_thread() -> bool:
-    """Whether inference and a two-lane step run a helper thread: when the
-    process may run on more than one core (its CPU affinity, where the OS has
-    one), numpy's BLAS runs one thread, as OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS, sets it, and the process is not a daemon
-    `multiprocessing` worker, such as `cli`'s pool workers, which already
-    fill the cores. BLAS at its default, one thread per core, keeps the cores
-    busy on its own, and a helper then slows inference down."""
-    if multiprocessing.current_process().daemon:
-        return False
+    """Whether inference and a two-lane step run a helper thread: where `_BLAS` reads
+    one thread, the CPU affinity allows several cores, and the process is not a daemon
+    `multiprocessing` worker, such as `cli`'s; more BLAS threads or workers fill the cores."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    return cores > 1 and blas_threads == "1"
+    return bool(_BLAS) and _BLAS[0]() == 1 and cores > 1 and not multiprocessing.current_process().daemon
 
 
 def _run_pair(first, second) -> tuple:
@@ -297,6 +310,7 @@ def _run_pair(first, second) -> tuple:
 # inference
 
 
+@_one_blas_thread()
 def _forward_eval(state: ModelState, images: np.ndarray, prompts: np.ndarray | None = None):
     """(features NxD, logits NxC) of a no-grad forward in fixed blocks of `_BLOCK` rows.
 
@@ -408,6 +422,7 @@ def sample_step_batch(
     return DomainBatch(images=images, labels=labels, domains=domains)
 
 
+@_one_blas_thread()
 def run_experiment(
     dataset: SyntheticDataset,
     target_domain: int,

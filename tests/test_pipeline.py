@@ -4,6 +4,7 @@ round trips for every variant of the ablation table."""
 import copy
 import dataclasses
 import multiprocessing
+import sys
 import threading
 import weakref
 import zipfile
@@ -239,9 +240,9 @@ def _recording_backward(monkeypatch):
     """The roots `train_step` hands to `T.backward`, recorded as it runs them."""
     roots, backward = [], T.backward
 
-    def recording_backward(root):
+    def recording_backward(root, grads=None):
         roots.append(root)
-        backward(root)
+        backward(root, grads)
 
     monkeypatch.setattr(T, "backward", recording_backward)
     return roots
@@ -572,14 +573,19 @@ def test_readers_over_more_than_one_chunk_equal_their_per_chunk_calls():
 # inference on two threads
 
 
-def _on_cores(monkeypatch, cores, blas_threads="1"):
-    """Let the process see `cores` cores in its CPU affinity and BLAS set to `blas_threads`."""
+def _on_cores(monkeypatch, cores, blas_threads=1):
+    """Let the process see `cores` cores in its CPU affinity, and a BLAS binding
+    whose thread count starts at `blas_threads` (None: no binding). Returns
+    the counts the binding is set to, recorded as they are set."""
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    if blas_threads is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    count, sets = [blas_threads], []
+
+    def set_threads(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(pipeline, "_BLAS", None if blas_threads is None else (lambda: count[0], set_threads))
+    return sets
 
 
 def test_inference_bits_and_blocks_do_not_depend_on_the_core_count(monkeypatch):
@@ -602,30 +608,91 @@ def test_inference_bits_and_blocks_do_not_depend_on_the_core_count(monkeypatch):
         seen[cores] = [a.tobytes() for a in out], sorted(rows for rows, _ in calls)
         # a chunk holds two blocks, so a helper thread runs one of them once the affinity allows two
         assert any(thread != threading.get_ident() for _, thread in calls) == (cores > 1)
-    _on_cores(monkeypatch, 4, blas_threads=None)
+    sets = _on_cores(monkeypatch, 4, blas_threads=4)
     calls.clear()
     out = [*pipeline.infer(state, images), pipeline.extract_features(state, images)]
     out += [pipeline.per_prompt_logits(state, images)] + [pipeline.predict_logits(state, images, v) for v in VARIANTS]
-    assert all(thread == threading.get_ident() for _, thread in calls)  # BLAS at its default: no helper
+    assert any(thread != threading.get_ident() for _, thread in calls)  # pinned: helper
+    assert sets and sets == [1, 4] * (len(sets) // 2)  # each call pins, then restores
     assert seen[2] == seen[1] and seen[4] == seen[1] and ([a.tobytes() for a in out], sorted(r for r, _ in calls)) == seen[1]
     assert max(seen[1][1]) == pipeline._BLOCK
 
 
-@pytest.mark.parametrize(
-    "env, cores, helper",
-    [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-        ({"OMP_NUM_THREADS": "1"}, 2, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
-        ({}, 4, False),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, False),
-    ],
+@pytest.mark.parametrize("cores", [1, 2, 4])
+@pytest.mark.parametrize("blas_threads", [1, 2])
+@pytest.mark.parametrize("bound", [True, False])
+def test_a_helper_thread_runs_only_beside_one_blas_thread_on_two_cores(monkeypatch, bound, blas_threads, cores):
+    _on_cores(monkeypatch, cores, blas_threads if bound else None)
+    assert pipeline._helper_thread() is (bound and blas_threads == 1 and cores > 1)
+
+
+def test_the_blas_pin_restores_the_callers_count_also_on_an_error(monkeypatch, dataset):
+    sets = _on_cores(monkeypatch, 2, blas_threads=2)
+    seen, forward = [], vit.forward
+
+    def recording(*args):
+        seen.append(pipeline._BLAS[0]())
+        return forward(*args)
+
+    monkeypatch.setattr(vit, "forward", recording)
+    run = tiny_run_config(steps=2, eval_interval=1)
+    pipeline.run_experiment(dataset, 1, "doprompt", run)
+    assert sets == [1, 2] and set(seen) == {1}  # validation's `_forward_eval` runs inside the run's pin
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    sets.clear()
+    with pipeline._one_blas_thread():
+        pipeline._forward_eval(state, _batch(run.vit, 1, 3).images)
+        assert pipeline._BLAS[0]() == 1
+    assert sets == [1, 2]
+
+    def failing(*args):
+        raise ShapeError("forward")
+
+    monkeypatch.setattr(vit, "forward", failing)
+    sets.clear()
+    with pytest.raises(ShapeError, match="forward"):
+        pipeline._forward_eval(state, _batch(run.vit, 1, 3).images)
+    with pytest.raises(ShapeError, match="forward"):
+        pipeline.run_experiment(dataset, 1, "doprompt", run)
+    assert sets == [1, 2, 1, 2] and pipeline._BLAS[0]() == 2
+    _on_cores(monkeypatch, 2, blas_threads=None)
+    with pytest.raises(ShapeError, match="forward"):  # no binding: nothing to pin, and the body runs
+        pipeline._forward_eval(state, _batch(run.vit, 1, 3).images)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or int(np.__version__.split(".")[0]) < 2,
+    reason="the binding is checked on the Linux wheels of numpy >= 2",
 )
-def test_a_helper_thread_runs_only_beside_one_blas_thread_on_two_cores(monkeypatch, env, cores, helper):
-    _on_cores(monkeypatch, cores, blas_threads=None)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert pipeline._helper_thread() is helper
+def test_the_blas_binding_is_found_in_numpys_bundled_openblas():
+    assert pipeline._BLAS is not None
+    get, set_threads = pipeline._BLAS
+    threads = get()
+    try:
+        set_threads(3)
+        assert get() == 3
+    finally:
+        set_threads(threads)
+    assert get() == threads >= 1
+
+
+@pytest.mark.skipif(pipeline._BLAS is None, reason="numpy's BLAS has no thread-count binding here")
+def test_a_run_writes_the_same_bytes_at_any_blas_thread_count(tmp_path, dataset):
+    # the default width and batch: a step runs as two lanes, whose weight-gradient
+    # GEMMs OpenBLAS would split across its threads
+    run = tiny_run_config(dropout=0.1, steps=2, eval_interval=2, batch_per_domain=16)
+    run = dataclasses.replace(run, vit=vit.ViTConfig(dropout_rate=0.1))
+    get, set_threads = pipeline._BLAS
+    threads = get()
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            pipeline.run_experiment(dataset, 1, "doprompt", run, out_dir=tmp_path / str(n))
+            assert get() == n
+    finally:
+        set_threads(threads)
+    for name in ("checkpoint.npz", "loss_curve.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_a_pool_worker_starts_no_helper_thread(monkeypatch):
