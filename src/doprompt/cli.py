@@ -201,7 +201,8 @@ def _run_table(args, run: RunConfig, rows: dict, targets, name: str, row_header:
     if workers == 1:
         results = [_ablate_worker(job) for job in jobs]
     else:
-        with get_context("fork").Pool(workers) as pool:
+        # workers forked beside one BLAS thread inherit it, so their runs' pins set nothing
+        with pipeline._one_blas_thread(), get_context("fork").Pool(workers) as pool:
             results = pool.map(_ablate_worker, jobs, chunksize=1)
 
     accs = {}

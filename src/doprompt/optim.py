@@ -7,7 +7,9 @@ step.
 The update runs once over flat buffers, not once per parameter.
 `init_adamw_state` copies the trainable parameters' arrays, in `params`
 order, into one flat buffer, `state.data`, and rebinds each trainable
-`p.data` to a reshaped view of it. The moments are the rows of one zeroed
+`p.data` to a reshaped view of it. That buffer is an anonymous shared
+mapping, so a process forked from the caller sees every update; the
+pipeline's lane process reads the parameters through it. The moments are the rows of one zeroed
 (2, n) buffer, `state.moments`, and `state.m[name]` and `state.v[name]` are
 views of its rows. The moments are a buffer of their own so that a model
 does not keep them alive once its optimizer is gone. Frozen parameters keep
@@ -21,6 +23,7 @@ parameters of mixed dtypes, which one buffer cannot hold."""
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -56,7 +59,8 @@ def init_adamw_state(params: dict) -> AdamWState:
                 f"init_adamw_state: {name!r} is {p.data.dtype} where the first trainable parameter is {dtype}"
             )
     n = sum(p.data.size for p in trainable.values())
-    flat, moments = np.empty(n, dtype=dtype), np.zeros((2, n), dtype=dtype)
+    flat = np.frombuffer(mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize), dtype, count=n)
+    moments = np.zeros((2, n), dtype=dtype)
     m, v = {}, {}
     start = 0
     for name, p in trainable.items():

@@ -10,8 +10,11 @@ sampling, dropout) derives from the run seed, and training and inference
 hold numpy's BLAS at one thread (`_one_blas_thread`). A step whose batch is
 large enough for its width runs as two fixed half-batch lanes (`train_step`),
 and inference runs each EVAL_BATCH chunk as two fixed blocks of rows
-(`_forward_eval`). Either pair may run on two threads (`_run_pair`), and the
-lanes and blocks follow the config, not the threads, so neither do the bits.
+(`_forward_eval`). Where a second core is free (`_spare_core`), a training
+run forks one lane process that runs the second lane of every step
+(`_lane_process`), since two threads would share the GIL, and inference
+runs the second block on a helper thread (`_run_pair`). The lanes and
+blocks follow the config, not the cores, so neither do the bits.
 Validation uses the exact inference function later used on the target domain.
 """
 
@@ -19,10 +22,12 @@ from __future__ import annotations
 
 import ctypes
 import json
+import mmap
 import multiprocessing
 import os
+import signal
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -178,6 +183,18 @@ def _lanes(batch_size: int, embed_dim: int) -> list[slice]:
     return [slice(0, half), slice(half, batch_size)]
 
 
+def _run_lane(state: ModelState, spec, lam: float, n: int, part: DomainBatch, rng, into: dict) -> list:
+    """One lane of an `n`-row step: `objectives.variant_loss` on `part`, each
+    backpropagated part scaled by the lane's share of the rows into `into`.
+    Returns the lane's terms, each times its rows."""
+    rows = len(part.labels)
+    terms = objectives.variant_loss(
+        spec, state.params, state.cfg, state.bank, state.adapter, part, lam, rng,
+        backward=lambda root: T.backward(root * (rows / n), into),
+    )
+    return [rows * value for value in terms.floats()]
+
+
 def train_step(
     state: ModelState,
     opt: optim.AdamWState,
@@ -185,6 +202,7 @@ def train_step(
     config: TrainConfig,
     rng: np.random.Generator,
     variant: str = "doprompt",
+    lane_process: _LaneProcess | None = None,
 ) -> LossBreakdown:
     """One optimization step on one multi-domain batch, in place on `state` and `opt`.
 
@@ -200,44 +218,41 @@ def train_step(
     `init_state` for the same variant and `opt` from its `named_params()`,
     as in `run_experiment`.
 
-    A large batch (see `_lanes`) runs as two half-batch lanes, the first on
-    the calling thread and the second, where `_helper_thread()` holds, on a
-    helper: gradient accumulation, each lane's terms scaled by its share of
-    the rows. Lane 1 draws dropout from `rng`, lane 2 from a generator seeded
-    by one raw word drawn from `rng` first. An exception in either lane
-    re-raises here with its type, before any grad or parameter is written.
-    Returns the graph-free loss terms, each the row-weighted mean of the lanes'.
+    A large batch (see `_lanes`) runs as two half-batch lanes: gradient
+    accumulation, each lane's terms scaled by its share of the rows. Lane 1
+    draws dropout from `rng`, lane 2 from a generator seeded by one raw word
+    drawn from `rng` first, and the gradients add in lane order. Lane 2 runs
+    in `lane_process` (see `_lane_process`, opened for this `state` and
+    `opt`) while the calling thread runs lane 1; without one, both run here,
+    one after the other. An exception in either lane re-raises here with its
+    type, lane 1's first, before any grad or parameter is written. Returns
+    the graph-free loss terms, each the row-weighted mean of the lanes'.
     """
     spec, n = get_variant(variant), len(batch.labels)
-    lanes = _lanes(n, state.cfg.embed_dim)
-    lane_grads = [{} for _ in lanes]
-
-    def run(i, lane_rng):  # the lane's terms, each times its rows
-        rows, into = lanes[i], lane_grads[i]
-        part = DomainBatch(batch.images[rows], batch.labels[rows], batch.domains[rows])
-        terms = objectives.variant_loss(
-            spec, state.params, state.cfg, state.bank, state.adapter, part, config.lam, lane_rng,
-            backward=lambda root: T.backward(root * (len(part.labels) / n), into),
-        )
-        return [len(part.labels) * value for value in terms.floats()]
-
-    if len(lanes) == 1:
-        terms = [run(0, rng)]
+    parts = [DomainBatch(batch.images[r], batch.labels[r], batch.domains[r]) for r in _lanes(n, state.cfg.embed_dim)]
+    run = partial(_run_lane, state, spec, config.lam, n)
+    grads = {}
+    if len(parts) == 1:
+        terms = [run(parts[0], rng, grads)]
+    elif lane_process is None:
+        second_rng, second = np.random.default_rng(rng.bit_generator.random_raw()), {}
+        terms = [run(parts[0], rng, grads), run(parts[1], second_rng, second)]
     else:
-        second_rng = np.random.default_rng(rng.bit_generator.random_raw())
-        terms = _run_pair(lambda: run(0, rng), lambda: run(1, second_rng))
+        seed = rng.bit_generator.random_raw()
+        terms = lane_process.beside(lambda: run(parts[0], rng, grads), parts[1], variant, config.lam, n, seed)
+        second = lane_process.grads
     breakdown = LossBreakdown(*(Tensor(sum(lane) / n) for lane in zip(*terms)))
     for field, value in zip(fields(breakdown), breakdown.floats()):
         if not np.isfinite(value):
             raise NumericalError(f"loss component {field.name} is non-finite ({value})")
-    for p, g in lane_grads[0].items():  # both lanes reach every leaf that needs a gradient
-        p.grad = g if len(lanes) == 1 else g + lane_grads[1][p]
+    for p, g in grads.items():  # both lanes reach every leaf that needs a gradient
+        p.grad = g if len(parts) == 1 else g + second[p]
     optim.step_params(state.named_params(), opt, opt.m, lr=config.learning_rate, weight_decay=config.weight_decay)
     return breakdown
 
 
 # ---------------------------------------------------------------------------
-# threads
+# threads and the lane process
 
 
 def _blas_binding():
@@ -270,21 +285,22 @@ def _one_blas_thread():
             _BLAS[1](threads)
 
 
-def _helper_thread() -> bool:
-    """Whether inference and a two-lane step run a helper thread: where `_BLAS` reads
-    one thread, the CPU affinity allows several cores, and the process is not a daemon
-    `multiprocessing` worker, such as `cli`'s; more BLAS threads or workers fill the cores."""
+def _spare_core() -> bool:
+    """Whether a second core is free for inference's helper thread and a training run's
+    lane process: where `_BLAS` reads one thread, the CPU affinity allows several cores,
+    and the process is not a daemon `multiprocessing` worker, such as `cli`'s; more
+    BLAS threads or workers fill the cores."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return bool(_BLAS) and _BLAS[0]() == 1 and cores > 1 and not multiprocessing.current_process().daemon
 
 
 def _run_pair(first, second) -> tuple:
-    """(first(), second()). Where `_helper_thread()` holds, a helper thread
+    """(first(), second()). Where `_spare_core()` holds, a helper thread
     runs `second` under this thread's `np.errstate` while this thread runs
     `first`, and is joined in a `finally`; else both run here, in that order.
     The helper's exception re-raises here with its type; one from `first`
     wins over it."""
-    if not _helper_thread():
+    if not _spare_core():
         return first(), second()
     result, errors, err = [None], [], np.geterr()
 
@@ -304,6 +320,121 @@ def _run_pair(first, second) -> tuple:
     if errors:
         raise errors[0]
     return out, result[0]
+
+
+def _shared(shape, dtype) -> np.ndarray:
+    """An array in an anonymous shared mapping, which a forked child shares."""
+    n = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize), dtype, count=n).reshape(shape)
+
+
+@dataclass
+class _LaneProcess:
+    """The parent's end of a lane process (see `_lane_process`): a request pipe,
+    a reply pipe, shared buffers for lane 2's images, labels and domains, and
+    `grads`, trainable parameter -> its slot of one shared gradient buffer."""
+
+    requests: object
+    replies: object
+    inputs: tuple
+    grads: dict
+
+    def beside(self, first, part: DomainBatch, variant: str, lam: float, n: int, seed: int) -> list:
+        """[first(), lane 2's terms]: hands `part`, lane 2 of an `n`-row step, to the
+        lane process, which runs it under this thread's `np.errstate` with dropout
+        seeded by `seed` and writes its gradients into `grads`, while this thread
+        runs `first`. The process's exception re-raises here with its type; one
+        from `first` wins over it. A closed reply pipe raises RuntimeError."""
+        rows = len(part.labels)
+        for buf, arr in zip(self.inputs, (part.images, part.labels, part.domains)):
+            buf[:rows] = arr
+        self.requests.send((rows, variant, lam, n, seed, np.geterr()))
+        try:
+            out = first()
+        except BaseException:
+            with suppress(Exception):
+                self._reply()  # the process is idle once it has replied
+            raise
+        return [out, self._reply()]
+
+    def _reply(self) -> list:
+        try:
+            ok, value = self.replies.recv()
+        except EOFError:
+            raise RuntimeError("the lane process exited during a step") from None
+        if not ok:
+            raise value
+        return value
+
+
+def _serve_lanes(state: ModelState, requests, replies, inputs, grads) -> None:
+    """The lane process's loop: runs each requested lane on the first rows of `inputs`,
+    writes its gradients into their `grads` slots and replies (True, terms), or
+    (False, exception); returns at EOF on `requests`. It ignores SIGINT, which its
+    parent's terminal sends to both."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            rows, variant, lam, n, seed, err = requests.recv()
+        except EOFError:
+            return
+        into = {}
+        try:
+            with np.errstate(**err):
+                part = DomainBatch(*(buf[:rows] for buf in inputs))
+                terms = _run_lane(state, get_variant(variant), lam, n, part, np.random.default_rng(seed), into)
+            for p, g in into.items():
+                grads[p][...] = g
+            reply = (True, terms)
+        except BaseException as exc:  # re-raised in the parent
+            reply = (False, exc)
+        replies.send(reply)
+
+
+@contextmanager
+def _lane_process(state: ModelState, opt: optim.AdamWState, batch_size: int, images, labels):
+    """A `_LaneProcess` for the two-lane steps of `batch_size` rows of `state` and `opt`,
+    or None: where a step runs as one lane (`_lanes`), no second core is free
+    (`_spare_core()`), another thread runs, since a fork beside a thread may
+    deadlock, or the platform cannot fork.
+
+    The child is forked here and sees the trainable parameters through `opt.data`,
+    a shared mapping; it inherits the frozen ones, which a run never changes, and
+    the caller's BLAS thread count. `images` and `labels` hold rows of a batch's
+    shape and dtypes. On exit, also on an error, the pipes close and the child,
+    at EOF, leaves through `os._exit`, so it runs no atexit handler and cannot
+    outlive the parent; the exit waits for it.
+    """
+    lanes = _lanes(batch_size, state.cfg.embed_dim)
+    if len(lanes) == 1 or not _spare_core() or threading.active_count() != 1 or not hasattr(os, "fork"):
+        yield None
+        return
+    rows = lanes[1].stop - lanes[1].start
+    inputs = (_shared((rows, *images.shape[1:]), images.dtype), _shared(rows, labels.dtype), _shared(rows, np.int64))
+    named, flat = state.named_params(), _shared(opt.data.shape, opt.data.dtype)
+    grads, start = {}, 0
+    for name in opt.m:  # the layout of `opt.data`
+        p = named[name]
+        grads[p] = flat[start:start + p.data.size].reshape(p.shape)
+        start += p.data.size
+    request_in, request_out = multiprocessing.Pipe(duplex=False)
+    reply_in, reply_out = multiprocessing.Pipe(duplex=False)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            request_out.close()
+            reply_in.close()
+            _serve_lanes(state, request_in, reply_out, inputs, grads)
+        finally:
+            os._exit(0)
+    request_in.close()
+    reply_out.close()
+    try:
+        yield _LaneProcess(request_out, reply_in, inputs, grads)
+    finally:
+        request_out.close()
+        reply_in.close()
+        os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +609,14 @@ def run_experiment(
     loss_rows = []
     best = None  # (val_acc, chosen_step, snapshot) of the best evaluation so far, the earliest on a tie
 
+    first = source_domains[0]  # `sample_step_batch` gives a batch this domain's row shape and dtypes
+    batch_size = len(source_domains) * tc.batch_per_domain
     # `train_step`'s check of the loss terms, not numpy's warnings, reports a diverging run
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _lane_process(state, opt, batch_size, dataset.images[first], dataset.labels[first]) as lane, \
+            np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, tc.steps + 1):
             batch = sample_step_batch(dataset, source_domains, train_idx, tc.batch_per_domain, batch_rng)
-            breakdown = train_step(state, opt, batch, tc, dropout_rng, variant)
+            breakdown = train_step(state, opt, batch, tc, dropout_rng, variant, lane_process=lane)
             loss_rows.append(breakdown.csv_row(step))
             if step % tc.eval_interval == 0 or step == tc.steps:
                 # a finite loss can still take a step to non-finite parameters, which no checkpoint may hold

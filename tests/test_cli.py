@@ -65,6 +65,38 @@ def test_ablate_writes_the_same_bytes_on_one_and_two_workers(tmp_path, config, c
         assert written[1][name] == content, name
 
 
+_BLAS_SETS = []  # the counts the recording binding below is set to, in the process that sets them
+
+
+def _pin_in_worker(job):
+    """Stands in for `cli._ablate_worker`: pins BLAS as a cell's run does and writes
+    the count it read and how often it set one into the cell's directory."""
+    _, out = job
+    before = len(_BLAS_SETS)
+    with pipeline._one_blas_thread():
+        threads = pipeline._BLAS[0]()
+    out.mkdir(parents=True)
+    (out / "blas.txt").write_text(f"{threads} {len(_BLAS_SETS) - before}")
+    return 0.5, None
+
+
+@pytest.mark.skipif(pipeline._BLAS is None, reason="numpy's BLAS has no thread-count binding here")
+def test_a_table_pool_worker_reads_one_blas_thread_without_setting_it(tmp_path, config, capsys, monkeypatch):
+    get, set_threads = pipeline._BLAS
+    threads = get()
+    monkeypatch.setattr(pipeline, "_BLAS", (get, lambda n: _BLAS_SETS.append(n) or set_threads(n)))
+    monkeypatch.setattr(cli, "_ablate_worker", _pin_in_worker)
+    set_threads(2)
+    try:
+        argv = ["ablate", "--config", config, "--out", str(tmp_path / "out"), "--workers", "2"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert get() == 2  # the caller's count is back
+    finally:
+        set_threads(threads)
+    reads = [p.read_text() for p in (tmp_path / "out").glob("*/blas.txt")]
+    assert len(reads) == len(VARIANTS) * 3 and set(reads) == {"1 0"}
+
+
 def test_ablate_hands_the_pool_one_cell_per_task(tmp_path, config, capsys, monkeypatch):
     chunksizes = []
     pool_map = multiprocessing.pool.Pool.map

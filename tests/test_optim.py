@@ -1,6 +1,8 @@
 """AdamW: decay-only step, closed-form single step, determinism, and the
 flat buffer that holds the trainable parameters and both moments."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,26 @@ def test_init_puts_the_trainable_parameters_in_one_buffer_and_the_moments_in_ano
     assert params["p1"].data is frozen and params["p1"].data.tobytes() == values["p1"].tobytes()
     assert not np.shares_memory(frozen, state.data) and not np.shares_memory(frozen, state.moments)
     assert list(state.m) == list(state.v) == ["p0", "p2"]
+
+
+def test_a_forked_child_reads_the_parameter_updates_made_after_the_fork():
+    params = make_params(np.random.default_rng(0), [(2, 3), (4,)])
+    state = optim.init_adamw_state(params)
+    ready, go = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.read(ready, 1)  # the parent has stepped
+            code = 0 if (params["p0"].data == 7).all() else 2
+        finally:
+            os._exit(code)
+    os.close(ready)
+    params["p0"].data[...] = 7.0
+    os.write(go, b"x")
+    os.close(go)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert not state.moments.any()  # the moments stay the parent's own
 
 
 def test_init_rejects_parameters_of_mixed_dtypes():

@@ -1,9 +1,11 @@
 """Training harness: seed determinism, frozen parameters and checkpoint
 round trips for every variant of the ablation table."""
 
+import contextlib
 import copy
 import dataclasses
 import multiprocessing
+import os
 import sys
 import threading
 import weakref
@@ -623,7 +625,7 @@ def test_inference_bits_and_blocks_do_not_depend_on_the_core_count(monkeypatch):
 @pytest.mark.parametrize("bound", [True, False])
 def test_a_helper_thread_runs_only_beside_one_blas_thread_on_two_cores(monkeypatch, bound, blas_threads, cores):
     _on_cores(monkeypatch, cores, blas_threads if bound else None)
-    assert pipeline._helper_thread() is (bound and blas_threads == 1 and cores > 1)
+    assert pipeline._spare_core() is (bound and blas_threads == 1 and cores > 1)
 
 
 def test_the_blas_pin_restores_the_callers_count_also_on_an_error(monkeypatch, dataset):
@@ -697,9 +699,9 @@ def test_a_run_writes_the_same_bytes_at_any_blas_thread_count(tmp_path, dataset)
 
 def test_a_pool_worker_starts_no_helper_thread(monkeypatch):
     _on_cores(monkeypatch, 2)
-    assert pipeline._helper_thread()
+    assert pipeline._spare_core()
     with multiprocessing.get_context("fork").Pool(1) as pool:  # the kind of pool `cli` runs its cells on
-        assert pool.apply(pipeline._helper_thread) is False
+        assert pool.apply(pipeline._spare_core) is False
 
 
 def test_a_helper_thread_error_reraises_in_the_caller_with_its_type(monkeypatch):
@@ -750,22 +752,51 @@ def test_infer_leaves_no_thread_behind_and_records_no_graph(monkeypatch):
 # a large step in two lanes
 
 
-def _lane_run(dropout=0.1):
+def _lane_run(dropout=0.1, **train_kwargs):
     """A one-block model with embed_dim 64 and 33 images a step: lanes of 17 and 16 rows."""
-    run = tiny_run_config(dropout=dropout, batch_per_domain=11)
+    run = tiny_run_config(dropout=dropout, batch_per_domain=11, **train_kwargs)
     return dataclasses.replace(run, vit=dataclasses.replace(run.vit, embed_dim=64))
 
 
-def _lane_steps(run, steps=2, variant="doprompt"):
-    """(state, opt, loss floats per step) of `steps` steps of a fresh model from fixed batches."""
+def _lane_steps(run, steps=2, variant="doprompt", lane_process=False):
+    """(state, opt, loss floats per step) of `steps` steps of a fresh model from fixed
+    batches, with a lane process open around them if `lane_process` and one forks."""
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
     opt = optim.init_adamw_state(state.named_params())
     rng = np.random.default_rng(1)
-    losses = [
-        pipeline.train_step(state, opt, _batch(run.vit, 3, 11, seed=s), run.train, rng, variant).floats()
-        for s in range(steps)
-    ]
+    batches = [_batch(run.vit, 3, 11, seed=s) for s in range(steps)]
+    if lane_process:
+        opened = pipeline._lane_process(state, opt, 33, batches[0].images, batches[0].labels)
+    else:
+        opened = contextlib.nullcontext()
+    with opened as lane:
+        losses = [pipeline.train_step(state, opt, b, run.train, rng, variant, lane_process=lane).floats() for b in batches]
     return state, opt, losses
+
+
+def _forward_log(monkeypatch, path):
+    """Makes every `vit.forward` call, in whichever process runs it, append
+    `<pid> <rows>` to `path`, and raise ShapeError where its row count is one
+    of those `path.fail` lists when it runs. Returns a function that reads the
+    (pid, rows) pairs logged so far."""
+    forward, fail = vit.forward, path.with_suffix(".fail")
+    path.write_text("")
+    fail.write_text("")
+
+    def logging_forward(params, cfg, imgs, *rest):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()} {imgs.shape[0]}\n")
+        if str(imgs.shape[0]) in fail.read_text().split():
+            raise ShapeError(f"{imgs.shape[0]} rows")
+        return forward(params, cfg, imgs, *rest)
+
+    monkeypatch.setattr(vit, "forward", logging_forward)
+    return lambda: [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _recording_forward(monkeypatch):
@@ -798,21 +829,21 @@ def test_a_step_splits_by_its_batch_size_and_width_alone(batch, dim, lanes):
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
-def test_a_two_lane_step_is_byte_identical_with_and_without_the_helper(monkeypatch, variant):
-    calls = _recording_forward(monkeypatch)
+def test_a_two_lane_step_is_byte_identical_with_and_without_the_helper(monkeypatch, tmp_path, variant):
+    log = _forward_log(monkeypatch, tmp_path / "forward.log")
     run, seen = _lane_run(), {}
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
-        calls.clear()
-        before = threading.active_count()
-        state, opt, losses = _lane_steps(run, variant=variant)
-        assert threading.active_count() == before  # the helper is joined within the step
+        (tmp_path / "forward.log").write_text("")
+        state, opt, losses = _lane_steps(run, variant=variant, lane_process=True)
+        _no_child_left()  # the lane process is waited for when its run ends
         seen[cores] = losses, [p.data.tobytes() for p in state.named_params().values()], opt.moments.tobytes()
-        helper_rows = sorted(rows for rows, thread in calls if thread != threading.get_ident())
+        calls = log()
+        child_rows = sorted(rows for pid, rows in calls if pid != os.getpid())
         spec = VARIANTS[variant]
         passes = 1 + spec.uses_adapter + ("adapt" in spec.terms)  # per lane, per step
-        assert sorted(rows for rows, _ in calls) == [16] * 2 * passes + [17] * 2 * passes
-        assert helper_rows == ([16] * 2 * passes if cores == 2 else [])
+        assert sorted(rows for _, rows in calls) == [16] * 2 * passes + [17] * 2 * passes
+        assert child_rows == ([16] * 2 * passes if cores == 2 else [])
     assert seen[2] == seen[1]
 
 
@@ -872,40 +903,100 @@ def test_a_lane_rearranges_its_pixels_once_and_projects_them_once_per_backpropag
 
 
 def test_a_diverging_two_lane_step_raises_numerical_error_under_the_callers_errstate(monkeypatch):
-    # numpy's error state is per thread: the helper's lane must run under the caller's, not warn
+    # numpy's error state is per thread and a fork's own: lane 2 must run under the caller's, not warn
     run = _lane_run()
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
     opt = optim.init_adamw_state(state.named_params())
     state.params.patch_w.data[...] = np.float32(3e38)  # the patch tokens overflow, and the loss is NaN
     _on_cores(monkeypatch, 2)
-    assert pipeline._helper_thread()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(pipeline.NumericalError):
-        pipeline.train_step(state, opt, _batch(run.vit, 3, 11), run.train, np.random.default_rng(1))
+    batch = _batch(run.vit, 3, 11)
+    with pipeline._lane_process(state, opt, 33, batch.images, batch.labels) as lane:
+        assert lane is not None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(pipeline.NumericalError):
+            pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1), lane_process=lane)
+    _no_child_left()
 
 
-def test_an_error_in_the_second_lane_reraises_and_changes_nothing(monkeypatch):
+def test_an_error_in_the_second_lane_reraises_and_changes_nothing(monkeypatch, tmp_path):
     run = _lane_run()
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
     opt = optim.init_adamw_state(state.named_params())
     params = {n: p.data.tobytes() for n, p in state.named_params().items()}
-    raised_in, forward = [], vit.forward
-
-    def failing(params, cfg, imgs, *rest):
-        if imgs.shape[0] == 16:
-            raised_in.append(threading.current_thread())
-            raise ShapeError("lane 2")
-        return forward(params, cfg, imgs, *rest)
-
-    monkeypatch.setattr(vit, "forward", failing)
+    log = _forward_log(monkeypatch, tmp_path / "forward.log")
+    (tmp_path / "forward.fail").write_text("16")
     _on_cores(monkeypatch, 2)
-    before = threading.active_count()
-    with pytest.raises(ShapeError, match="lane 2"):
-        pipeline.train_step(state, opt, _batch(run.vit, 3, 11), run.train, np.random.default_rng(1))
-    assert raised_in and threading.current_thread() not in raised_in  # the helper thread raised it
-    assert threading.active_count() == before and T._GRAD.enabled
+    batch = _batch(run.vit, 3, 11)
+    with pipeline._lane_process(state, opt, 33, batch.images, batch.labels) as lane:
+        with pytest.raises(ShapeError, match="16 rows"):
+            pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1), lane_process=lane)
+    _no_child_left()
+    assert [pid != os.getpid() for pid, rows in log() if rows == 16] == [True]  # the lane process raised it
     assert {n: p.data.tobytes() for n, p in state.named_params().items()} == params
     assert all(p.grad is None for p in state.named_params().values())
-    assert opt.t == 0 and not opt.moments.any()
+    assert opt.t == 0 and not opt.moments.any() and T._GRAD.enabled
+
+
+def test_the_first_lanes_error_wins_and_the_lane_process_serves_the_next_step(monkeypatch, tmp_path):
+    run = _lane_run()
+    (expected,) = _lane_steps(run, steps=1)[2]
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    _forward_log(monkeypatch, tmp_path / "forward.log")
+    _on_cores(monkeypatch, 2)
+    batch = _batch(run.vit, 3, 11)
+    with pipeline._lane_process(state, opt, 33, batch.images, batch.labels) as lane:
+        (tmp_path / "forward.fail").write_text("16 17")
+        with pytest.raises(ShapeError, match="17 rows"):
+            pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1), lane_process=lane)
+        (tmp_path / "forward.fail").write_text("")
+        step = pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1), lane_process=lane)
+    _no_child_left()
+    assert step.floats() == expected
+
+
+def test_a_run_waits_for_its_lane_process_on_return_and_on_every_error(monkeypatch, tmp_path, dataset):
+    _on_cores(monkeypatch, 2)
+    run = _lane_run(steps=4, eval_interval=2)
+    log = _forward_log(monkeypatch, tmp_path / "forward.log")
+    pipeline.run_experiment(dataset, 1, "doprompt", run)
+    _no_child_left()
+    assert {rows for pid, rows in log() if pid != os.getpid()} == {16}  # lane 2 ran in a lane process
+    diverging = dataclasses.replace(run, train=dataclasses.replace(run.train, learning_rate=1e30))
+    with pytest.raises(pipeline.NumericalError):
+        pipeline.run_experiment(dataset, 1, "doprompt", diverging)
+    _no_child_left()
+    (tmp_path / "forward.fail").write_text("16")
+    with pytest.raises(ShapeError, match="16 rows"):  # raised in the lane process, with its type
+        pipeline.run_experiment(dataset, 1, "doprompt", run)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_a_run_writes_the_same_bytes_with_and_without_its_lane_process(monkeypatch, tmp_path, dataset, variant):
+    log = _forward_log(monkeypatch, tmp_path / "forward.log")
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        pipeline.run_experiment(dataset, 1, variant, _lane_run(steps=4, eval_interval=2), out_dir=tmp_path / str(cores))
+    assert {pid for pid, _ in log()} - {os.getpid()}  # the run on two cores forked
+    assert _artifacts(tmp_path / "1") == _artifacts(tmp_path / "2")
+
+
+def test_a_run_beside_a_live_thread_forks_nothing_and_writes_the_same_bytes(monkeypatch, tmp_path, dataset):
+    log = _forward_log(monkeypatch, tmp_path / "forward.log")
+    _on_cores(monkeypatch, 2)
+    pipeline.run_experiment(dataset, 1, "doprompt", _lane_run(steps=4, eval_interval=2), out_dir=tmp_path / "forked")
+    assert {pid for pid, _ in log()} - {os.getpid()}
+    (tmp_path / "forward.log").write_text("")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        pipeline.run_experiment(dataset, 1, "doprompt", _lane_run(steps=4, eval_interval=2), out_dir=tmp_path / "threaded")
+    finally:
+        stop.set()
+        thread.join()
+    assert {pid for pid, _ in log()} == {os.getpid()}
+    assert _artifacts(tmp_path / "threaded") == _artifacts(tmp_path / "forked")
 
 
 def test_one_lane_steps_draw_no_lane_seed(monkeypatch):
