@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import mmap
 import multiprocessing
 import os
 import signal
@@ -183,15 +182,17 @@ def _lanes(batch_size: int, embed_dim: int) -> list[slice]:
     return [slice(0, half), slice(half, batch_size)]
 
 
-def _run_lane(state: ModelState, spec, lam: float, n: int, part: DomainBatch, rng, into: dict) -> list:
+def _run_lane(state: ModelState, opt: optim.AdamWState, spec, lam: float, n: int, row: int, part, rng) -> list:
     """One lane of an `n`-row step: `objectives.variant_loss` on `part`, each
-    backpropagated part scaled by the lane's share of the rows into `into`.
-    Returns the lane's terms, each times its rows."""
-    rows = len(part.labels)
+    backpropagated part scaled by the lane's share of the rows into a dict,
+    which then goes to row `row` of `opt.grads`. Returns the lane's terms,
+    each times its rows."""
+    rows, into = len(part.labels), {}
     terms = objectives.variant_loss(
         spec, state.params, state.cfg, state.bank, state.adapter, part, lam, rng,
         backward=lambda root: T.backward(root * (rows / n), into),
     )
+    optim.write_grads(opt, row, state.named_params(), into)
     return [rows * value for value in terms.floats()]
 
 
@@ -210,43 +211,42 @@ def train_step(
     objective with dropout masks drawn from `rng` and backpropagates each
     part as soon as its passes have run: l_prompt after the prompt pass, then
     l_adapt + lambda * l_w after the adapted pass, so a lane holds one
-    pass's graph at a time. A lane backpropagates into a dict of its own, so
-    no grad is set before the terms are checked: a non-finite one raises
-    NumericalError naming the first in CSV order, and leaves every parameter,
-    grad and `opt` as they were. Then AdamW updates the parameters `opt`
-    holds moments for. `variant` picks only the loss: `state` must come from
-    `init_state` for the same variant and `opt` from its `named_params()`,
-    as in `run_experiment`.
+    pass's graph at a time. A lane writes its gradients into its row of
+    `opt.grads`, so nothing else is written before the terms are checked: a
+    non-finite one raises NumericalError naming the first in CSV order, and
+    leaves every parameter and moment as they were. Then AdamW updates the
+    parameters `opt` holds moments for. `variant` picks only the loss:
+    `state` must come from `init_state` for the same variant and `opt` from
+    its `named_params()`, as in `run_experiment`.
 
     A large batch (see `_lanes`) runs as two half-batch lanes: gradient
     accumulation, each lane's terms scaled by its share of the rows. Lane 1
-    draws dropout from `rng`, lane 2 from a generator seeded by one raw word
-    drawn from `rng` first, and the gradients add in lane order. Lane 2 runs
-    in `lane_process` (see `_lane_process`, opened for this `state` and
-    `opt`) while the calling thread runs lane 1; without one, both run here,
-    one after the other. An exception in either lane re-raises here with its
-    type, lane 1's first, before any grad or parameter is written. Returns
-    the graph-free loss terms, each the row-weighted mean of the lanes'.
+    draws dropout from `rng` and writes row 0, lane 2 draws from a generator
+    seeded by one raw word drawn from `rng` first and writes row 1, which
+    adds to row 0 after the check. Lane 2 runs in `lane_process` (see
+    `_lane_process`, opened for this `state` and `opt`) while the calling
+    thread runs lane 1; without one, both run here, one after the other. An
+    exception in either lane re-raises here with its type, lane 1's first,
+    before any parameter is written. Returns the graph-free loss terms, each
+    the row-weighted mean of the lanes'.
     """
     spec, n = get_variant(variant), len(batch.labels)
     parts = [DomainBatch(batch.images[r], batch.labels[r], batch.domains[r]) for r in _lanes(n, state.cfg.embed_dim)]
-    run = partial(_run_lane, state, spec, config.lam, n)
-    grads = {}
+    run = partial(_run_lane, state, opt, spec, config.lam, n)
     if len(parts) == 1:
-        terms = [run(parts[0], rng, grads)]
+        terms = [run(0, parts[0], rng)]
     elif lane_process is None:
-        second_rng, second = np.random.default_rng(rng.bit_generator.random_raw()), {}
-        terms = [run(parts[0], rng, grads), run(parts[1], second_rng, second)]
+        second_rng = np.random.default_rng(rng.bit_generator.random_raw())
+        terms = [run(0, parts[0], rng), run(1, parts[1], second_rng)]
     else:
         seed = rng.bit_generator.random_raw()
-        terms = lane_process.beside(lambda: run(parts[0], rng, grads), parts[1], variant, config.lam, n, seed)
-        second = lane_process.grads
+        terms = lane_process.beside(lambda: run(0, parts[0], rng), parts[1], variant, config.lam, n, seed)
     breakdown = LossBreakdown(*(Tensor(sum(lane) / n) for lane in zip(*terms)))
     for field, value in zip(fields(breakdown), breakdown.floats()):
         if not np.isfinite(value):
             raise NumericalError(f"loss component {field.name} is non-finite ({value})")
-    for p, g in grads.items():  # both lanes reach every leaf that needs a gradient
-        p.grad = g if len(parts) == 1 else g + second[p]
+    if len(parts) == 2:
+        opt.grads[0] += opt.grads[1]
     optim.step_params(state.named_params(), opt, opt.m, lr=config.learning_rate, weight_decay=config.weight_decay)
     return breakdown
 
@@ -322,33 +322,29 @@ def _run_pair(first, second) -> tuple:
     return out, result[0]
 
 
-def _shared(shape, dtype) -> np.ndarray:
-    """An array in an anonymous shared mapping, which a forked child shares."""
-    n = int(np.prod(shape))
-    return np.frombuffer(mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize), dtype, count=n).reshape(shape)
-
-
 @dataclass
 class _LaneProcess:
     """The parent's end of a lane process (see `_lane_process`): a request pipe,
-    a reply pipe, shared buffers for lane 2's images, labels and domains, and
-    `grads`, trainable parameter -> its slot of one shared gradient buffer."""
+    a reply pipe, and shared buffers for lane 2's images, labels and domains."""
 
     requests: object
     replies: object
     inputs: tuple
-    grads: dict
 
     def beside(self, first, part: DomainBatch, variant: str, lam: float, n: int, seed: int) -> list:
         """[first(), lane 2's terms]: hands `part`, lane 2 of an `n`-row step, to the
         lane process, which runs it under this thread's `np.errstate` with dropout
-        seeded by `seed` and writes its gradients into `grads`, while this thread
-        runs `first`. The process's exception re-raises here with its type; one
-        from `first` wins over it. A closed reply pipe raises RuntimeError."""
+        seeded by `seed` and writes its gradients into row 1 of the optimizer's
+        `grads`, while this thread runs `first`. The process's exception re-raises
+        here with its type; one from `first` wins over it. A lane process that has
+        exited, before or during the step, raises RuntimeError."""
         rows = len(part.labels)
         for buf, arr in zip(self.inputs, (part.images, part.labels, part.domains)):
             buf[:rows] = arr
-        self.requests.send((rows, variant, lam, n, seed, np.geterr()))
+        try:
+            self.requests.send((rows, variant, lam, n, seed, np.geterr()))
+        except BrokenPipeError:  # it died while idle, say to the OOM killer
+            raise RuntimeError("the lane process exited during a step") from None
         try:
             out = first()
         except BaseException:
@@ -367,25 +363,21 @@ class _LaneProcess:
         return value
 
 
-def _serve_lanes(state: ModelState, requests, replies, inputs, grads) -> None:
+def _serve_lanes(state: ModelState, opt: optim.AdamWState, requests, replies, inputs) -> None:
     """The lane process's loop: runs each requested lane on the first rows of `inputs`,
-    writes its gradients into their `grads` slots and replies (True, terms), or
-    (False, exception); returns at EOF on `requests`. It ignores SIGINT, which its
-    parent's terminal sends to both."""
+    writing its gradients into row 1 of `opt.grads`, a shared mapping, and replies
+    (True, terms), or (False, exception); returns at EOF on `requests`. It ignores
+    SIGINT, which its parent's terminal sends to both."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
             rows, variant, lam, n, seed, err = requests.recv()
         except EOFError:
             return
-        into = {}
         try:
             with np.errstate(**err):
-                part = DomainBatch(*(buf[:rows] for buf in inputs))
-                terms = _run_lane(state, get_variant(variant), lam, n, part, np.random.default_rng(seed), into)
-            for p, g in into.items():
-                grads[p][...] = g
-            reply = (True, terms)
+                part, rng = DomainBatch(*(buf[:rows] for buf in inputs)), np.random.default_rng(seed)
+                reply = (True, _run_lane(state, opt, get_variant(variant), lam, n, 1, part, rng))
         except BaseException as exc:  # re-raised in the parent
             reply = (False, exc)
         replies.send(reply)
@@ -398,25 +390,21 @@ def _lane_process(state: ModelState, opt: optim.AdamWState, batch_size: int, ima
     (`_spare_core()`), another thread runs, since a fork beside a thread may
     deadlock, or the platform cannot fork.
 
-    The child is forked here and sees the trainable parameters through `opt.data`,
-    a shared mapping; it inherits the frozen ones, which a run never changes, and
-    the caller's BLAS thread count. `images` and `labels` hold rows of a batch's
-    shape and dtypes. On exit, also on an error, the pipes close and the child,
-    at EOF, leaves through `os._exit`, so it runs no atexit handler and cannot
-    outlive the parent; the exit waits for it.
+    The child is forked here. It sees the trainable parameters through `opt.data`
+    and writes lane 2's gradients through `opt.grads`, both shared mappings; it
+    inherits the frozen parameters, which a run never changes, and the caller's
+    BLAS thread count. `images` and `labels` hold rows of a batch's shape and
+    dtypes. On exit, also on an error, the pipes close and the child, at EOF,
+    leaves through `os._exit`, so it runs no atexit handler and cannot outlive
+    the parent; the exit waits for it.
     """
     lanes = _lanes(batch_size, state.cfg.embed_dim)
     if len(lanes) == 1 or not _spare_core() or threading.active_count() != 1 or not hasattr(os, "fork"):
         yield None
         return
     rows = lanes[1].stop - lanes[1].start
-    inputs = (_shared((rows, *images.shape[1:]), images.dtype), _shared(rows, labels.dtype), _shared(rows, np.int64))
-    named, flat = state.named_params(), _shared(opt.data.shape, opt.data.dtype)
-    grads, start = {}, 0
-    for name in opt.m:  # the layout of `opt.data`
-        p = named[name]
-        grads[p] = flat[start:start + p.data.size].reshape(p.shape)
-        start += p.data.size
+    shapes = ((rows, *images.shape[1:]), images.dtype), (rows, labels.dtype), (rows, np.int64)
+    inputs = tuple(optim.shared_array(*shape) for shape in shapes)
     request_in, request_out = multiprocessing.Pipe(duplex=False)
     reply_in, reply_out = multiprocessing.Pipe(duplex=False)
     pid = os.fork()
@@ -424,13 +412,13 @@ def _lane_process(state: ModelState, opt: optim.AdamWState, batch_size: int, ima
         try:
             request_out.close()
             reply_in.close()
-            _serve_lanes(state, request_in, reply_out, inputs, grads)
+            _serve_lanes(state, opt, request_in, reply_out, inputs)
         finally:
             os._exit(0)
     request_in.close()
     reply_out.close()
     try:
-        yield _LaneProcess(request_out, reply_in, inputs, grads)
+        yield _LaneProcess(request_out, reply_in, inputs)
     finally:
         request_out.close()
         reply_in.close()

@@ -756,13 +756,14 @@ def backward(loss: Tensor, grads: dict | None = None) -> None:
 
     Walks the records from the loss's own. Gradients accumulate at fan-in
     records. A record releases its `grad` once passed to its parents; leaves
-    keep theirs, so they accumulate across repeated calls until
-    `optim.step_params` clears them. A first contribution is stored as is and
-    later ones are added out of place, so one array may be the grad of
-    several tensors and is never written to. With `grads` (leaf -> array),
-    the leaves' gradients accumulate there by the same rule and no leaf's
-    `grad` is touched, so two threads can backpropagate through graphs that
-    share leaves, each into a dict of its own.
+    keep theirs, so they accumulate across repeated calls until the caller
+    clears them. A first contribution is stored as is and later ones are
+    added out of place, so one array may be the grad of several tensors and
+    is never written to. With `grads` (leaf -> array), the leaves' gradients
+    accumulate there by the same rule and no leaf's `grad` is touched, so two
+    threads can backpropagate through graphs that share leaves, each into a
+    dict of its own. Training always passes one: `optim.write_grads` copies
+    it into the optimizer's gradient row.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")

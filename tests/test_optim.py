@@ -1,5 +1,6 @@
 """AdamW: decay-only step, closed-form single step, determinism, and the
-flat buffer that holds the trainable parameters and both moments."""
+flat buffers that hold the trainable parameters, both moments and the
+step's gradient rows."""
 
 import os
 
@@ -15,11 +16,15 @@ def make_params(rng, shapes):
     return {f"p{i}": Tensor(rng.normal(size=s), requires_grad=True) for i, s in enumerate(shapes)}
 
 
+def write(params, grads, state):
+    """Writes `grads` (name -> array) into the state's gradient row 0 as a lane does;
+    a name it lacks gets 0."""
+    optim.write_grads(state, 0, params, {params[name]: g for name, g in grads.items()})
+
+
 def step(params, grads, state, lr, weight_decay=0.0):
-    """`optim.step_params` over every parameter of `params`, after setting
-    each one's grad from `grads` (a name it lacks gets none)."""
-    for name, p in params.items():
-        p.grad = grads.get(name)
+    """`optim.step_params` over every parameter of `params`, after writing `grads`."""
+    write(params, grads, state)
     optim.step_params(params, state, list(params), lr, weight_decay)
 
 
@@ -42,7 +47,6 @@ def test_single_step_matches_closed_form():
     state = optim.init_adamw_state(params)
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     step(params, {"w": g}, state, lr=lr, weight_decay=0.0)
-    assert params["w"].grad is None
 
     m = (1 - b1) * g
     v = (1 - b2) * g * g
@@ -86,13 +90,13 @@ def test_determinism_bit_identical():
 
 
 def reference_adamw_step(params, state, trainable, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The out-of-place AdamW formula that the in-place update must equal bitwise."""
+    """The out-of-place AdamW formula that the in-place update must equal bitwise,
+    one parameter at a time from its view of gradient row 0."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
     for name in trainable:
-        p = params[name]
-        g = np.zeros_like(p.data) if p.grad is None else p.grad
+        p, g = params[name], state.grad_views[0][name]
         m, v = state.m[name], state.v[name]
         m[...] = beta1 * m + (1.0 - beta1) * g
         v[...] = beta2 * v + (1.0 - beta2) * (g * g)
@@ -101,7 +105,6 @@ def reference_adamw_step(params, state, trainable, lr, weight_decay, beta1=0.9, 
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
         if weight_decay:
             p.data = p.data - lr * weight_decay * p.data
-        p.grad = None
 
 
 def test_in_place_update_is_bitwise_equal_to_the_out_of_place_formula():
@@ -112,11 +115,10 @@ def test_in_place_update_is_bitwise_equal_to_the_out_of_place_formula():
         state = optim.init_adamw_state(params)
         assert list(state.m) == list(state.v) == ["p0", "p1", "p2"]
         for _ in range(5):
-            for name, p in params.items():
-                p.grad = rng.normal(size=p.data.shape).astype(np.float32)
-            params["p2"].grad = None  # a missing grad still decays its parameter
+            grads = {name: rng.normal(size=p.data.shape).astype(np.float32) for name, p in params.items()}
+            del grads["p2"]  # a missing grad still decays its parameter
+            write(params, grads, state)  # the frozen p3's is not written
             step_params(params, state, state.m, 3e-2, 1e-2)
-            assert [p.grad is None for p in params.values()] == [True, True, True, False]
         return [
             *(a.tobytes() for name in state.m for a in (params[name].data, state.m[name], state.v[name])),
             params["p3"].data.tobytes(),
@@ -134,9 +136,9 @@ def test_in_place_update_equals_the_per_parameter_loop_at_default_shapes():
         opt = optim.init_adamw_state(params)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            for name, p in params.items():
-                p.grad = rng.normal(size=p.shape).astype(np.float32)
-            params[missing].grad = None
+            grads = {name: rng.normal(size=p.shape).astype(np.float32) for name, p in params.items()}
+            del grads[missing]
+            write(params, grads, opt)
             step_params(params, opt, opt.m, 1e-3, 1e-2)
         moments = [(opt.m.get(name, p.data), opt.v.get(name, p.data)) for name, p in params.items()]
         return [a.tobytes() for p, (m, v) in zip(params.values(), moments) for a in (p.data, m, v)]
@@ -151,15 +153,20 @@ def test_init_puts_the_trainable_parameters_in_one_buffer_and_the_moments_in_ano
     frozen = params["p1"].data
     values = {name: p.data.copy() for name, p in params.items()}
     state = optim.init_adamw_state(params)
-    assert state.data.shape == (12 + 4,) and state.moments.shape == (2, 12 + 4)
+    assert state.data.shape == (12 + 4,) and state.moments.shape == state.grads.shape == (2, 12 + 4)
     for name in ("p0", "p2"):
         assert params[name].data.base is state.data and np.shares_memory(params[name].data, state.data), name
         assert params[name].data.tobytes() == values[name].tobytes()
         for moment, row in ((state.m[name], state.moments[0]), (state.v[name], state.moments[1])):
             assert moment.base is state.moments and np.shares_memory(moment, row) and not moment.any(), name
+        for views, row in zip(state.grad_views, state.grads):
+            assert views[name].shape == params[name].shape and np.shares_memory(views[name], row), name
+        offset = params[name].data.ctypes.data - state.data.ctypes.data  # the rows' layout is the buffer's
+        assert all(views[name].ctypes.data - row.ctypes.data == offset for views, row in zip(state.grad_views, state.grads))
     assert params["p1"].data is frozen and params["p1"].data.tobytes() == values["p1"].tobytes()
-    assert not np.shares_memory(frozen, state.data) and not np.shares_memory(frozen, state.moments)
-    assert list(state.m) == list(state.v) == ["p0", "p2"]
+    for buffer in (state.data, state.moments, state.grads):
+        assert not np.shares_memory(frozen, buffer)
+    assert list(state.m) == list(state.v) == list(state.grad_views[0]) == list(state.grad_views[1]) == ["p0", "p2"]
 
 
 def test_a_forked_child_reads_the_parameter_updates_made_after_the_fork():
@@ -172,6 +179,8 @@ def test_a_forked_child_reads_the_parameter_updates_made_after_the_fork():
         try:
             os.read(ready, 1)  # the parent has stepped
             code = 0 if (params["p0"].data == 7).all() else 2
+            optim.write_grads(state, 1, params, {params["p1"]: np.full(4, 3, dtype=np.float32)})
+            state.moments[...] = 5.0
         finally:
             os._exit(code)
     os.close(ready)
@@ -179,7 +188,9 @@ def test_a_forked_child_reads_the_parameter_updates_made_after_the_fork():
     os.write(go, b"x")
     os.close(go)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    assert not state.moments.any()  # the moments stay the parent's own
+    # the child's gradient row reaches the parent; the moments stay the parent's own
+    assert state.grads[1].tolist() == [0] * 6 + [3] * 4 and not state.grads[0].any()
+    assert not state.moments.any()
 
 
 def test_init_rejects_parameters_of_mixed_dtypes():
@@ -210,13 +221,12 @@ def test_trainable_names_must_be_the_state_names(trainable):
 
 
 def test_mismatched_shapes_rejected():
+    # a (3,) row view would take a (1, 3) or (1,) gradient by broadcasting
     params = {"w": Tensor(np.zeros(3), requires_grad=True)}
     state = optim.init_adamw_state(params)
-    with pytest.raises(ShapeError, match="grad shape"):
-        step(params, {"w": np.zeros(4, dtype=np.float32)}, state, lr=0.1)
-    state.m["w"] = np.zeros(4, dtype=np.float32)
-    with pytest.raises(ShapeError, match="moment shape"):
-        step(params, {"w": np.zeros(3, dtype=np.float32)}, state, lr=0.1)
+    for shape in ((4,), (1, 3), (1,)):
+        with pytest.raises(ShapeError, match=rf"grad shape \({shape[0]},.*for 'w'"):
+            write(params, {"w": np.ones(shape, dtype=np.float32)}, state)
 
 
 def test_missing_grad_still_decays():

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import weakref
@@ -206,35 +207,46 @@ def test_run_experiment_restores_the_selected_parameters_in_the_optimizer_buffer
 
 
 def _grads_step_params_receives(monkeypatch, variant):
-    """(state, opt, grads): one `train_step` of a fresh `variant` model and
-    every parameter's grad as `optim.step_params` received it."""
+    """(state, opt, row, reached): one one-lane `train_step` of a fresh `variant`
+    model, the gradient row `optim.step_params` received (name -> array), and
+    the gradients `T.backward` left in the lane's dict (name -> array)."""
     run = tiny_run_config(dropout=0.1)
     state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0, variant=variant)
     opt = optim.init_adamw_state(state.named_params())
-    grads = {}
-    step_params = optim.step_params
+    names = {id(p): n for n, p in state.named_params().items()}
+    row, reached = {}, {}
+    step_params, backward = optim.step_params, T.backward
 
-    def recording_step_params(params, *args, **kwargs):
-        grads.update({n: p.grad for n, p in params.items()})
-        return step_params(params, *args, **kwargs)
+    def recording_step_params(params, opt, *args, **kwargs):
+        row.update({n: view.copy() for n, view in opt.grad_views[0].items()})
+        return step_params(params, opt, *args, **kwargs)
+
+    def recording_backward(root, grads=None):
+        backward(root, grads)
+        reached.update({names[id(p)]: g for p, g in grads.items()})
 
     monkeypatch.setattr(optim, "step_params", recording_step_params)
+    monkeypatch.setattr(T, "backward", recording_backward)
     pipeline.train_step(state, opt, _batch(run.vit, 3, 4), run.train, np.random.default_rng(1), variant)
-    assert set(grads) == set(state.named_params())
-    return state, opt, grads
+    assert list(row) == list(opt.m)
+    return state, opt, row, reached
 
 
 def test_frozen_backbone_backward_computes_no_backbone_gradient(monkeypatch):
-    _, _, grads = _grads_step_params_receives(monkeypatch, "frozen_backbone")
-    assert all(g is None for n, g in grads.items() if n.startswith("vit.")), "a frozen vit.* gradient was computed"
-    assert all(g is not None for n, g in grads.items() if not n.startswith("vit."))
+    state, _, row, reached = _grads_step_params_receives(monkeypatch, "frozen_backbone")
+    trainable = [n for n in state.named_params() if not n.startswith("vit.")]
+    assert not any(n.startswith("vit.") for n in reached), "a frozen vit.* gradient was computed"
+    assert set(reached) == set(row) == set(trainable)
+    for name in trainable:
+        assert row[name].tobytes() == reached[name].tobytes(), name
 
 
 def test_train_step_keeps_every_array_float32(monkeypatch):
-    state, opt, grads = _grads_step_params_receives(monkeypatch, "doprompt")
+    state, opt, row, reached = _grads_step_params_receives(monkeypatch, "doprompt")
+    assert opt.grads.dtype == np.float32
     for name, p in state.named_params().items():
         assert p.data.dtype == np.float32, name
-        assert grads[name].dtype == np.float32, name
+        assert row[name].dtype == reached[name].dtype == np.float32, name
         assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
 
 
@@ -849,12 +861,12 @@ def test_a_two_lane_step_is_byte_identical_with_and_without_the_helper(monkeypat
 
 def test_a_two_lane_step_updates_like_one_full_batch_lane(monkeypatch):
     run = _lane_run(dropout=0.0)
-    received = []
+    received = []  # the summed gradient row of each step
     step_params = optim.step_params
 
-    def recording_step_params(params, *args, **kwargs):
-        received.append({n: p.grad for n, p in params.items()})
-        return step_params(params, *args, **kwargs)
+    def recording_step_params(params, opt, *args, **kwargs):
+        received.append({n: view.copy() for n, view in opt.grad_views[0].items()})
+        return step_params(params, opt, *args, **kwargs)
 
     monkeypatch.setattr(optim, "step_params", recording_step_params)
     _on_cores(monkeypatch, 2)
@@ -952,6 +964,54 @@ def test_the_first_lanes_error_wins_and_the_lane_process_serves_the_next_step(mo
         step = pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1), lane_process=lane)
     _no_child_left()
     assert step.floats() == expected
+
+
+def _state_bytes(state, opt):
+    return [p.data.tobytes() for p in state.named_params().values()], opt.moments.tobytes(), opt.t
+
+
+def test_a_lane_process_that_exits_inside_its_lane_raises_runtime_error_and_changes_nothing(monkeypatch):
+    run = _lane_run()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    before = _state_bytes(state, opt)
+    parent, forward = os.getpid(), vit.forward
+
+    def dying_forward(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(vit, "forward", dying_forward)
+    _on_cores(monkeypatch, 2)
+    batch = _batch(run.vit, 3, 11)
+    with pipeline._lane_process(state, opt, 33, batch.images, batch.labels) as lane:
+        assert lane is not None
+        with pytest.raises(RuntimeError, match="the lane process exited during a step"):
+            pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1), lane_process=lane)
+    _no_child_left()
+    assert _state_bytes(state, opt) == before
+
+
+def test_a_lane_process_killed_between_steps_raises_runtime_error_and_changes_nothing(monkeypatch, tmp_path):
+    # as the OOM killer would: the next step's request finds no reader
+    run = _lane_run()
+    state = pipeline.init_state(run.vit, 3, run.train.prompt_length, seed=0)
+    opt = optim.init_adamw_state(state.named_params())
+    log = _forward_log(monkeypatch, tmp_path / "forward.log")
+    _on_cores(monkeypatch, 2)
+    batch = _batch(run.vit, 3, 11)
+    with pipeline._lane_process(state, opt, 33, batch.images, batch.labels) as lane:
+        pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(1), lane_process=lane)
+        (child,) = {pid for pid, _ in log()} - {os.getpid()}
+        os.kill(child, signal.SIGKILL)
+        os.waitid(os.P_PID, child, os.WEXITED | os.WNOWAIT)  # dead, and left for the context to reap
+        before, calls = _state_bytes(state, opt), len(log())
+        with pytest.raises(RuntimeError, match="the lane process exited during a step"):
+            pipeline.train_step(state, opt, batch, run.train, np.random.default_rng(2), lane_process=lane)
+        assert len(log()) == calls  # raised before lane 1 ran
+    _no_child_left()
+    assert _state_bytes(state, opt) == before
 
 
 def test_a_run_waits_for_its_lane_process_on_return_and_on_every_error(monkeypatch, tmp_path, dataset):
