@@ -23,7 +23,11 @@ Exit codes, each failure with one line on stderr:
   missing `--data` path, or one that is not a directory of `domain_*` arrays
   (an old `.dpd` file among them); a truncated or unreadable `.npy`, a domain
   with no image, a complex pixel or one not finite as float32, or a label
-  not an int >= 0.
+  not an int >= 0;
+- 5 (`train`) the lane process, which runs the second lane of each
+  two-lane training step, exited during a step: killed, say by the OOM
+  killer, or dead in its lane. In `ablate` and `sweep-length` such a run
+  is a failed cell (exit 1).
 
 `eval` and `analyze` build the model from the config, except whether it has
 a prompt bank and an adapter, which comes from the checkpoint's array names,
@@ -53,13 +57,14 @@ from . import analysis, datagen, pipeline
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, VARIANTS, load_config
 from .datagen import DataFormatError
-from .pipeline import NumericalError
+from .pipeline import LaneProcessError, NumericalError
 
 EXIT_OK = 0
 EXIT_CELLS_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_FORMAT = 4
+EXIT_LANE_PROCESS = 5
 
 DEFAULT_LENGTHS = (2, 4, 8, 16, 32)
 
@@ -414,6 +419,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except LaneProcessError as exc:
+        print(f"lane process failure: {exc}", file=sys.stderr)
+        return EXIT_LANE_PROCESS
     except MemoryError as exc:
         print(f"config error: the configured model or data does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,6 +8,13 @@ an ERM model trained on the default table keys on those exact values (moving
 only the hue or the background of a source domain's images drops it to near
 chance). Every pixel is a pure function of (class, style, seed).
 
+An image's randomness is one row of uniforms from its own stream, drawn in a
+fixed order: the shape's centre cx and cy, its radius, the texture phase (a
+textured style only) and the 3x32x32 noise (a noisy style only). A draw that
+varies an image's style would go first, ahead of cx. Rendering turns a block
+of such rows into pixels with whole-array operations, each uniform u becoming
+`low + (high - low) * u` as in `Generator.uniform`.
+
 On disk a dataset is one directory per domain, `domain_00/images.npy`
 (N, C, H, W) and `labels.npy` (N,), and so on: the layout that
 `save_dataset` writes, that `load_dataset` reads, and that outside data
@@ -40,7 +47,14 @@ CLASS_NAMES = ("disk", "square", "cross", "triangle", "stripes")
 NUM_CLASSES = len(CLASS_NAMES)
 IMAGE_SIZE = 32
 CHANNELS = 3
-_YY, _XX = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]  # the pixel grid, shared by every image
+# The pixel grid, shared by every image: a column's x, a row's y, and each
+# pixel's x + y, the one coordinate a texture varies along.
+_X = np.arange(IMAGE_SIZE)
+_Y = _X[:, None]
+_DIAGONAL = _Y + _X
+_PLANE = IMAGE_SIZE * IMAGE_SIZE
+_PIXELS = CHANNELS * _PLANE
+_BLOCK_ROWS = 16  # images rendered per block; bounds the working set, and the bytes do not depend on it
 
 class DataFormatError(IOError):
     """A dataset directory that is missing, corrupt or truncated, or holds arrays outside the layout."""
@@ -104,9 +118,12 @@ class SyntheticDataset:
         return len(self.labels[d])
 
 
-def _shape_mask(c: int, cx: float, cy: float, r: float) -> np.ndarray:
-    dx = _XX - cx
-    dy = _YY - cy
+def _shape_mask(c: int, cx, cy, r) -> np.ndarray:
+    """The (..., 32, 32) mask of class c's shape at centre (cx, cy) and radius r,
+    scalars or (m, 1, 1) arrays. A row's dy and a column's dx are computed once
+    and broadcast, so each pixel gets the same numbers as from a full grid."""
+    dx = _X - cx
+    dy = _Y - cy
     if c == 0:  # disk
         return dx * dx + dy * dy <= r * r
     if c == 1:  # square
@@ -126,46 +143,92 @@ def _shape_mask(c: int, cx: float, cy: float, r: float) -> np.ndarray:
 
 def _erode(mask: np.ndarray) -> np.ndarray:
     interior = mask.copy()
-    for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
+    for shift, axis in ((1, -2), (-1, -2), (1, -1), (-1, -1)):
         interior &= np.roll(mask, shift, axis=axis)
     return interior
 
 
-def render_image(c: int, style: DomainStyleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One 3x32x32 float32 image: styled shape on styled background."""
-    if not 0 <= c < NUM_CLASSES:
-        raise IndexError(f"class {c} out of range [0, {NUM_CLASSES})")
-    cx = IMAGE_SIZE / 2 + rng.uniform(-3.0, 3.0)
-    cy = IMAGE_SIZE / 2 + rng.uniform(-3.0, 3.0)
-    r = 9.0 * rng.uniform(0.8, 1.15)
-    mask = _shape_mask(c, cx, cy, r)
+def _num_draws(style: DomainStyleSpec) -> int:
+    """How many uniforms one image of `style` draws: cx, cy, r, the texture
+    phase if it has a texture, and its noise if it has noise."""
+    return 3 + (style.texture_freq > 0.0) + (style.noise > 0.0) * _PIXELS
+
+
+def _uniform(u, low: float, high: float):
+    """`Generator.uniform(low, high)` from its `Generator.random()` draw `u`."""
+    return low + (high - low) * u
+
+
+def _render_rows(classes: np.ndarray, style: DomainStyleSpec, draws: np.ndarray, out: np.ndarray) -> None:
+    """Write image j, of class `classes[j]`, into `out[j]`, rendered from row j of
+    `draws` (`_num_draws(style)` uniforms in [0, 1)). Each step, from the shape
+    masks (one call per class) to the float32 cast, is a float64 operation over
+    all the rows at once, and a row's pixels depend on its own draws only. It
+    overwrites the noise columns of `draws`."""
+    m = len(classes)
+    cx = IMAGE_SIZE / 2 + _uniform(draws[:, 0, None, None], -3.0, 3.0)
+    cy = IMAGE_SIZE / 2 + _uniform(draws[:, 1, None, None], -3.0, 3.0)
+    r = 9.0 * _uniform(draws[:, 2, None, None], 0.8, 1.15)
+    mask = np.empty((m, IMAGE_SIZE, IMAGE_SIZE), dtype=bool)
+    for c in range(NUM_CLASSES):
+        rows = classes == c
+        mask[rows] = _shape_mask(c, cx[rows], cy[rows], r[rows])
     if style.stroke:
         interior = mask
         for _ in range(style.stroke):
             interior = _erode(interior)
-        mask = mask & ~interior
+        mask &= ~interior
 
-    img = np.full((CHANNELS, IMAGE_SIZE, IMAGE_SIZE), style.background, dtype=np.float64)
+    background = style.background
     if style.texture_freq > 0.0:
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        tex = 0.1 * np.sin(2.0 * np.pi * style.texture_freq * (_XX + _YY) / IMAGE_SIZE + phase)
-        img += tex[None, :, :]
+        # one value per diagonal x + y, 0 to 63, then spread over the pixels
+        phase = _uniform(draws[:, 3, None], 0.0, 2.0 * np.pi)
+        diagonals = np.sin(2.0 * np.pi * style.texture_freq * np.arange(2 * IMAGE_SIZE) / IMAGE_SIZE + phase)
+        diagonals *= 0.1
+        diagonals += style.background
+        background = diagonals[:, _DIAGONAL]
 
     base_hue = 0.07 + style.hue_rotation / 360.0
     fg = np.array(colorsys.hsv_to_rgb(base_hue % 1.0, 0.85, 0.95))
-    img[:, mask] = fg[:, None]
-
+    colours = (np.where(mask, value, background).reshape(m, -1) for value in fg)
+    # The noise columns of `draws` become the pixels, noise + colour, one
+    # channel's colour at a time. They stay 2-D: numpy copies a strided view of
+    # more dimensions that an in-place operation writes.
     if style.noise > 0.0:
-        img += rng.uniform(-style.noise, style.noise, size=img.shape)
-    return np.clip(img, 0.0, 1.0).astype(np.float32)
+        img, low, high = draws[:, -_PIXELS:], -style.noise, style.noise
+        img *= high - low  # `_uniform` in place
+        img += low
+        for ch, colour in enumerate(colours):
+            img[:, ch * _PLANE : (ch + 1) * _PLANE] += colour
+    else:
+        img = np.concatenate(list(colours), axis=1)
+    out.reshape(m, -1)[...] = np.clip(img, 0.0, 1.0, out=img)
+
+
+def render_image(c: int, style: DomainStyleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One 3x32x32 float32 image: styled shape on styled background.
+
+    It takes `_num_draws(style)` draws from `rng` in one `rng.random` call and
+    renders them as a block of one row, the path `generate_dataset` renders
+    every image by."""
+    if not 0 <= c < NUM_CLASSES:
+        raise IndexError(f"class {c} out of range [0, {NUM_CLASSES})")
+    out = np.empty((1, CHANNELS, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    _render_rows(np.array([c]), style, rng.random((1, _num_draws(style))), out)
+    return out[0]
 
 
 def generate_dataset(num_domains: int, per_domain_count: int, seed: int) -> SyntheticDataset:
     """Balanced classes per domain; identical seed gives bit-identical data.
 
-    Domain d is rendered in style d of `DEFAULT_STYLE_TABLE`. Images are
-    rendered from per-image rng streams derived from (seed, domain, index),
-    so generation order never matters.
+    Domain d is rendered in style d of `DEFAULT_STYLE_TABLE`, image i with
+    class i % 5, from its own rng stream `SeedSequence([seed, d, i])`, so
+    generation order never matters. Each domain goes in blocks of
+    `_BLOCK_ROWS` images: a loop over the block's images fills one row of
+    draws per image, in one `rng.random` call, and `_render_rows` renders the
+    block's pixels as whole-array operations. Only the block's draws and
+    pixels are held beside the output, and the bytes do not depend on the
+    block size.
     """
     if num_domains < 2:
         raise ValueError(f"need at least 2 domains, got {num_domains}")
@@ -181,13 +244,16 @@ def generate_dataset(num_domains: int, per_domain_count: int, seed: int) -> Synt
 
     all_images, all_labels = [], []
     for d in range(num_domains):
+        style = DEFAULT_STYLE_TABLE[d]
         images = np.empty((n, CHANNELS, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            c = i % NUM_CLASSES
-            rng = np.random.default_rng(np.random.SeedSequence([seed, d, i]))
-            images[i] = render_image(c, DEFAULT_STYLE_TABLE[d], rng)
-            labels[i] = c
+        labels = np.arange(n, dtype=np.int64) % NUM_CLASSES
+        draws = np.empty((min(_BLOCK_ROWS, n), _num_draws(style)))
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = draws[: n - start]
+            for j, row in enumerate(rows):
+                np.random.default_rng(np.random.SeedSequence([seed, d, start + j])).random(out=row)
+            block = slice(start, start + len(rows))
+            _render_rows(labels[block], style, rows, images[block])
         all_images.append(images)
         all_labels.append(labels)
     return SyntheticDataset(all_images, all_labels)
@@ -236,7 +302,7 @@ def load_dataset(path) -> SyntheticDataset:
         if np.iscomplexobj(img):
             raise DataFormatError(f"{ddir}: images.npy holds {img.dtype} pixels, expected real numbers")
         with np.errstate(over="ignore"):  # a pixel past the float32 range becomes inf, rejected below
-            img = img.astype(np.float32)
+            img = img.astype(np.float32, copy=False)  # float32 pixels, as `save_dataset` writes them, stay uncopied
         if not np.isfinite(img).all():
             raise DataFormatError(f"{ddir}: images.npy holds a non-finite pixel, or one past the float32 range")
         if lab.shape != (len(img),) or not np.issubdtype(lab.dtype, np.integer) or lab.astype(np.int64).min() < 0:

@@ -44,6 +44,7 @@ from .tensor import Tensor
 from .vit import ViTConfig, ViTParams
 
 __all__ = [
+    "LaneProcessError",
     "ModelState",
     "NumericalError",
     "evaluate_accuracy",
@@ -63,6 +64,10 @@ _LANE_MIN = 1024  # rows x embed_dim of a step's smaller half-batch from which t
 
 class NumericalError(RuntimeError):
     """A loss component or a parameter became non-finite during training."""
+
+
+class LaneProcessError(RuntimeError):
+    """The lane process that runs a step's second lane exited before it replied."""
 
 
 @dataclass
@@ -337,14 +342,14 @@ class _LaneProcess:
         seeded by `seed` and writes its gradients into row 1 of the optimizer's
         `grads`, while this thread runs `first`. The process's exception re-raises
         here with its type; one from `first` wins over it. A lane process that has
-        exited, before or during the step, raises RuntimeError."""
+        exited, before or during the step, raises LaneProcessError."""
         rows = len(part.labels)
         for buf, arr in zip(self.inputs, (part.images, part.labels, part.domains)):
             buf[:rows] = arr
         try:
             self.requests.send((rows, variant, lam, n, seed, np.geterr()))
         except BrokenPipeError:  # it died while idle, say to the OOM killer
-            raise RuntimeError("the lane process exited during a step") from None
+            raise LaneProcessError("the lane process exited during a step") from None
         try:
             out = first()
         except BaseException:
@@ -357,7 +362,7 @@ class _LaneProcess:
         try:
             ok, value = self.replies.recv()
         except EOFError:
-            raise RuntimeError("the lane process exited during a step") from None
+            raise LaneProcessError("the lane process exited during a step") from None
         if not ok:
             raise value
         return value

@@ -1,12 +1,15 @@
-"""Print the SHA-256 of every artifact of twelve fixed training runs.
+"""Print the SHA-256 of a fixed dataset and of every artifact of twelve fixed
+training runs.
 
-The runs are the six variants at dropout 0 and 0.1, each at the default
+The first line digests the image and label bytes of
+`generate_dataset(6, 135, 5)`, which draws every domain style, so a change to
+the data shows on a line of its own. The runs are the six variants at dropout 0 and 0.1, each at the default
 model shapes on `generate_dataset(4, 100, 5)`, with target domain 2, 20
 steps, `eval_interval` 10 and seed 5. Each run writes `loss_curve.csv`,
 `report.json` and `checkpoint.npz` into a temporary directory, and this
 prints one `<sha256>  <run>/<file>` line per file. A change meant to keep
-every artifact byte for byte prints the same 36 lines as its parent on the
-same machine:
+the data and every artifact byte for byte prints the same 37 lines as its
+parent on the same machine:
 
     PYTHONPATH=src python3 tests/artifact_digest.py
 
@@ -25,6 +28,12 @@ ARTIFACTS = ("loss_curve.csv", "report.json", "checkpoint.npz")
 
 
 def main() -> None:
+    data = datagen.generate_dataset(6, 135, 5)
+    digest = hashlib.sha256()
+    for images, labels in zip(data.images, data.labels):
+        digest.update(images.tobytes())
+        digest.update(labels.tobytes())
+    print(f"{digest.hexdigest()}  data/generate_dataset(6, 135, 5)", flush=True)
     dataset = datagen.generate_dataset(4, 100, 5)
     with tempfile.TemporaryDirectory() as tmp:
         for dropout in (0.0, 0.1):

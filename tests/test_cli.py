@@ -445,6 +445,26 @@ def test_a_model_too_large_for_memory_exits_2_with_one_line(tmp_path, config, ca
     assert err.count("\n") == 1 and "does not fit in memory: Unable to allocate 1.86 TiB" in err, err
 
 
+def test_a_lane_process_that_exits_inside_its_lane_exits_5_with_one_line(tmp_path, config, capsys, monkeypatch):
+    # embed_dim 64 and two source domains of 16 images: lanes of 16 rows x 64, so each step forks a lane process
+    parent, forward = os.getpid(), pipeline.vit.forward
+
+    def dying_forward(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.vit, "forward", dying_forward)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["train", "--config", config, "--out", str(tmp_path / "out")]
+    argv += ["--set", "embed_dim=64", "--set", "batch_per_domain=16"]
+    assert cli.main(argv) == cli.EXIT_LANE_PROCESS
+    err = capsys.readouterr().err
+    assert err == "lane process failure: the lane process exited during a step\n", err
+    with pytest.raises(ChildProcessError):  # the run waited for its lane process
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("lengths", ["a", "2,2", "0,2", ""])
 def test_sweep_length_rejects_its_lengths_before_building_any_data(tmp_path, config, capsys, monkeypatch, lengths):
     def load_or_generate_data(args, run):
