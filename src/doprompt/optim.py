@@ -85,7 +85,7 @@ def init_adamw_state(params: dict) -> AdamWState:
 
 
 def write_grads(state: AdamWState, row: int, params: dict, grads: dict) -> None:
-    """Writes `grads` (Tensor -> array, as `tensor.backward` fills it) of the parameters
+    """Writes `grads` (leaf Tensor -> array, the dict `tensor.backward` adds into) of the parameters
     of `params` (name -> Tensor) into row `row` of `state.grads`; a parameter the state
     holds and `grads` lacks gets 0. A shape other than the parameter's raises ShapeError."""
     for name, view in state.grad_views[row].items():

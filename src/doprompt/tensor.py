@@ -31,11 +31,11 @@ the hidden layer h (each only if the weight after it needs a gradient),
 GELU'(x W1 + b1) and its two masks.
 
 Gradients accumulate at fan-in records so shared parameters appearing in
-several losses are handled correctly; only leaves keep theirs after `backward`.
-Two threads may build and backpropagate graphs over the same leaves at once:
-`no_grad` acts on the calling thread only, and `backward(loss, grads)`
-accumulates the leaves' gradients into a dict of the caller's instead of
-their `grad`.
+several losses are handled correctly. `backward(loss, grads)` has one
+destination: it adds each reachable leaf's gradient into the caller's dict
+(leaf -> array), and a `Tensor` holds no gradient. Two threads may build and
+backpropagate graphs over the same leaves at once: `no_grad` acts on the
+calling thread only, and each thread backpropagates into a dict of its own.
 
 Arrays are row-major, 32-bit by default; `default_dtype("float64")` switches
 the engine to 64-bit (used by the gradient-check suite). GELU follows the
@@ -134,18 +134,16 @@ def default_dtype(dtype):
 class Tensor:
     """A dense n-d value; an op's output with `requires_grad` has a graph record.
 
-    `data` is always a numpy array; `grad` is populated (same shape) by
-    `backward` for every reachable leaf with `requires_grad`. `_record` is
-    the output's `_Record` in the reverse-mode graph, None for a leaf and
-    for an output recorded without grads.
+    `data` is always a numpy array. `_record` is the output's `_Record` in
+    the reverse-mode graph, None for a leaf and for an output recorded
+    without grads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_record")
+    __slots__ = ("data", "requires_grad", "_record")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._record = None
 
     @property
@@ -751,25 +749,23 @@ def detach(x: Tensor) -> Tensor:
 # reverse pass
 
 
-def backward(loss: Tensor, grads: dict | None = None) -> None:
-    """Populate `grad` on every leaf reachable from a scalar loss, or `grads[leaf]` when `grads` is given.
+def backward(loss: Tensor, grads: dict) -> None:
+    """Add the gradient of a scalar loss for every leaf reachable from it into `grads[leaf]`.
 
     Walks the records from the loss's own. Gradients accumulate at fan-in
-    records. A record releases its `grad` once passed to its parents; leaves
-    keep theirs, so they accumulate across repeated calls until the caller
-    clears them. A first contribution is stored as is and later ones are
-    added out of place, so one array may be the grad of several tensors and
-    is never written to. With `grads` (leaf -> array), the leaves' gradients
-    accumulate there by the same rule and no leaf's `grad` is touched, so two
-    threads can backpropagate through graphs that share leaves, each into a
-    dict of its own. Training always passes one: `optim.write_grads` copies
-    it into the optimizer's gradient row.
+    records, and a record releases its gradient once passed to its parents.
+    A leaf's first contribution is stored in `grads` as is and later ones are
+    added out of place, so one array may be the gradient of several leaves
+    and is never written to, and repeated calls into one dict sum. A loss
+    that is itself a leaf gets ones. Training calls it once per part of the
+    objective, into a dict per lane, which `optim.write_grads` then copies
+    into the optimizer's gradient row.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
 
     def accumulate(node, g):
-        if grads is None or type(node) is _Record:
+        if type(node) is _Record:
             node.grad = g if node.grad is None else node.grad + g
         else:
             grads[node] = g if node not in grads else grads[node] + g

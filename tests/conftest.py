@@ -1,6 +1,6 @@
-"""Shared helpers: finite-difference gradient checking, a float64 erf, tiny
-model builders, the unfused attention, MLP and adapter oracles and the
-looped inference oracles."""
+"""Shared helpers: backward into a new dict, finite-difference gradient
+checking, a float64 erf, tiny model builders, the unfused attention, MLP and
+adapter oracles and the looped inference oracles."""
 
 import math
 
@@ -47,21 +47,26 @@ def norm_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(a - n) / max(np.linalg.norm(a), np.linalg.norm(n), 1e-12))
 
 
-def check_gradient(build_loss, params, h=1e-5, tol=1e-6, seed_grads=True):
+def grads_of(loss) -> dict:
+    """`T.backward(loss, grads)` into a new dict: leaf Tensor -> gradient, as training reads them."""
+    grads = {}
+    T.backward(loss, grads)
+    return grads
+
+
+def check_gradient(build_loss, params, h=1e-5, tol=1e-6):
     """Compare backward() grads against central differences for each param.
 
     `build_loss` re-evaluates the scalar loss from the current param data;
     `params` is a dict of name -> Tensor whose .data arrays are perturbed in
-    place. Call under float64 for tight tolerances.
+    place. A param the loss does not reach must get a zero difference. Call
+    under float64 for tight tolerances.
     """
-    for p in params.values():
-        p.grad = None
-    loss = build_loss()
-    T.backward(loss)
+    grads = grads_of(build_loss())
     worst = 0.0
     for name, p in params.items():
         numeric = central_diff(lambda: build_loss().item(), p.data, h=h)
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic = grads.get(p, np.zeros_like(p.data))
         err = rel_error(analytic, numeric)
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3g} >= {tol}"
         worst = max(worst, err)

@@ -15,7 +15,7 @@ from doprompt.datagen import DomainBatch
 from doprompt.objectives import LossBreakdown
 from doprompt.tensor import Tensor
 
-from conftest import central_diff, check_gradient, count_gelu_derivatives, norm_rel_error, per_row
+from conftest import central_diff, check_gradient, count_gelu_derivatives, grads_of, norm_rel_error, per_row
 
 
 def make_setup(cfg, k=2, length=2, seed=0):
@@ -90,8 +90,7 @@ def test_a_prompt_pass_at_default_shapes_keeps_at_most_18_mib_for_its_backward()
     finally:
         tracemalloc.stop()
     assert held <= 18 * 2**20, f"the graph holds {held / 2**20:.1f} MiB"
-    T.backward(loss)
-    assert bank.grad is not None and np.isfinite(bank.grad).all()
+    assert np.isfinite(grads_of(loss)[bank]).all()
 
 
 def test_only_a_pass_with_grads_computes_gelu_derivatives(monkeypatch, tiny_vit_cfg):
@@ -108,7 +107,7 @@ def test_only_a_pass_with_grads_computes_gelu_derivatives(monkeypatch, tiny_vit_
     params, bank, adapter = make_setup(cfg)
     batch = make_batch(cfg, [0, 1])
     objectives.variant_loss(
-        VARIANTS["doprompt"], params, cfg, bank, adapter, batch, 1.0, np.random.default_rng(3), backward=T.backward
+        VARIANTS["doprompt"], params, cfg, bank, adapter, batch, 1.0, np.random.default_rng(3), backward=grads_of
     )
     # the no-grad adapter-input pass; then the adapter, the prompt pass and the adapted pass
     assert nodes == [(False, 0)] * cfg.depth + [(True, 1)] * (1 + 2 * cfg.depth)
@@ -130,9 +129,7 @@ def test_loss_prompt_matches_per_domain_forward_oracle_with_bank_gradient(tiny_v
     batch.domains = np.random.default_rng(0).permutation(batch.domains)  # interleaved domains
 
     loss = objectives.loss_prompt(params, cfg, bank, batch)
-    T.backward(loss)
-    grad = bank.grad.copy()
-    bank.grad = None
+    grad = grads_of(loss)[bank]
 
     oracle = None
     for d in range(bank.shape[0]):
@@ -140,10 +137,9 @@ def test_loss_prompt_matches_per_domain_forward_oracle_with_bank_gradient(tiny_v
         _, logits = vit.forward(params, cfg, Tensor(batch.images[sel]), per_row(prompting.domain_prompts(bank, d), len(sel)))
         part = T.cross_entropy(logits, batch.labels[sel]) * (len(sel) / len(batch.labels))
         oracle = part if oracle is None else oracle + part
-    T.backward(oracle)
 
     assert abs(loss.item() - oracle.item()) < 1e-6
-    np.testing.assert_allclose(grad, bank.grad, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(grad, grads_of(oracle)[bank], rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +249,10 @@ def test_loss_adapt_detach_contract(tiny_vit_cfg):
     params, bank, adapter = make_setup(cfg, k=2)
     batch = make_batch(cfg, [0, 1])
     br = objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0)
-    T.backward(br.l_w)
+    grads = grads_of(br.l_w)
     for name, p in params.named():
-        assert p.grad is None or not np.any(p.grad), f"leaked gradient into {name}"
-    assert adapter.w1.grad is not None and np.any(adapter.w1.grad)
+        assert p not in grads or not np.any(grads[p]), f"leaked gradient into {name}"
+    assert np.any(grads[adapter.w1])
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +293,8 @@ def test_lambda_zero_gradients_match_sum_of_other_losses(tiny_vit_cfg):
     params, bank, adapter = make_setup(cfg, k=2)
     named = dict(params.named()) | {"prompts.bank": bank} | dict(adapter.named())
     br = objectives.total_loss(params, cfg, bank, adapter, batch, lam=0.0)
-    T.backward(br.total)
-    grads_total = {n: (p.grad.copy() if p.grad is not None else None) for n, p in named.items()}
+    grads = grads_of(br.total)
+    grads_total = {n: grads.get(p) for n, p in named.items()}
 
     params2, bank2, adapter2 = make_setup(cfg, k=2)
     named2 = dict(params2.named()) | {"prompts.bank": bank2} | dict(adapter2.named())
@@ -308,10 +304,10 @@ def test_lambda_zero_gradients_match_sum_of_other_losses(tiny_vit_cfg):
     adapted = prompting.compose_adapted_prompts(bank2, weights)
     _, logits = vit.forward(params2, cfg, Tensor(batch.images), adapted)
     la = T.cross_entropy(logits, batch.labels)
-    T.backward(lp + la)
+    grads2 = grads_of(lp + la)
 
     for name, p in named2.items():
-        a, b = grads_total[name], p.grad
+        a, b = grads_total[name], grads2.get(p)
         if a is None and b is None:
             continue
         a = a if a is not None else np.zeros_like(p.data)
@@ -345,10 +341,9 @@ def test_total_loss_bank_gradient_finite_difference_32bit(tiny_vit_cfg):
     def build():
         return objectives.total_loss(params, cfg, bank, adapter, batch, lam=1.0).total
 
-    bank.grad = None
-    T.backward(build())
+    grad = grads_of(build())[bank]
     numeric = central_diff(lambda: build().item(), bank.data, h=1e-2)
-    assert norm_rel_error(bank.grad, numeric) < 1e-3
+    assert norm_rel_error(grad, numeric) < 1e-3
 
 
 def test_loss_breakdown_csv_row():
@@ -383,13 +378,13 @@ def test_shared_patch_rows_give_the_bits_of_passes_that_each_embed_the_pixels(ti
     cfg = dataclasses.replace(tiny_vit_cfg, dropout_rate=0.1)
     batch = make_batch(cfg, [0, 1])
 
-    def grads(params, bank, adapter):
+    def by_name(params, bank, adapter, loss):
         named = dict(params.named()) | {"prompts.bank": bank} | dict(adapter.named())
-        return {n: p.grad.tobytes() for n, p in named.items()}
+        grads = grads_of(loss)
+        return {n: grads[p].tobytes() for n, p in named.items()}
 
     params, bank, adapter = make_setup(cfg, k=2)
     br = objectives.variant_loss(VARIANTS["doprompt"], params, cfg, bank, adapter, batch, 0.7, np.random.default_rng(7))
-    T.backward(br.total)
 
     # the oracle: variant_loss's passes and dropout draws, each pass starting from the pixels
     params2, bank2, adapter2 = make_setup(cfg, k=2)
@@ -402,10 +397,9 @@ def test_shared_patch_rows_give_the_bits_of_passes_that_each_embed_the_pixels(ti
     adapted = prompting.compose_adapted_prompts(bank2, weights)
     l_a = T.cross_entropy(vit.forward(params2, cfg, Tensor(batch.images), adapted, rng)[1], batch.labels)
     total = l_p + l_a + l_w * 0.7
-    T.backward(total)
 
     assert br.floats() == LossBreakdown(l_p, l_w, l_a, total).floats()
-    assert grads(params, bank, adapter) == grads(params2, bank2, adapter2)
+    assert by_name(params, bank, adapter, br.total) == by_name(params2, bank2, adapter2, total)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -422,18 +416,18 @@ def test_backward_by_parts_gives_the_gradients_of_one_backward(tiny_vit_cfg, var
             p.requires_grad = not name.startswith(spec.frozen)
         rng = np.random.default_rng(7)
         if by_parts:
-            roots = []
+            roots, into = [], {}
 
             def backward(root):
                 roots.append(root)
-                T.backward(root)
+                T.backward(root, into)
 
             br = objectives.variant_loss(spec, params, cfg, bank, adapter, batch, 0.7, rng, backward=backward)
             assert len(roots) == (2 if spec.uses_adapter else 1)
         else:
             br = objectives.variant_loss(spec, params, cfg, bank, adapter, batch, 0.7, rng)
-            T.backward(br.total)
-        grads = {n: p.grad.tobytes() for n, p in named.items() if p.grad is not None}
+            into = grads_of(br.total)
+        grads = {n: into[p].tobytes() for n, p in named.items() if p in into}
         return br.floats(), grads
 
     by_parts, whole = run(True), run(False)

@@ -17,6 +17,7 @@ from conftest import (
     check_gradient,
     count_gelu_derivatives,
     erf64,
+    grads_of,
     rel_error,
     unfused_attention,
     unfused_mlp,
@@ -56,15 +57,14 @@ def test_matmul_gradient_finite_difference_32bit():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    loss = T.tensor_sum(T.matmul(a, b))
-    T.backward(loss)
+    grads = grads_of(T.tensor_sum(T.matmul(a, b)))
 
     def f():
         return float(np.matmul(a.data, b.data).sum())
 
     for p in (a, b):
         numeric = central_diff(f, p.data, h=1e-3)
-        assert rel_error(p.grad, numeric) < 1e-3
+        assert rel_error(grads[p], numeric) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,8 @@ def test_layer_norm_is_bitwise_the_var_formula(dtype, shape):
     with T.default_dtype(dtype):
         xt, gt, bt = Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
         out = T.layer_norm(xt, gt, bt)
-        T.backward(T.tensor_sum(out * Tensor(g)))
-    for got, want in zip((out.data, xt.grad, gt.grad, bt.grad), var_layer_norm(x, gamma, beta, g)):
+        grads = grads_of(T.tensor_sum(out * Tensor(g)))
+    for got, want in zip((out.data, grads[xt], grads[gt], grads[bt]), var_layer_norm(x, gamma, beta, g)):
         assert got.dtype == want.dtype == np.dtype(dtype)
         assert got.tobytes() == want.tobytes()
 
@@ -169,10 +169,10 @@ def test_concat_backward_is_bitwise_that_of_np_split(axis):
     parts = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
     out = T.concat(parts, axis=axis)
     g = rng.normal(size=out.shape).astype(np.float32)
-    T.backward(T.tensor_sum(out * Tensor(g)))
+    grads = grads_of(T.tensor_sum(out * Tensor(g)))
     splits = np.cumsum([shape[axis] for shape in shapes])[:-1]
     for p, want in zip(parts, np.split(g, splits, axis=axis)):
-        assert p.grad.shape == want.shape and p.grad.tobytes() == want.tobytes()
+        assert grads[p].shape == want.shape and grads[p].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +253,28 @@ def test_cross_entropy_target_out_of_range():
 
 def test_backward_quadratic():
     x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    loss = T.tensor_sum(x * x)
-    T.backward(loss)
-    np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-6)
+    np.testing.assert_allclose(grads_of(T.tensor_sum(x * x))[x], 2 * x.data, atol=1e-6)
+    scalar = Tensor(1.5, requires_grad=True)
+    assert grads_of(scalar) == {scalar: 1.0}  # a loss that is itself a leaf
+
+
+def test_backward_needs_a_dict_and_a_tensor_holds_no_gradient():
+    x = Tensor([2.0], requires_grad=True)
+    with pytest.raises(TypeError):
+        T.backward(T.tensor_sum(x * x))
+    assert not hasattr(x, "grad") and "grad" not in Tensor.__slots__
 
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        T.backward(x * 2.0)
+        T.backward(x * 2.0, {})
 
 
 def test_backward_accumulates_on_shared_input():
     x = Tensor([2.0], requires_grad=True)
     loss = T.tensor_sum(x * 3.0) + T.tensor_sum(x * 5.0)
-    T.backward(loss)
-    np.testing.assert_allclose(x.grad, [8.0])
+    np.testing.assert_allclose(grads_of(loss)[x], [8.0])
 
 
 def test_a_repeated_backward_doubles_the_leaf_gradients_and_releases_the_interior_ones():
@@ -278,13 +284,15 @@ def test_a_repeated_backward_doubles_the_leaf_gradients_and_releases_the_interio
     c = Tensor([2.0], requires_grad=True)
     h = T.matmul(x, w)
     loss = T.tensor_sum(h * h + h) + T.tensor_sum(c * 3.0)  # h fans out to two nodes
-    T.backward(loss)
-    once = [x.grad.copy(), w.grad.copy(), c.grad.copy()]
-    assert h.grad is None and loss.grad is None
-    T.backward(loss)
-    for leaf, grad in zip((x, w, c), once):
-        np.testing.assert_array_equal(leaf.grad, 2 * grad)
-    np.testing.assert_array_equal(c.grad, [6.0])
+    grads = {}
+    T.backward(loss, grads)
+    assert set(grads) == {x, w, c}
+    once = {leaf: g.copy() for leaf, g in grads.items()}
+    assert h._record.grad is None and loss._record.grad is None
+    T.backward(loss, grads)  # adds onto the dict's arrays, out of place
+    for leaf, grad in once.items():
+        np.testing.assert_array_equal(grads[leaf], 2 * grad)
+    np.testing.assert_array_equal(grads[c], [6.0])
 
 
 def test_backward_two_layer_mlp_finite_difference():
@@ -319,24 +327,21 @@ def test_detach_preserves_values():
 
 def test_detach_blocks_gradient():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = T.tensor_sum(T.detach(x) * 3.0)
-    T.backward(loss)
-    assert x.grad is None
+    assert x not in grads_of(T.tensor_sum(T.detach(x) * 3.0))
 
 
 def test_detach_mixed_graph_gradient_is_one():
     # y = x + detach(x): only the live branch contributes, dy/dx = 1 not 2
     with T.default_dtype("float64"):
         x = Tensor([1.5], requires_grad=True)
-        loss = T.tensor_sum(x + T.detach(x))
-        T.backward(loss)
-        np.testing.assert_allclose(x.grad, [1.0])
+        grad = grads_of(T.tensor_sum(x + T.detach(x)))[x]
+        np.testing.assert_allclose(grad, [1.0])
 
         def f():
             return float(x.data[0] + 1.5)  # detached copy frozen at its value
 
         numeric = central_diff(f, x.data, h=1e-6)
-        np.testing.assert_allclose(x.grad, numeric, atol=1e-6)
+        np.testing.assert_allclose(grad, numeric, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -425,28 +430,6 @@ def test_no_grad_in_one_thread_leaves_recording_on_in_another():
     assert inside[0]._record is None and T._GRAD.enabled
 
 
-def test_backward_into_a_dict_leaves_every_grad_alone_and_matches_it_bitwise():
-    rng = np.random.default_rng(22)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    frozen = Tensor(rng.normal(size=(5,)))
-
-    def loss():
-        h = T.matmul(x, w) + frozen
-        return T.tensor_sum(h * h) + T.tensor_sum(x)  # x reaches the loss twice
-
-    grads = {}
-    T.backward(loss(), grads)
-    T.backward(loss(), grads)  # accumulates onto the dict's arrays
-    assert set(grads) == {x, w} and x.grad is None and w.grad is None
-    T.backward(loss())
-    T.backward(loss())
-    assert grads[x].tobytes() == x.grad.tobytes() and grads[w].tobytes() == w.grad.tobytes()
-    scalar, into = Tensor(1.5, requires_grad=True), {}
-    T.backward(scalar, into)  # a loss that is itself a leaf
-    assert into[scalar] == 1.0 and scalar.grad is None
-
-
 def test_an_interior_output_is_freed_with_its_tensor_unless_a_closure_reads_it():
     rng = np.random.default_rng(20)
     x = Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
@@ -458,8 +441,8 @@ def test_an_interior_output_is_freed_with_its_tensor_unless_a_closure_reads_it()
     unread, read = weakref.ref(qkv.data), weakref.ref(p.data)
     del qkv, p
     assert unread() is None and read() is not None
-    T.backward(loss)
-    assert all(t.grad is not None and np.isfinite(t.grad).all() for t in (x, w, b))
+    grads = grads_of(loss)
+    assert set(grads) == {x, w, b} and all(np.isfinite(g).all() for g in grads.values())
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +540,7 @@ def test_frozen_linear_and_layer_norm_pass_only_the_input_gradient_64bit():
             return T.tensor_sum(out * out)
 
         check_gradient(build, {"x": x}, h=1e-6, tol=1e-6)
-        assert all(p.grad is None for p in (w, b, gain, shift))
+        assert set(grads_of(build())) == {x}
         # neither node computes a gradient for a frozen operand
         h = T.linear(x, w, b)
         out = T.layer_norm(h, gain, shift)
@@ -598,11 +581,11 @@ def test_attention_gradient_64bit(rate):
         def loss():
             return _attention_loss(T.attention, inputs, weights, rate)
 
-        T.backward(loss())
+        grads = grads_of(loss())
         for name, p in inputs.items():
             numeric = central_diff(lambda: loss().item(), p.data, h=1e-6)
             # the k bias shifts every score of a row equally, so its exact gradient is 0
-            np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+            np.testing.assert_allclose(grads[p], numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -615,11 +598,10 @@ def test_attention_matches_unfused_oracle_32bit(rate):
     loss_oracle = _attention_loss(unfused_attention, oracle, weights, rate)
     assert loss_fused.dtype == np.float32
     assert loss_fused.item() == loss_oracle.item()
-    T.backward(loss_fused)
-    T.backward(loss_oracle)
+    got, want = grads_of(loss_fused), grads_of(loss_oracle)
     for name in fused:
-        assert fused[name].grad.dtype == np.float32, name
-        np.testing.assert_array_equal(fused[name].grad, oracle[name].grad, err_msg=name)
+        assert got[fused[name]].dtype == np.float32, name
+        np.testing.assert_array_equal(got[fused[name]], want[oracle[name]], err_msg=name)
 
 
 @pytest.mark.parametrize("queries", [1, 3])
@@ -633,10 +615,10 @@ def test_attention_of_the_first_queries_gradient_64bit(rate, queries):
         def loss():
             return _attention_loss(T.attention, inputs, weights, rate, queries=queries)
 
-        T.backward(loss())
+        grads = grads_of(loss())
         for name, p in inputs.items():
             numeric = central_diff(lambda: loss().item(), p.data, h=1e-6)
-            np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+            np.testing.assert_allclose(grads[p], numeric, rtol=1e-6, atol=1e-8, err_msg=name)
         # the q of a token past the first `queries` reaches no output
         qkv = T.linear(inputs["h"], inputs["wqkv"], inputs["bqkv"])
         out = T.attention(qkv, 2, rate, np.random.default_rng(7), queries)
@@ -664,10 +646,9 @@ def test_attention_of_the_first_queries_matches_unfused_oracle_32bit(rate):
     loss_fused = _attention_loss(T.attention, fused, weights, rate, queries=1)
     loss_oracle = _attention_loss(unfused_attention, oracle, weights, rate, queries=1)
     np.testing.assert_allclose(loss_fused.item(), loss_oracle.item(), rtol=1e-6)
-    T.backward(loss_fused)
-    T.backward(loss_oracle)
+    got, want = grads_of(loss_fused), grads_of(loss_oracle)
     for name in fused:
-        np.testing.assert_allclose(fused[name].grad, oracle[name].grad, rtol=1e-5, atol=1e-6, err_msg=name)
+        np.testing.assert_allclose(got[fused[name]], want[oracle[name]], rtol=1e-5, atol=1e-6, err_msg=name)
 
 
 @pytest.mark.parametrize("queries", [0, 6, -1])
@@ -703,10 +684,10 @@ def test_mlp_gradient_64bit(rate):
         def loss():
             return _mlp_loss(T.mlp, inputs, weights, rate)
 
-        T.backward(loss())
+        grads = grads_of(loss())
         for name, p in inputs.items():
             numeric = central_diff(lambda: loss().item(), p.data, h=1e-6)
-            np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+            np.testing.assert_allclose(grads[p], numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -721,11 +702,10 @@ def test_mlp_matches_unfused_oracle_32bit(rate):
         out_oracle = unfused_mlp(*oracle.values(), rate, np.random.default_rng(7))
         assert out_fused.dtype == np.float32
         np.testing.assert_array_equal(out_fused.data, out_oracle.data)
-        T.backward(T.tensor_sum(out_fused * weights))
-        T.backward(T.tensor_sum(out_oracle * weights))
+        got, want = grads_of(T.tensor_sum(out_fused * weights)), grads_of(T.tensor_sum(out_oracle * weights))
         for name in fused:
-            assert fused[name].grad.dtype == np.float32, name
-            np.testing.assert_array_equal(fused[name].grad, oracle[name].grad, err_msg=name)
+            assert got[fused[name]].dtype == np.float32, name
+            np.testing.assert_array_equal(got[fused[name]], want[oracle[name]], err_msg=name)
         assert rate == 0.0 or (out_fused.data == 0.0).any()
 
 
@@ -735,13 +715,12 @@ def test_mlp_computes_no_gradient_for_a_frozen_operand(frozen):
     live, part = _mlp_inputs(np.random.default_rng(19)), _mlp_inputs(np.random.default_rng(19))
     for name in frozen:
         part[name].requires_grad = False
-    T.backward(_mlp_loss(T.mlp, live, weights, 0.3))
-    T.backward(_mlp_loss(T.mlp, part, weights, 0.3))
+    want, got = grads_of(_mlp_loss(T.mlp, live, weights, 0.3)), grads_of(_mlp_loss(T.mlp, part, weights, 0.3))
     for name, p in part.items():
         if name in frozen:
-            assert p.grad is None, name
+            assert p not in got, name
         else:
-            np.testing.assert_array_equal(p.grad, live[name].grad, err_msg=name)
+            np.testing.assert_array_equal(got[p], want[live[name]], err_msg=name)
     out = T.mlp(*part.values(), 0.3, np.random.default_rng(7))
     grads = dict(zip(part, out._record.backward_fn(np.ones(out.shape, dtype=np.float32))))
     assert [name for name, g in grads.items() if g is None] == list(frozen)
@@ -757,8 +736,7 @@ def test_linear_and_mlp_keep_their_input_only_for_the_weight_gradient(frozen):
     refs = [weakref.ref(h1.data), weakref.ref(h2.data)]
     del h1, h2
     assert [ref() is None for ref in refs] == [frozen, frozen]
-    T.backward(loss)
-    assert x.grad is not None and (w.grad is None) == frozen
+    assert set(grads_of(loss)) == ({x} if frozen else {x, w})
 
 
 def test_an_mlp_with_a_frozen_hidden_layer_computes_no_gelu_derivative(monkeypatch):
@@ -767,8 +745,7 @@ def test_an_mlp_with_a_frozen_hidden_layer_computes_no_gelu_derivative(monkeypat
     for name in ("x", "w1", "b1"):
         inputs[name].requires_grad = False
     out = T.mlp(*inputs.values(), 0.3, np.random.default_rng(7))
-    T.backward(T.tensor_sum(out))
-    assert out.requires_grad and inputs["w2"].grad is not None and inputs["b2"].grad is not None
+    assert out.requires_grad and set(grads_of(T.tensor_sum(out))) == {inputs["w2"], inputs["b2"]}
     assert calls == []
     live = T.mlp(*_mlp_inputs(np.random.default_rng(19)).values(), 0.3, np.random.default_rng(7))
     assert live.requires_grad and calls == [(10, 16)]
